@@ -10,6 +10,7 @@ linear maps, deterministic given (source, seed).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "apply_feature_stats",
     "ts_features",
     "timeseries_feature_matrix",
-    "embed_timeseries_source",
     "Screening",
     "latest_image",
     "aggregate_images",
@@ -76,6 +76,18 @@ class SourceSpec:
         if self.modality == "text" and self.token_vocab <= 0:
             raise ValueError("text source needs token_vocab")
 
+    def to_dict(self) -> dict:
+        """Manifest form, shared by dataset and checkpoint manifests."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> SourceSpec:
+        return cls(
+            source_id=d["source_id"], name=d["name"], modality=d["modality"], dim=d["dim"],
+            n_series=d.get("n_series", 0), raw_dim=d.get("raw_dim", 0),
+            token_vocab=d.get("token_vocab", 0), image_rule=d.get("image_rule", "latest"),
+        )
+
 
 def default_source_specs() -> tuple[SourceSpec, ...]:
     """The six clinical sources at their reference dimensions."""
@@ -106,32 +118,50 @@ def ts_features(values) -> np.ndarray:
     every difference-based feature, the variance, the peak count, and the
     slope.
     """
+    return _ts_feature_rows(_as_series(values)[np.newaxis])[0]
+
+
+def _as_series(values) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"series must be a nonempty 1-D array, got shape {x.shape}")
+    return x
+
+
+def _ts_feature_rows(x: np.ndarray) -> np.ndarray:
+    """`ts_features` of each row of an (m, L) matrix of equal-length series.
+
+    Every reduction runs along the contiguous row axis, so each row sums in
+    the same order as it would alone; the slope stays a per-row dot product
+    because a matrix-vector product may accumulate in another order.
+    """
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    out = np.zeros(N_TS_FEATURES)
-    out[0] = x.mean()
-    out[2] = x.min()
-    out[3] = x.max()
-    if x.size == 1:
+    m, length = x.shape
+    out = np.zeros((m, N_TS_FEATURES))
+    mean = x.mean(axis=1)
+    out[:, 0] = mean
+    out[:, 2] = x.min(axis=1)
+    out[:, 3] = x.max(axis=1)
+    if length == 1:
         return out
-    out[1] = x.var()  # population variance
-    d = np.diff(x)
-    out[4] = d.mean()
-    out[5] = np.abs(d).mean()
-    out[6] = d.max()
-    out[7] = np.abs(d).sum()
-    out[8] = x[-1] - x[0]
-    if x.size >= 3:
-        med = np.median(x)
-        interior = x[1:-1]
-        peaks = (interior > x[:-2]) & (interior > x[2:]) & (interior > med)
-        out[9] = np.count_nonzero(peaks)
-    idx = np.arange(x.size, dtype=np.float64)
+    out[:, 1] = x.var(axis=1)  # population variance
+    d = np.diff(x, axis=1)
+    abs_d = np.abs(d)
+    out[:, 4] = d.mean(axis=1)
+    out[:, 5] = abs_d.mean(axis=1)
+    out[:, 6] = d.max(axis=1)
+    out[:, 7] = abs_d.sum(axis=1)
+    out[:, 8] = x[:, -1] - x[:, 0]
+    if length >= 3:
+        med = np.median(x, axis=1, keepdims=True)
+        interior = x[:, 1:-1]
+        peaks = (interior > x[:, :-2]) & (interior > x[:, 2:]) & (interior > med)
+        out[:, 9] = np.count_nonzero(peaks, axis=1)
+    idx = np.arange(length, dtype=np.float64)
     ic = idx - idx.mean()
-    out[10] = float(ic @ (x - x.mean()) / (ic @ ic))
+    centered = x - mean[:, np.newaxis]
+    out[:, 10] = np.array([ic @ row for row in centered]) / (ic @ ic)
     return out
 
 
@@ -175,31 +205,22 @@ def timeseries_feature_matrix(records) -> np.ndarray:
     """(records, 11 * n_series) raw feature matrix for one source.
 
     `records` is a list of records, each a list of per-series 1-D arrays in
-    a fixed series order shared by every record.
+    a fixed series order shared by every record. Series of equal length are
+    featurized together, one numpy pass per length.
     """
     if not records:
         raise ValueError("no records to featurize")
     n_series = len(records[0])
-    feats = np.empty((len(records), N_TS_FEATURES * n_series))
     for i, rec in enumerate(records):
         if len(rec) != n_series:
             raise ValueError(f"record {i} has {len(rec)} series, expected {n_series}")
-        for j, series in enumerate(rec):
-            feats[i, j * N_TS_FEATURES:(j + 1) * N_TS_FEATURES] = ts_features(series)
-    return feats
-
-
-def embed_timeseries_source(records, stats: FeatureStats | None = None
-                            ) -> tuple[np.ndarray, FeatureStats]:
-    """Featurize and normalize one time-series source.
-
-    Stats are fitted here when not supplied, so pass the training-split
-    stats when embedding evaluation data.
-    """
-    feats = timeseries_feature_matrix(records)
-    if stats is None:
-        stats = fit_feature_stats(feats)
-    return apply_feature_stats(feats, stats), stats
+    series = [_as_series(x) for rec in records for x in rec]
+    lengths = np.array([x.size for x in series])
+    feats = np.empty((len(series), N_TS_FEATURES))
+    for length in np.unique(lengths):
+        pos = np.flatnonzero(lengths == length)
+        feats[pos] = _ts_feature_rows(np.stack([series[p] for p in pos]))
+    return feats.reshape(len(records), n_series * N_TS_FEATURES)
 
 
 # ---------------------------------------------------------------------------

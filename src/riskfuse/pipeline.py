@@ -37,7 +37,7 @@ from .losses import (ASLConfig, ClassWeights, class_weights,
 from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import Dataset, dump_json, read_json
+from .storage import Dataset, dump_json, manifest_keys, read_json
 
 __all__ = [
     "SEQUENCE_ORDER",
@@ -132,45 +132,52 @@ def _source_order(specs) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _base_embeddings(dataset: Dataset) -> dict:
+def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
+    """Frozen-encoder embeddings of the given record rows, per named source."""
     base = {}
-    for s in dataset.source_specs:
+    for name in names:
+        s = dataset.spec(name)
         if dataset.mode == "latent":
-            base[s.name] = dataset.embeddings[s.name]
+            base[name] = dataset.embeddings[name][rows]
         elif s.modality == "time-series":
-            base[s.name] = timeseries_feature_matrix(dataset.raw_timeseries[s.name])
+            series = dataset.raw_timeseries[name]
+            base[name] = timeseries_feature_matrix([series[i] for i in rows])
         elif s.modality == "image":
             stub = image_stub_matrix(s, dataset.seed)
-            rows = []
-            for screenings in dataset.raw_screenings:
-                embedded = [Screening(sc.time, stub @ sc.vector) for sc in screenings]
-                if s.image_rule == "latest":
-                    rows.append(latest_image(embedded))
-                else:
-                    rows.append(aggregate_images(embedded))
-            base[s.name] = np.stack(rows)
+            pick = latest_image if s.image_rule == "latest" else aggregate_images
+            base[name] = np.stack([
+                pick([Screening(sc.time, stub @ sc.vector)
+                      for sc in dataset.raw_screenings[i]])
+                for i in rows])
         else:
             table = text_stub_table(s, dataset.seed)
-            base[s.name] = np.stack([encode_text_with_table(table, ids)
-                                     for ids in dataset.raw_tokens[s.name]])
+            tokens = dataset.raw_tokens[name]
+            base[name] = np.stack([encode_text_with_table(table, tokens[i]) for i in rows])
     return base
 
 
-def prepare_embeddings(dataset: Dataset, train_idx=None, stats: dict | None = None
-                       ) -> tuple[dict, dict]:
-    """Per-source (n, d_e) embeddings, z-scored with training-split stats.
+def prepare_embeddings(dataset: Dataset, train_idx=None, stats: dict | None = None,
+                       rows=None, sources=None) -> tuple[dict, dict]:
+    """Per-source (len(rows), d_e) embeddings, z-scored with training-split stats.
 
-    Pass `stats` (from a checkpoint) to normalize evaluation data exactly as
-    the training run did; otherwise `train_idx` selects the rows the stats
-    are fitted on.
+    Only the record `rows` (default: every record, in order) of the named
+    `sources` (default: every source) are featurized. Pass `stats` (from a
+    checkpoint) to normalize evaluation data exactly as the training run
+    did; otherwise `train_idx` selects the rows the stats are fitted on,
+    which needs every record featurized, so `rows` must then be omitted.
     """
-    base = _base_embeddings(dataset)
     if stats is None:
         if train_idx is None:
             raise ValueError("need train_idx to fit normalization stats")
         idx = np.asarray(train_idx)
         if idx.size == 0:
             raise ValueError("empty training split")
+        if rows is not None:
+            raise ValueError("fitting normalization stats needs every record; omit rows")
+    rows = np.arange(dataset.n_records) if rows is None else np.asarray(rows)
+    names = [s.name for s in dataset.source_specs] if sources is None else sources
+    base = _base_embeddings(dataset, rows, names)
+    if stats is None:
         stats = {name: fit_feature_stats(mat[idx]) for name, mat in base.items()}
     emb = {}
     for name, mat in base.items():
@@ -401,18 +408,18 @@ def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
         if single_source not in names:
             raise ValueError(f"unknown source {single_source!r}")
         names = (single_source,)
-    emb, _ = prepare_embeddings(dataset, stats=ckpt.stats)
-    sel = selection_matrix(ckpt.designated, ckpt.config.lm.vocab)
-    frozen = ckpt.frozen()
     idx = np.asarray(indices)
     if idx.size == 0:
         raise ValueError("no records to predict")
+    emb, _ = prepare_embeddings(dataset, stats=ckpt.stats, rows=idx, sources=names)
+    sel = selection_matrix(ckpt.designated, ckpt.config.lm.vocab)
+    frozen = ckpt.frozen()
     out = np.empty((idx.size, len(ckpt.task_names)))
     for start in range(0, idx.size, PREDICT_CHUNK):
-        rows = idx[start:start + PREDICT_CHUNK]
-        tokens = [project(ckpt.projectors[name], emb[name][rows]) for name in names]
+        chunk = slice(start, start + PREDICT_CHUNK)
+        tokens = [project(ckpt.projectors[name], emb[name][chunk]) for name in names]
         phi = _confidence_graph(tokens, frozen, sel)
-        out[start:start + rows.size] = phi.value
+        out[chunk] = phi.value
     return out, (out >= threshold).astype(np.int64)
 
 
@@ -520,12 +527,11 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
         fname = f"stats_{name}.bin"
         tensorfile.write_matrix(out / fname, np.stack([st.mean, st.std]))
         stats_files[name] = fname
-    from .storage import _spec_to_dict  # shared spec serialization
     manifest = {
         "format": "riskfuse-checkpoint",
         "version": 1,
         "train_config": dataclasses.asdict(ckpt.config),
-        "sources": [_spec_to_dict(s) for s in ckpt.source_specs],
+        "sources": [s.to_dict() for s in ckpt.source_specs],
         "task_names": list(ckpt.task_names),
         "dataset_mode": ckpt.dataset_mode,
         "dataset_seed": ckpt.dataset_seed,
@@ -547,37 +553,37 @@ def load_checkpoint(path) -> Checkpoint:
     manifest = read_json(manifest_path)
     if manifest.get("format") != "riskfuse-checkpoint":
         raise ValueError(f"{manifest_path}: unrecognized checkpoint manifest")
-    tc = dict(manifest["train_config"])
-    tc["asl"] = ASLConfig(**tc["asl"])
-    tc["lm"] = LMConfig(**tc["lm"])
-    cfg = TrainConfig(**tc)
-    from .storage import _spec_from_dict
-    specs = tuple(_spec_from_dict(d) for d in manifest["sources"])
-    proj_cfgs = _projector_configs(specs, cfg.lm)
-    projectors = {}
-    for s in specs:
-        loaded = {}
-        for pname in PARAM_NAMES:
-            mat = tensorfile.read_matrix(root / manifest["params"][f"{s.name}.{pname}"])
-            loaded[pname] = mat.reshape(-1) if pname.endswith("_b") else mat
-        projectors[s.name] = ProjectorParams(proj_cfgs[s.name], **loaded)
-    stats = {}
-    for s in specs:
-        mat = tensorfile.read_matrix(root / manifest["stats"][s.name])
-        stats[s.name] = FeatureStats(mean=mat[0], std=mat[1])
-    designated = DesignatedVocab(indices=tuple(manifest["designated"]["indices"]),
-                                 seed=int(manifest["designated"]["seed"]))
-    return Checkpoint(
-        config=cfg,
-        source_specs=specs,
-        task_names=tuple(manifest["task_names"]),
-        dataset_mode=manifest["dataset_mode"],
-        dataset_seed=int(manifest["dataset_seed"]),
-        designated=designated,
-        projectors=projectors,
-        stats=stats,
-        history=manifest.get("history", {}),
-    )
+    with manifest_keys(manifest_path):
+        tc = dict(manifest["train_config"])
+        tc["asl"] = ASLConfig(**tc["asl"])
+        tc["lm"] = LMConfig(**tc["lm"])
+        cfg = TrainConfig(**tc)
+        specs = tuple(SourceSpec.from_dict(d) for d in manifest["sources"])
+        proj_cfgs = _projector_configs(specs, cfg.lm)
+        projectors = {}
+        for s in specs:
+            loaded = {}
+            for pname in PARAM_NAMES:
+                mat = tensorfile.read_matrix(root / manifest["params"][f"{s.name}.{pname}"])
+                loaded[pname] = mat.reshape(-1) if pname.endswith("_b") else mat
+            projectors[s.name] = ProjectorParams(proj_cfgs[s.name], **loaded)
+        stats = {}
+        for s in specs:
+            mat = tensorfile.read_matrix(root / manifest["stats"][s.name])
+            stats[s.name] = FeatureStats(mean=mat[0], std=mat[1])
+        designated = DesignatedVocab(indices=tuple(manifest["designated"]["indices"]),
+                                     seed=int(manifest["designated"]["seed"]))
+        return Checkpoint(
+            config=cfg,
+            source_specs=specs,
+            task_names=tuple(manifest["task_names"]),
+            dataset_mode=manifest["dataset_mode"],
+            dataset_seed=int(manifest["dataset_seed"]),
+            designated=designated,
+            projectors=projectors,
+            stats=stats,
+            history=manifest.get("history", {}),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,17 +106,27 @@ class Dataset:
                     raise ValueError(
                         f"source {s.name!r}: embeddings shape {e.shape} does not match "
                         f"({self.n_records}, {s.dim})")
+                if not np.all(np.isfinite(e)):
+                    raise ValueError(f"source {s.name!r}: embeddings contain non-finite values")
         elif self.mode == "raw":
             for s in self.source_specs:
                 if s.modality == "time-series":
                     if self.raw_timeseries is None or s.name not in self.raw_timeseries:
                         raise ValueError(f"missing raw series for source {s.name!r}")
+                    payload = self.raw_timeseries[s.name]
                 elif s.modality == "image":
                     if self.raw_screenings is None:
                         raise ValueError("missing raw screenings")
-                elif s.modality == "text":
+                    payload = self.raw_screenings
+                else:
                     if self.raw_tokens is None or s.name not in self.raw_tokens:
                         raise ValueError(f"missing raw tokens for source {s.name!r}")
+                    payload = self.raw_tokens[s.name]
+                # payloads are indexed by record number when featurizing
+                if len(payload) != self.n_records:
+                    raise ValueError(
+                        f"source {s.name!r}: {len(payload)} raw {s.modality} records, "
+                        f"expected {self.n_records}")
         else:
             raise ValueError(f"unknown dataset mode {self.mode!r}")
 
@@ -124,33 +135,21 @@ class Dataset:
 # serialization helpers
 
 
-def _spec_to_dict(s: SourceSpec) -> dict:
-    return {
-        "source_id": s.source_id,
-        "name": s.name,
-        "modality": s.modality,
-        "dim": s.dim,
-        "n_series": s.n_series,
-        "raw_dim": s.raw_dim,
-        "token_vocab": s.token_vocab,
-        "image_rule": s.image_rule,
-    }
-
-
-def _spec_from_dict(d: dict) -> SourceSpec:
-    return SourceSpec(
-        source_id=d["source_id"], name=d["name"], modality=d["modality"], dim=d["dim"],
-        n_series=d.get("n_series", 0), raw_dim=d.get("raw_dim", 0),
-        token_vocab=d.get("token_vocab", 0), image_rule=d.get("image_rule", "latest"),
-    )
-
-
 def dump_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+@contextmanager
+def manifest_keys(path):
+    """Report a key missing from the manifest at `path` as a ValueError."""
+    try:
+        yield
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err.args[0]!r}") from None
 
 
 def _write_ts(path, records: list) -> None:
@@ -259,7 +258,7 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
         "task_names": list(ds.task_names),
         "mode": ds.mode,
         "seed": ds.seed,
-        "sources": [_spec_to_dict(s) for s in ds.source_specs],
+        "sources": [s.to_dict() for s in ds.source_specs],
         "generator": ds.generator,
     }
     dump_json(out / MANIFEST, manifest)
@@ -289,9 +288,13 @@ def load_dataset(path) -> Dataset:
     manifest = read_json(manifest_path)
     if manifest.get("format") != "riskfuse-dataset":
         raise ValueError(f"{manifest_path}: unrecognized dataset manifest")
-    specs = tuple(_spec_from_dict(d) for d in manifest["sources"])
-    n = int(manifest["n_records"])
-    k = int(manifest["n_tasks"])
+    with manifest_keys(manifest_path):
+        specs = tuple(SourceSpec.from_dict(d) for d in manifest["sources"])
+        n = int(manifest["n_records"])
+        k = int(manifest["n_tasks"])
+        task_names = tuple(manifest["task_names"])
+        mode = manifest["mode"]
+        seed = int(manifest["seed"])
     labels = np.frombuffer((root / LABELS).read_bytes(), dtype=np.int8)
     if labels.size != n * k:
         raise ValueError(f"{root / LABELS}: expected {n * k} label bytes, got {labels.size}")
@@ -301,11 +304,11 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{root / PATIENTS}: expected {n} patient ids, got {patients.size}")
     ds = Dataset(
         source_specs=specs,
-        task_names=tuple(manifest["task_names"]),
+        task_names=task_names,
         labels=labels,
         patients=patients.astype(np.int64),
-        mode=manifest["mode"],
-        seed=int(manifest["seed"]),
+        mode=mode,
+        seed=seed,
         generator=manifest.get("generator", {}),
     )
     if ds.mode == "latent":

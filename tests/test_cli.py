@@ -2,13 +2,15 @@
 covering the documented exit codes, lock files, and artifact formats."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from riskfuse import storage, tensorfile
 from riskfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from riskfuse.metrics import metrics_for_run, read_metrics_csv, write_metrics_csv
-from riskfuse.storage import load_dataset
+from riskfuse.storage import dump_json, load_dataset, read_json
 
 SMALL_LM = {"d_model": 48, "n_layers": 2, "n_heads": 2, "vocab": 32,
             "max_seq": 8, "seed": 0}
@@ -183,6 +185,45 @@ def test_eval_protocol_checkpoint_mismatch(workspace, capsys):
     assert main(["eval", "--data", str(workspace["data"]),
                  "--ckpt", str(workspace["joint"]), "--protocol", "single:ghost"]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("artifact, key", [("iso", "designated"), ("data", "task_names")])
+def test_eval_rejects_a_manifest_missing_a_key(workspace, tmp_path, capsys, artifact, key):
+    broken = tmp_path / artifact
+    shutil.copytree(workspace[artifact], broken)
+    manifest = read_json(broken / "manifest")
+    del manifest[key]
+    dump_json(broken / "manifest", manifest)
+    dirs = {"data": workspace["data"], "iso": workspace["iso"], artifact: broken}
+    assert main(["eval", "--data", str(dirs["data"]), "--ckpt", str(dirs["iso"]),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert f"{broken / 'manifest'}: missing key '{key}'" in capsys.readouterr().err
+
+
+def test_train_and_eval_reject_nonfinite_latent_embeddings(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    emb = tensorfile.read_matrix(data / "src_chart.bin")
+    emb[5, 0] = np.nan
+    tensorfile.write_matrix(data / "src_chart.bin", emb)
+    assert main(["eval", "--data", str(data), "--ckpt", str(workspace["iso"]),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("source 'chart': embeddings contain non-finite values" in e for e in err)
+
+
+def test_train_rejects_a_raw_payload_of_the_wrong_length(workspace, tmp_path, capsys):
+    data = tmp_path / "raw"
+    assert main(["gen", "--profile", "planted", "--mode", "raw", "--n-records", "30",
+                 "--seed", "2", "--out", str(data)]) == EXIT_OK
+    series = load_dataset(data).raw_timeseries["lab"]
+    storage._write_ts(data / "raw_lab.bin", series[:-1])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    assert "source 'lab': 29 raw time-series records, expected 30" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

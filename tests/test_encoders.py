@@ -3,7 +3,7 @@ image screening selection/aggregation, text chunking, normalization."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskfuse.encoders import (N_TS_FEATURES, Screening, SourceSpec,
@@ -78,6 +78,51 @@ def test_feature_matrix_concatenates_series_in_order():
     assert mat.shape == (2, 22)
     np.testing.assert_allclose(mat[0, :11], ts_features(np.array([1.0, 2.0, 4.0])))
     np.testing.assert_allclose(mat[0, 11:], ts_features(np.array([7.0])))
+
+
+def _loop_ts_features(x):
+    """Per-series formulation of the 11 features; the vectorized code must
+    reproduce it bit for bit."""
+    out = np.zeros(N_TS_FEATURES)
+    out[0], out[2], out[3] = x.mean(), x.min(), x.max()
+    if x.size == 1:
+        return out
+    out[1] = x.var()
+    d = np.diff(x)
+    out[4:8] = d.mean(), np.abs(d).mean(), d.max(), np.abs(d).sum()
+    out[8] = x[-1] - x[0]
+    if x.size >= 3:
+        interior = x[1:-1]
+        out[9] = np.count_nonzero((interior > x[:-2]) & (interior > x[2:])
+                                  & (interior > np.median(x)))
+    idx = np.arange(x.size, dtype=np.float64)
+    ic = idx - idx.mean()
+    out[10] = ic @ (x - x.mean()) / (ic @ ic)
+    return out
+
+
+_ragged_records = st.integers(1, 3).flatmap(lambda n_series: st.lists(
+    st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+             min_size=n_series, max_size=n_series),
+    min_size=1, max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ragged_records)
+@example([[[1.0], [2.0, -1.0], [3.0, 1.0, 2.0]], [[4.0], [0.5, 0.5], [1.0, 5.0, 1.0]]])
+def test_feature_matrix_equals_row_wise_ts_features(records):
+    arrays = [[np.array(x) for x in rec] for rec in records]
+    mat = timeseries_feature_matrix(arrays)
+    for loop in (ts_features, _loop_ts_features):
+        rowwise = np.stack([np.concatenate([loop(x) for x in rec]) for rec in arrays])
+        np.testing.assert_array_equal(mat, rowwise)
+
+
+def test_feature_matrix_rejects_nonfinite_and_ragged_records():
+    with pytest.raises(ValueError, match="non-finite"):
+        timeseries_feature_matrix([[np.array([1.0, np.nan])]])
+    with pytest.raises(ValueError, match="record 1 has 1 series"):
+        timeseries_feature_matrix([[np.ones(2), np.ones(3)], [np.ones(2)]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ plumbing, training in both modes, prediction protocols, source selection,
 and checkpoint persistence."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def joint_ckpt(dataset):
 @pytest.fixture(scope="module")
 def iso_ckpt(dataset):
     return train(dataset, _cfg(mode="isolated", epochs=2))
+
+
+@pytest.fixture(scope="module")
+def raw_dataset():
+    return build(planted_profile(n_records=120, seed=5, mode="raw"))
+
+
+@pytest.fixture(scope="module")
+def raw_ckpts(raw_dataset):
+    return [train(raw_dataset, _cfg(mode=mode, epochs=1)) for mode in ("joint", "isolated")]
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +129,8 @@ def test_prepare_requires_train_idx_or_stats(dataset):
         prepare_embeddings(dataset)
     with pytest.raises(ValueError):
         prepare_embeddings(dataset, train_idx=np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="omit rows"):
+        prepare_embeddings(dataset, train_idx=np.arange(10), rows=np.arange(5))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +279,51 @@ def test_chunked_prediction_matches_one_shot(joint_ckpt, dataset, monkeypatch):
     # BLAS reduction order shifts with the matmul height, so agreement is
     # to rounding, not bitwise
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+
+
+def test_row_subset_predict_matches_full_predict(dataset, joint_ckpt, iso_ckpt,
+                                                 raw_dataset, raw_ckpts):
+    # both batches are tall enough for BLAS's regular matmul kernel; below
+    # about 26 rows it switches to a small-matrix kernel that rounds
+    # differently (see the chunking test above)
+    for ds, ckpts in ((dataset, (joint_ckpt, iso_ckpt)), (raw_dataset, raw_ckpts)):
+        every = np.arange(ds.n_records)
+        rows = rng(0, "subset").permutation(ds.n_records)[: ds.n_records // 2]
+        for ckpt in ckpts:
+            fused = "joint" if ckpt.config.mode == "joint" else "iso-joint"
+            for mode in [fused] + [f"single:{n}" for n in ckpt.source_order()]:
+                full, _ = predict(ckpt, ds, every, mode)
+                part, _ = predict(ckpt, ds, rows, mode)
+                np.testing.assert_array_equal(part, full[rows], err_msg=f"{ds.mode} {mode}")
+
+
+def _count_featurized(monkeypatch) -> Counter:
+    """Count each (record, source) pair the pipeline featurizes."""
+    seen = Counter()
+    real = pipeline._base_embeddings
+
+    def counting(ds, rows, names):
+        seen.update((int(r), name) for name in names for r in rows)
+        return real(ds, rows, names)
+
+    monkeypatch.setattr(pipeline, "_base_embeddings", counting)
+    return seen
+
+
+def test_single_source_predict_featurizes_only_its_rows_and_source(
+        raw_dataset, raw_ckpts, monkeypatch):
+    seen = _count_featurized(monkeypatch)
+    predict(raw_ckpts[1], raw_dataset, np.arange(3, 13), "single:lab")
+    assert seen == Counter({(r, "lab"): 1 for r in range(3, 13)})
+
+
+def test_bss_featurizes_each_record_source_pair_at_most_once(
+        raw_dataset, raw_ckpts, monkeypatch):
+    seen = _count_featurized(monkeypatch)
+    evaluate_protocol(raw_ckpts[1], raw_dataset, "bss")
+    assert seen and max(seen.values()) == 1
+    # every source is scored on the validation slice
+    assert {name for _, name in seen} == set(raw_ckpts[1].source_order())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 file-level determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_truncated_labels_rejected(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("key", ["n_records", "mode", "sources"])
+def test_missing_manifest_key_names_the_manifest(tmp_path, key):
+    write_dataset(_latent_ds(), tmp_path)
+    manifest = read_json(tmp_path / "manifest")
+    del manifest[key]
+    dump_json(tmp_path / "manifest", manifest)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{tmp_path / 'manifest'}: missing key '{key}'")):
+        load_dataset(tmp_path)
+
+
 def test_dump_json_is_deterministic(tmp_path):
     payload = {"b": 2, "a": [1, 2], "nested": {"z": 1, "y": 2}}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
@@ -139,6 +151,27 @@ def test_latent_mode_requires_embeddings():
                      seed=0, embeddings=None)
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_validate_rejects_nonfinite_latent_embeddings():
+    ds = _latent_ds()
+    ds.embeddings["lab"] = ds.embeddings["lab"].copy()
+    ds.embeddings["lab"][3, 1] = np.inf
+    with pytest.raises(ValueError, match="source 'lab': embeddings contain non-finite"):
+        ds.validate()
+
+
+@pytest.mark.parametrize("source", ["proc", "xr", "txt"])
+def test_validate_rejects_raw_payloads_of_the_wrong_length(source):
+    ds = _raw_ds()
+    if source == "proc":
+        ds.raw_timeseries["proc"] = ds.raw_timeseries["proc"][:-1]
+    elif source == "xr":    # screenings are shared; the first image source reports
+        ds.raw_screenings = ds.raw_screenings[:-1]
+    else:
+        ds.raw_tokens["txt"] = ds.raw_tokens["txt"] + [np.array([1, 2])]
+    with pytest.raises(ValueError, match=f"source '{source}': .* expected {ds.n_records}"):
+        ds.validate()
 
 
 def test_record_view():
