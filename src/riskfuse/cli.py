@@ -24,8 +24,6 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from . import datagen, metrics, pipeline
-from .frozenlm import LMConfig
-from .losses import ASLConfig
 from .storage import dump_json, load_dataset
 
 EXIT_OK = 0
@@ -47,16 +45,6 @@ class _Parser(argparse.ArgumentParser):
 # training-config resolution
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-def _reject_unknown(given: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(given) - allowed)
-    if unknown:
-        raise CliError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
 def _load_config_file(path) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
@@ -71,17 +59,10 @@ def _load_config_file(path) -> dict:
 
 def resolve_train_config(file_cfg: dict, overrides: dict) -> pipeline.TrainConfig:
     """Defaults, then config-file values, then explicit flags."""
-    _reject_unknown(file_cfg, _field_names(pipeline.TrainConfig), "config")
     merged = dict(file_cfg)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    if isinstance(merged.get("asl"), dict):
-        _reject_unknown(merged["asl"], _field_names(ASLConfig), "config asl")
-        merged["asl"] = ASLConfig(**merged["asl"])
-    if isinstance(merged.get("lm"), dict):
-        _reject_unknown(merged["lm"], _field_names(LMConfig), "config lm")
-        merged["lm"] = LMConfig(**merged["lm"])
     try:
-        return pipeline.TrainConfig(**merged)
+        return pipeline.TrainConfig.from_dict(merged)
     except (TypeError, ValueError) as err:
         raise CliError(f"invalid training configuration: {err}") from err
 
@@ -173,16 +154,12 @@ def _cmd_eval(args) -> int:
         print(f"selected sources: {picks}")
     if args.out:
         metrics.write_metrics_csv(args.out, args.protocol, rows)
-        lock = {
-            "command": "eval",
-            "data": str(args.data),
-            "checkpoint": str(args.ckpt),
-            "protocol": args.protocol,
-            "threshold": ckpt.config.threshold if args.threshold is None else args.threshold,
-            "settings": dataclasses.asdict(ckpt.config),
-            "version": __version__,
-        }
-        dump_json(Path(str(args.out) + ".lock"), lock)
+        threshold = ckpt.config.threshold if args.threshold is None else args.threshold
+        dump_json(Path(str(args.out) + ".lock"),
+                  _config_lock(ckpt.config, {"command": "eval", "data": str(args.data),
+                                             "checkpoint": str(args.ckpt),
+                                             "protocol": args.protocol,
+                                             "threshold": threshold}))
         print(f"metrics written to {args.out}")
     return EXIT_OK
 

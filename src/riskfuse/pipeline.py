@@ -6,9 +6,9 @@ sequence into the frozen backbone and minimizes the batch mean of
     sum_s ||e_s - e_hat_s||^2  +  beta * masked classification loss
 
 with a single classification term on the fused confidences. Isolated
-training optimizes each source's projector independently on length-1
-sequences (same frozen backbone, same designated vocabulary), which is the
-regime single-source and best-single-source evaluation build on.
+training runs each source alone, as a one-source group through the same
+objective and loop, on length-1 sequences (same backbone and vocabulary);
+single-source and best-single-source evaluation build on that regime.
 
 Splits are patient-grouped: a seeded shuffle of patient ids fills the
 training side with whole patients until it reaches the requested fraction
@@ -93,6 +93,24 @@ class TrainConfig:
             raise ValueError("threshold must lie in [0, 1]")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError("split_ratio must lie in (0, 1)")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """Rebuild a config, nested asl and lm included, from a (possibly
+        partial) `dataclasses.asdict` dict; unknown keys are a ValueError."""
+        _reject_unknown(cls, d, "config")
+        kw = dict(d)
+        for key, sub in (("asl", ASLConfig), ("lm", LMConfig)):
+            if isinstance(kw.get(key), dict):
+                _reject_unknown(sub, kw[key], f"config {key}")
+                kw[key] = sub(**kw[key])
+        return cls(**kw)
+
+
+def _reject_unknown(cls, d: dict, where: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
 def split_by_patient(patients, ratio: float = 0.75, seed: int = 0
@@ -230,19 +248,10 @@ def build_isolated_loss(pp: ProjectorParams, frozen: FrozenWeights, sel: np.ndar
                         emb_batch, labels_batch, loss_kind: str, beta: float,
                         weights: ClassWeights | None = None,
                         asl: ASLConfig | None = None):
-    """Single-source objective: reconstruction plus beta times the masked
-    classification loss on the length-1 sequence's confidences."""
-
-    def computation(_params=None):
-        e = ad.constant(emb_batch)
-        t = project(pp, e)
-        rec = reconstruction_loss_graph(e, reconstruct(pp, t))
-        phi = _confidence_graph([t], frozen, sel)
-        cls = classification_loss_graph(phi, labels_batch, loss_kind,
-                                        weights=weights, asl=asl)
-        return (rec + beta * cls).mean()
-
-    return computation
+    """Single-source objective: the joint objective of a one-source group,
+    i.e. on the length-1 sequence of that source's token."""
+    return build_joint_loss({"source": pp}, frozen, sel, {"source": emb_batch}, labels_batch,
+                            loss_kind, beta, weights, asl)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +287,15 @@ def _projector_configs(specs, lm: LMConfig) -> dict:
     return configs
 
 
+def _param_set(projectors: dict) -> ad.ParamSet:
+    """One ParamSet over every tensor of the given projectors."""
+    params = ad.ParamSet()
+    for name, pp in projectors.items():
+        for pname in PARAM_NAMES:
+            params.adopt(f"{name}.{pname}", pp.tensor(pname))
+    return params
+
+
 def _epoch_batches(rng: np.random.Generator, idx: np.ndarray, batch_size: int):
     perm = rng.permutation(idx)
     for start in range(0, perm.size, batch_size):
@@ -306,7 +324,6 @@ def _run_epochs(params: ad.ParamSet, make_batch_loss, rng, train_idx, cfg: Train
 def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     dataset.validate()
     names = _source_order(dataset.source_specs)
-    specs = {s.name: s for s in dataset.source_specs}
     proj_cfgs = _projector_configs(dataset.source_specs, cfg.lm)
 
     train_idx, _ = split_by_patient(dataset.patients, cfg.split_ratio, cfg.seed)
@@ -319,33 +336,20 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     frozen = init_frozen(cfg.lm)
     projectors = {name: init_projector(proj_cfgs[name], cfg.seed, name) for name in names}
 
-    history: dict = {}
     if cfg.mode == "joint":
-        combined = ad.ParamSet()
-        for name in names:
-            for pname in PARAM_NAMES:
-                combined.adopt(f"{name}.{pname}", projectors[name].tensor(pname))
-
-        def make_batch_loss(batch):
-            emb_b = {name: emb[name][batch] for name in names}
-            return build_joint_loss(projectors, frozen, sel, emb_b, labels[batch],
+        groups = {"joint": (projectors, ("batches",), "joint training")}
+    else:
+        groups = {name: ({name: pp}, ("batches", name), f"isolated training ({name})")
+                  for name, pp in projectors.items()}
+    history: dict = {}
+    for key, (group, rng_key, label) in groups.items():
+        def make_batch_loss(batch, group=group):
+            emb_b = {name: emb[name][batch] for name in group}
+            return build_joint_loss(group, frozen, sel, emb_b, labels[batch],
                                     cfg.loss_kind, cfg.beta, weights, cfg.asl)
 
-        rng = seeding.rng(cfg.seed, "batches")
-        history["joint"] = _run_epochs(combined, make_batch_loss, rng, train_idx,
-                                       cfg, "joint training")
-    else:
-        for name in names:
-            pp = projectors[name]
-
-            def make_batch_loss(batch, pp=pp, name=name):
-                return build_isolated_loss(pp, frozen, sel, emb[name][batch],
-                                           labels[batch], cfg.loss_kind, cfg.beta,
-                                           weights, cfg.asl)
-
-            rng = seeding.rng(cfg.seed, "batches", name)
-            history[name] = _run_epochs(pp.params, make_batch_loss, rng, train_idx,
-                                        cfg, f"isolated training ({name})")
+        history[key] = _run_epochs(_param_set(group), make_batch_loss,
+                                   seeding.rng(cfg.seed, *rng_key), train_idx, cfg, label)
 
     return Checkpoint(
         config=cfg,
@@ -554,10 +558,10 @@ def load_checkpoint(path) -> Checkpoint:
     if manifest.get("format") != "riskfuse-checkpoint":
         raise ValueError(f"{manifest_path}: unrecognized checkpoint manifest")
     with manifest_keys(manifest_path):
-        tc = dict(manifest["train_config"])
-        tc["asl"] = ASLConfig(**tc["asl"])
-        tc["lm"] = LMConfig(**tc["lm"])
-        cfg = TrainConfig(**tc)
+        try:
+            cfg = TrainConfig.from_dict(manifest["train_config"])
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
         specs = tuple(SourceSpec.from_dict(d) for d in manifest["sources"])
         proj_cfgs = _projector_configs(specs, cfg.lm)
         projectors = {}
@@ -607,10 +611,6 @@ def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5
     frozen = init_frozen(lm)
     designated = draw_designated(lm.vocab, 4, seed)
     sel = selection_matrix(designated, lm.vocab)
-    combined = ad.ParamSet()
-    for name in names:
-        for pname in PARAM_NAMES:
-            combined.adopt(f"{name}.{pname}", projectors[name].tensor(pname))
     computation = build_joint_loss(projectors, frozen, sel, emb, labels,
                                    "asl", beta=10.0, asl=ASLConfig())
-    return ad.finite_diff_check(computation, combined, h=h, tol=tol)
+    return ad.finite_diff_check(computation, _param_set(projectors), h=h, tol=tol)

@@ -152,6 +152,22 @@ def manifest_keys(path):
         raise ValueError(f"{path}: missing key {err.args[0]!r}") from None
 
 
+# what np.frombuffer says when a count or offset runs past the buffer
+_SHORT_BUFFER = ("buffer is smaller than requested size", "offset must be non-negative")
+
+
+@contextmanager
+def payload_bounds(path):
+    """Report a read past the end of the payload at `path` (struct's for a
+    header or length prefix, numpy's for an array) as a ValueError."""
+    try:
+        yield
+    except (struct.error, ValueError) as err:
+        if isinstance(err, ValueError) and not str(err).startswith(_SHORT_BUFFER):
+            raise
+        raise ValueError(f"{path}: truncated payload") from None
+
+
 def _write_ts(path, records: list) -> None:
     n_series = len(records[0]) if records else 0
     with open(path, "wb") as fh:
@@ -322,11 +338,15 @@ def load_dataset(path) -> Dataset:
         ds.raw_timeseries = {}
         ds.raw_tokens = {}
         for s in specs:
-            if s.modality == "time-series":
-                ds.raw_timeseries[s.name] = _read_ts(root / f"raw_{s.name}.bin")
-            elif s.modality == "text":
-                ds.raw_tokens[s.name] = _read_tokens(root / f"raw_{s.name}.bin")
+            payload = root / f"raw_{s.name}.bin"
+            with payload_bounds(payload):
+                if s.modality == "time-series":
+                    ds.raw_timeseries[s.name] = _read_ts(payload)
+                elif s.modality == "text":
+                    ds.raw_tokens[s.name] = _read_tokens(payload)
         if any(s.modality == "image" for s in specs):
-            ds.raw_screenings = _read_screenings(root / "raw_screenings.bin")
+            payload = root / "raw_screenings.bin"
+            with payload_bounds(payload):
+                ds.raw_screenings = _read_screenings(payload)
     ds.validate()
     return ds

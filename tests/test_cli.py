@@ -200,6 +200,44 @@ def test_eval_rejects_a_manifest_missing_a_key(workspace, tmp_path, capsys, arti
     assert f"{broken / 'manifest'}: missing key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", [(), ("lm",), ("asl",)])
+def test_eval_rejects_a_checkpoint_config_with_an_unknown_key(workspace, tmp_path, capsys,
+                                                              where):
+    broken = tmp_path / "iso"
+    shutil.copytree(workspace["iso"], broken)
+    manifest = read_json(broken / "manifest")
+    section = manifest["train_config"]
+    for key in where:
+        section = section[key]
+    section["bogus"] = 1
+    dump_json(broken / "manifest", manifest)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{broken / 'manifest'}: invalid train_config" in err and "bogus" in err
+
+
+@pytest.fixture(scope="module")
+def raw_workspace(workspace):
+    data = workspace["root"] / "raw"
+    assert main(["gen", "--profile", "planted", "--mode", "raw", "--n-records", "30",
+                 "--seed", "2", "--out", str(data)]) == EXIT_OK
+    return data
+
+
+@pytest.mark.parametrize("fname", ["raw_lab.bin", "raw_txt.bin", "raw_screenings.bin"])
+def test_eval_rejects_a_truncated_raw_payload(workspace, raw_workspace, tmp_path, capsys,
+                                              fname):
+    data = tmp_path / "raw"
+    shutil.copytree(raw_workspace, data)
+    # cut inside the first length prefix, which follows the 4- or 8-byte header
+    keep = 6 if fname == "raw_txt.bin" else 10
+    (data / fname).write_bytes((data / fname).read_bytes()[:keep])
+    assert main(["eval", "--data", str(data), "--ckpt", str(workspace["iso"]),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert f"{data / fname}: truncated payload" in capsys.readouterr().err
+
+
 def test_train_and_eval_reject_nonfinite_latent_embeddings(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)

@@ -13,6 +13,7 @@ from riskfuse import autodiff as ad
 from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import apply_feature_stats
 from riskfuse.frozenlm import LMConfig, init_frozen
+from riskfuse.losses import ASLConfig
 from riskfuse.metrics import TaskMetrics
 from riskfuse.pipeline import (TrainConfig, bss_select, evaluate_protocol,
                                load_checkpoint, predict, prepare_embeddings,
@@ -170,6 +171,28 @@ def test_isolated_training_tracks_every_source(iso_ckpt, dataset):
     for hist in iso_ckpt.history.values():
         assert len(hist) == iso_ckpt.config.epochs
         assert all(np.isfinite(hist))
+
+
+def test_isolated_training_of_a_source_ignores_the_other_sources(iso_ckpt, dataset):
+    name = iso_ckpt.source_order()[-1]
+    alone = dataclasses.replace(dataset, source_specs=(dataset.spec(name),),
+                                embeddings={name: dataset.embeddings[name]})
+    ckpt = train(alone, iso_ckpt.config)
+    assert ckpt.history == {name: iso_ckpt.history[name]}
+    for pname in PARAM_NAMES:
+        np.testing.assert_array_equal(ckpt.projectors[name].value(pname),
+                                      iso_ckpt.projectors[name].value(pname))
+
+
+def test_train_config_from_dict_roundtrips_and_rejects_unknown_keys():
+    cfg = _cfg(mode="isolated", asl=ASLConfig(margin=0.1))
+    assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+    assert TrainConfig.from_dict({"epochs": 2}) == TrainConfig(epochs=2)
+    for bad, key in [({"momentum": 0.9}, "momentum"),
+                     ({"asl": {"margin": 0.1, "gamma_pos": 1.0}}, "gamma_pos"),
+                     ({"lm": {"head_count": 2}}, "head_count")]:
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(bad)
 
 
 def test_backbone_weights_never_move(joint_ckpt, iso_ckpt):

@@ -98,6 +98,20 @@ def test_truncated_labels_rejected(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("fname", ["raw_lab.bin", "raw_txt.bin", "raw_screenings.bin"])
+def test_every_truncation_of_a_raw_payload_names_the_file(tmp_path, fname):
+    write_dataset(_raw_ds(n=3), tmp_path)
+    path = tmp_path / fname
+    blob = path.read_bytes()
+    # every cut: inside the header, a length prefix, a time stamp or an array
+    for keep in range(len(blob)):
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
+            load_dataset(tmp_path)
+    path.write_bytes(blob)
+    load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("key", ["n_records", "mode", "sources"])
 def test_missing_manifest_key_names_the_manifest(tmp_path, key):
     write_dataset(_latent_ds(), tmp_path)
