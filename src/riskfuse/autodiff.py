@@ -1,10 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The graph is built eagerly: every operation on a Tensor records its parents
-and a backward rule, and backward() walks the recorded graph once,
-accumulating gradients into leaves created with requires_grad=True. Frozen
-leaves (model weights that must not train, batch data) never receive a
-gradient buffer.
+and one vector-Jacobian product (VJP) per parent, and backward() walks the
+recorded graph once, accumulating gradients into leaves created with
+requires_grad=True. backward() calls a parent's VJP only when that parent
+requires a gradient, so no primitive computes a gradient for a frozen
+operand (model weights that must not train, batch data); frozen leaves never
+receive a gradient buffer.
+
+Inside `with no_graph():` primitives record nothing: each result is a plain
+node without parents, so intermediates are freed as soon as they are dead.
+It is for forward-only evaluation (prediction, finite-difference probes);
+eval_with_grads refuses to run inside it.
 
 Every primitive validates its output. NaN or Inf anywhere, forward or
 backward, raises NonFiniteError naming the offending primitive. All values
@@ -15,7 +22,9 @@ single-threaded process.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,6 +54,7 @@ __all__ = [
     "reshape",
     "swapaxes",
     "backward",
+    "no_graph",
     "ParamSet",
     "eval_with_grads",
     "finite_diff_check",
@@ -90,19 +100,19 @@ class Tensor:
     to a single backward() call.
     """
 
-    __slots__ = ("value", "requires_grad", "grad", "op", "_parents", "_backward")
+    __slots__ = ("value", "requires_grad", "grad", "op", "_parents", "_vjps")
 
     # ndarray <op> Tensor must dispatch to the reflected methods below, not
     # to numpy's elementwise object broadcasting
     __array_ufunc__ = None
 
     def __init__(self, value, requires_grad: bool = False, *, op: str = "leaf",
-                 parents: tuple = (), backward=None):
+                 parents: tuple = (), vjps: tuple = ()):
         self.value = _check_finite(np.asarray(value, dtype=np.float64), op)
         self.requires_grad = bool(requires_grad)
         self.op = op
         self._parents = parents
-        self._backward = backward
+        self._vjps = vjps
         if self.requires_grad and not parents:
             self.grad = np.zeros_like(self.value)
         else:
@@ -216,12 +226,30 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _node(value, op: str, parents: tuple, backward) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    if not needs:
+# False inside no_graph(); single-threaded use, like the rest of the engine
+_recording = True
+
+
+@contextmanager
+def no_graph():
+    """Forward-only evaluation: primitives inside build plain nodes without
+    parents, so nothing can be differentiated and every intermediate is
+    freed once dead. Values, and the per-primitive finite checks, are
+    unchanged."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def _node(value, op: str, parents: tuple, vjps: tuple) -> Tensor:
+    """Result of a primitive; vjps[i] maps the output gradient to parents[i]'s."""
+    if not _recording or not any(p.requires_grad for p in parents):
         # constants flow through without keeping graph structure alive
         return Tensor(value, op=op)
-    return Tensor(value, requires_grad=True, op=op, parents=parents, backward=backward)
+    return Tensor(value, requires_grad=True, op=op, parents=parents, vjps=vjps)
 
 
 def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
@@ -238,35 +266,23 @@ def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "add")
-    out = a.value + b.value
-
-    def bwd(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-    return _node(out, "add", (a, b), bwd)
+    return _node(a.value + b.value, "add", (a, b),
+                 (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "sub")
-    out = a.value - b.value
-
-    def bwd(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-    return _node(out, "sub", (a, b), bwd)
+    return _node(a.value - b.value, "sub", (a, b),
+                 (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "mul")
-    out = a.value * b.value
-
-    def bwd(g):
-        return ((a, _unbroadcast(g * b.value, a.shape)),
-                (b, _unbroadcast(g * a.value, b.shape)))
-
-    return _node(out, "mul", (a, b), bwd)
+    return _node(a.value * b.value, "mul", (a, b),
+                 (lambda g: _unbroadcast(g * b.value, a.shape),
+                  lambda g: _unbroadcast(g * a.value, b.shape)))
 
 
 def div(a, b) -> Tensor:
@@ -274,22 +290,14 @@ def div(a, b) -> Tensor:
     _broadcast_check(a, b, "div")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.value / b.value
-
-    def bwd(g):
-        ga = g / b.value
-        gb = -g * out / b.value
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
-
-    return _node(out, "div", (a, b), bwd)
+    return _node(out, "div", (a, b),
+                 (lambda g: _unbroadcast(g / b.value, a.shape),
+                  lambda g: _unbroadcast(-g * out / b.value, b.shape)))
 
 
 def neg(a) -> Tensor:
     a = _wrap(a)
-
-    def bwd(g):
-        return ((a, -g),)
-
-    return _node(-a.value, "neg", (a,), bwd)
+    return _node(-a.value, "neg", (a,), (lambda g: -g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -302,27 +310,15 @@ def matmul(a, b) -> Tensor:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ValueError(f"matmul: batch dimensions do not broadcast, {a.shape} vs {b.shape}") from None
-    out = a.value @ b.value
-
-    def bwd(g):
-        ga = g @ np.swapaxes(b.value, -1, -2)
-        gb = np.swapaxes(a.value, -1, -2) @ g
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
-
-    return _node(out, "matmul", (a, b), bwd)
-
-
-def _unary(a, op: str, value: np.ndarray, local) -> Tensor:
-    def bwd(g):
-        return ((a, g * local()),)
-
-    return _node(value, op, (a,), bwd)
+    return _node(a.value @ b.value, "matmul", (a, b),
+                 (lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
+                  lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape)))
 
 
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out = np.tanh(a.value)
-    return _unary(a, "tanh", out, lambda: 1.0 - out * out)
+    return _node(out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
@@ -330,27 +326,27 @@ def sigmoid(a) -> Tensor:
     # stable in both tails; never overflows
     z = np.exp(-np.abs(a.value))
     out = np.where(a.value >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return _unary(a, "sigmoid", out, lambda: out * (1.0 - out))
+    return _node(out, "sigmoid", (a,), (lambda g: g * (out * (1.0 - out)),))
 
 
 def relu(a) -> Tensor:
     a = _wrap(a)
     out = np.maximum(a.value, 0.0)
-    return _unary(a, "relu", out, lambda: (a.value > 0).astype(np.float64))
+    return _node(out, "relu", (a,), (lambda g: g * (a.value > 0).astype(np.float64),))
 
 
 def exp(a) -> Tensor:
     a = _wrap(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.value)
-    return _unary(a, "exp", out, lambda: out)
+    return _node(out, "exp", (a,), (lambda g: g * out,))
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.value)
-    return _unary(a, "log", out, lambda: 1.0 / a.value)
+    return _node(out, "log", (a,), (lambda g: g * (1.0 / a.value),))
 
 
 def maximum_const(a, c: float) -> Tensor:
@@ -358,7 +354,8 @@ def maximum_const(a, c: float) -> Tensor:
     c = float(c)
     out = np.maximum(a.value, c)
     # subgradient 0 at the tie x == c
-    return _unary(a, "maximum_const", out, lambda: (a.value > c).astype(np.float64))
+    return _node(out, "maximum_const", (a,),
+                 (lambda g: g * (a.value > c).astype(np.float64),))
 
 
 def power_const(a, p: float) -> Tensor:
@@ -367,15 +364,15 @@ def power_const(a, p: float) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.power(a.value, p)
 
-    def local():
+    def vjp(g):
         if p == 0.0:
-            return np.zeros_like(a.value)
+            return g * np.zeros_like(a.value)
         if p == 1.0:
-            return np.ones_like(a.value)
+            return g * np.ones_like(a.value)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return p * np.power(a.value, p - 1.0)
+            return g * (p * np.power(a.value, p - 1.0))
 
-    return _unary(a, "power_const", out, local)
+    return _node(out, "power_const", (a,), (vjp,))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -384,8 +381,8 @@ def clip(a, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clip: lo must be below hi, got {lo} and {hi}")
     out = np.clip(a.value, lo, hi)
-    return _unary(a, "clip", out,
-                  lambda: ((a.value >= lo) & (a.value <= hi)).astype(np.float64))
+    return _node(out, "clip", (a,),
+                 (lambda g: g * ((a.value >= lo) & (a.value <= hi)).astype(np.float64),))
 
 
 def _normalize_axes(axis, ndim: int):
@@ -409,11 +406,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     axes = _normalize_axes(axis, a.ndim)
     out = a.value.sum(axis=axes, keepdims=keepdims)
-
-    def bwd(g):
-        return ((a, _expand_reduced(g, a.shape, axes, keepdims)),)
-
-    return _node(out, "sum", (a,), bwd)
+    return _node(out, "sum", (a,), (lambda g: _expand_reduced(g, a.shape, axes, keepdims),))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -427,10 +420,8 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         for ax in axes:
             count *= a.shape[ax]
 
-    def bwd(g):
-        return ((a, _expand_reduced(g / count, a.shape, axes, keepdims)),)
-
-    return _node(out, "mean", (a,), bwd)
+    return _node(out, "mean", (a,),
+                 (lambda g: _expand_reduced(g / count, a.shape, axes, keepdims),))
 
 
 def softmax_last(a) -> Tensor:
@@ -440,11 +431,11 @@ def softmax_last(a) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
+    def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((a, (g - inner) * out),)
+        return (g - inner) * out
 
-    return _node(out, "softmax", (a,), bwd)
+    return _node(out, "softmax", (a,), (vjp,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -453,30 +444,36 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise ValueError("concat: need at least one tensor")
     out = np.concatenate([t.value for t in tensors], axis=axis)
     ax = axis % out.ndim
-    sizes = [t.shape[ax] for t in tensors]
 
-    def bwd(g):
-        grads = []
-        offset = 0
-        for t, n in zip(tensors, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[ax] = slice(offset, offset + n)
-            grads.append((t, g[tuple(idx)]))
-            offset += n
-        return tuple(grads)
+    def part(start: int, stop: int):
+        idx = (slice(None),) * ax + (slice(start, stop),)
+        return lambda g: g[idx]
 
-    return _node(out, "concat", tensors, bwd)
+    bounds = [0, *accumulate(t.shape[ax] for t in tensors)]
+    return _node(out, "concat", tensors, tuple(map(part, bounds, bounds[1:])))
+
+
+def _is_basic_index(idx) -> bool:
+    """Ints, slices, Ellipsis and None never select an entry twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
+               for p in parts)
 
 
 def _getitem(a: Tensor, idx) -> Tensor:
     out = a.value[idx]
+    basic = _is_basic_index(idx)
 
-    def bwd(g):
+    def vjp(g):
         full = np.zeros_like(a.value)
-        full[idx] = g
-        return ((a, full),)
+        if basic:
+            full[idx] = g
+        else:
+            # an advanced index may repeat entries; each repeat adds its share
+            np.add.at(full, idx, g)
+        return full
 
-    return _node(out, "slice", (a,), bwd)
+    return _node(out, "slice", (a,), (vjp,))
 
 
 def reshape(a, *shape) -> Tensor:
@@ -484,21 +481,13 @@ def reshape(a, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     out = a.value.reshape(shape)
-
-    def bwd(g):
-        return ((a, g.reshape(a.shape)),)
-
-    return _node(out, "reshape", (a,), bwd)
+    return _node(out, "reshape", (a,), (lambda g: g.reshape(a.shape),))
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = _wrap(a)
     out = np.swapaxes(a.value, ax1, ax2)
-
-    def bwd(g):
-        return ((a, np.swapaxes(g, ax1, ax2)),)
-
-    return _node(out, "swapaxes", (a,), bwd)
+    return _node(out, "swapaxes", (a,), (lambda g: np.swapaxes(g, ax1, ax2),))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +498,8 @@ def backward(out: Tensor) -> float:
     """Run reverse-mode accumulation from a scalar node; returns its value.
 
     Gradients land in the .grad buffers of requires_grad leaves (+=, callers
-    zero buffers between evaluations). Interior gradients are transient.
+    zero buffers between evaluations). Interior gradients are transient, and
+    a node's VJP runs only for parents that require a gradient.
     """
     if out.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {out.shape}")
@@ -536,16 +526,16 @@ def backward(out: Tensor) -> float:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._backward is None:
+        if not node._parents:
             # requires_grad leaf
             if node.grad is None:
                 node.grad = np.zeros_like(node.value)
             node.grad += g
             continue
-        for parent, pg in node._backward(g):
+        for parent, vjp in zip(node._parents, node._vjps):
             if not parent.requires_grad:
                 continue
-            _check_finite(pg, node.op, "backward")
+            pg = _check_finite(vjp(g), node.op, "backward")
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else prev + pg
     return float(out.value)
@@ -606,8 +596,11 @@ def eval_with_grads(computation, params: ParamSet, *inputs) -> float:
     """Evaluate computation(params, *inputs) and write gradients into params.
 
     The computation must return a scalar Tensor. Gradient buffers are zeroed
-    first, so each call yields exactly d loss / d param.
+    first, so each call yields exactly d loss / d param. Inside no_graph()
+    there is no graph to walk, so it raises instead of returning zeros.
     """
+    if not _recording:
+        raise RuntimeError("eval_with_grads called inside no_graph()")
     params.zero_grads()
     out = computation(params, *inputs)
     if not isinstance(out, Tensor):
@@ -678,7 +671,8 @@ def finite_diff_check(computation, params: ParamSet, inputs=(), *, h: float = 1e
         analytic = {name: params.grad(name).copy() for name in params.names()}
 
     def loss_at() -> float:
-        out = computation(params, *inputs)
+        with no_graph():
+            out = computation(params, *inputs)
         if out.value.size != 1:
             raise ValueError("computation must return a scalar")
         return float(out.value)

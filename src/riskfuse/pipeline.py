@@ -95,22 +95,30 @@ class TrainConfig:
             raise ValueError("split_ratio must lie in (0, 1)")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """Rebuild a config, nested asl and lm included, from a (possibly
-        partial) `dataclasses.asdict` dict; unknown keys are a ValueError."""
-        _reject_unknown(cls, d, "config")
+    def from_dict(cls, d: dict, complete: bool = False) -> "TrainConfig":
+        """Rebuild a config, nested asl and lm included, from a
+        `dataclasses.asdict` dict. Unknown keys are a ValueError at every
+        level; so are missing ones if `complete` (a saved config must name
+        every field), otherwise they take their defaults."""
+        _check_fields(cls, d, "config", complete)
         kw = dict(d)
         for key, sub in (("asl", ASLConfig), ("lm", LMConfig)):
-            if isinstance(kw.get(key), dict):
-                _reject_unknown(sub, kw[key], f"config {key}")
+            if key in kw:
+                _check_fields(sub, kw[key], f"config {key}", complete)
                 kw[key] = sub(**kw[key])
         return cls(**kw)
 
 
-def _reject_unknown(cls, d: dict, where: str) -> None:
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+def _check_fields(cls, d, where: str, complete: bool) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {type(d).__name__}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - names)
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = sorted(names - set(d))
+    if complete and missing:
+        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
 
 
 def split_by_patient(patients, ratio: float = 0.75, seed: int = 0
@@ -419,11 +427,12 @@ def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
     sel = selection_matrix(ckpt.designated, ckpt.config.lm.vocab)
     frozen = ckpt.frozen()
     out = np.empty((idx.size, len(ckpt.task_names)))
-    for start in range(0, idx.size, PREDICT_CHUNK):
-        chunk = slice(start, start + PREDICT_CHUNK)
-        tokens = [project(ckpt.projectors[name], emb[name][chunk]) for name in names]
-        phi = _confidence_graph(tokens, frozen, sel)
-        out[chunk] = phi.value
+    with ad.no_graph():
+        for start in range(0, idx.size, PREDICT_CHUNK):
+            chunk = slice(start, start + PREDICT_CHUNK)
+            tokens = [project(ckpt.projectors[name], emb[name][chunk]) for name in names]
+            phi = _confidence_graph(tokens, frozen, sel)
+            out[chunk] = phi.value
     return out, (out >= threshold).astype(np.int64)
 
 
@@ -539,6 +548,7 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
         "task_names": list(ckpt.task_names),
         "dataset_mode": ckpt.dataset_mode,
         "dataset_seed": ckpt.dataset_seed,
+        "weights_hash": ckpt.frozen().weights_hash(),
         "designated": {"indices": list(ckpt.designated.indices),
                        "seed": ckpt.designated.seed},
         "history": ckpt.history,
@@ -559,9 +569,16 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{manifest_path}: unrecognized checkpoint manifest")
     with manifest_keys(manifest_path):
         try:
-            cfg = TrainConfig.from_dict(manifest["train_config"])
+            cfg = TrainConfig.from_dict(manifest["train_config"], complete=True)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
+        # the backbone is rebuilt from its seed, not stored: check it is the
+        # one the projectors were trained through
+        frozen = init_frozen(cfg.lm)
+        rebuilt, stored = frozen.weights_hash(), manifest["weights_hash"]
+        if rebuilt != stored:
+            raise ValueError(f"{manifest_path}: backbone weights hash {rebuilt} rebuilt "
+                             f"from train_config.lm does not match the stored {stored}")
         specs = tuple(SourceSpec.from_dict(d) for d in manifest["sources"])
         proj_cfgs = _projector_configs(specs, cfg.lm)
         projectors = {}
@@ -587,6 +604,7 @@ def load_checkpoint(path) -> Checkpoint:
             projectors=projectors,
             stats=stats,
             history=manifest.get("history", {}),
+            _frozen=frozen,
         )
 
 

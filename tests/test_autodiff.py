@@ -120,6 +120,42 @@ def test_primitive_gradients(name, expr):
     check_scalar_fn(lambda p: expr(p["x"], p["y"]), params)
 
 
+@pytest.mark.parametrize("frozen", ["left", "right"])
+@pytest.mark.parametrize("name,shapes,expr", [
+    ("add", ((3, 3), (3,)), lambda u, v: ad.tanh(u + v).sum()),
+    ("sub", ((3, 3), (3,)), lambda u, v: ad.tanh(u - v).sum()),
+    ("mul", ((3, 3), (3,)), lambda u, v: ad.tanh(u * v).sum()),
+    ("div", ((3, 3), (3,)), lambda u, v: ad.tanh(u / (v * v + 0.5)).sum()),
+    ("matmul", ((3, 4), (4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
+    ("matmul_batched", ((2, 3, 4), (4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
+    ("matmul_batched_right", ((3, 4), (2, 4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
+    ("concat", ((2, 3), (2, 2)),
+     lambda u, v: (ad.tanh(ad.concat([u, v], axis=1)) * np.arange(10.0).reshape(2, 5)).sum()),
+])
+def test_primitive_gradients_with_a_frozen_operand(name, shapes, expr, frozen):
+    gen = _rng(zlib.crc32(f"{name}-{frozen}".encode()))
+    left, right = (gen.standard_normal(shape) for shape in shapes)
+    params = ad.ParamSet()
+    if frozen == "left":
+        const = ad.constant(left)
+        params.add("x", right)
+        check_scalar_fn(lambda p: expr(const, p["x"]), params)
+    else:
+        const = ad.constant(right)
+        params.add("x", left)
+        check_scalar_fn(lambda p: expr(p["x"], const), params)
+    assert const.grad is None
+
+
+def test_frozen_operand_vjp_is_never_evaluated():
+    # d/dc of x * c is g * x = 1e200 * 1e200, which overflows if computed
+    x = ad.parameter(np.array([1e200]))
+    c = ad.constant(np.array([1e-200]))
+    with np.errstate(over="raise"):
+        ad.backward((x * c).sum() * 1e200)
+    np.testing.assert_array_equal(x.grad, np.array([1e200]) * 1e-200)
+
+
 def test_matmul_gradient_including_batched():
     gen = _rng(11)
     params = ad.ParamSet()
@@ -158,6 +194,17 @@ def test_concat_and_getitem_gradients():
         return (cat[:, 1:5] * cat[:, 1:5]).sum()
 
     check_scalar_fn(build, params)
+
+
+def test_getitem_gradient_accumulates_repeated_indices():
+    x = ad.parameter(np.array([1.0, 2.0, 3.0]))
+    ad.backward(x[[0, 0, 2]].sum())
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+    params = ad.ParamSet()
+    params.add("m", _rng(14).standard_normal((4, 3)))
+    weights = _rng(15).standard_normal((5, 3))
+    check_scalar_fn(lambda p: (ad.tanh(p["m"][[0, 2, 0, 3, 2]]) * weights).sum(), params)
+    check_scalar_fn(lambda p: ad.tanh(p["m"][[1, 1, 3], [2, 2, 0]] * 2.0).sum(), params)
 
 
 def test_maximum_const_gradient_away_from_kink():
@@ -291,8 +338,55 @@ def test_graph_below_constants_is_pruned():
     assert ad.backward(out.sum()) == pytest.approx(12.0)
 
 
+def test_no_graph_builds_plain_nodes_with_the_same_values():
+    x = ad.parameter(np.array([0.5, -1.0]))
+    recorded = ad.tanh(x * 2.0).sum()
+    with ad.no_graph():
+        inner = x * 2.0
+        out = ad.tanh(inner).sum()
+    for node in (inner, out):
+        assert node._parents == () and not node.requires_grad
+    assert out.value == recorded.value
+
+
+def test_no_graph_still_names_a_nonfinite_primitive():
+    x = ad.parameter(np.array([0.0]))
+    with ad.no_graph(), pytest.raises(ad.NonFiniteError) as exc:
+        ad.log(x)
+    assert exc.value.op == "log"
+
+
+def test_no_graph_restores_recording_after_an_exception():
+    x = ad.parameter(np.array([1.0]))
+    with pytest.raises(ValueError):
+        with ad.no_graph():
+            raise ValueError("inside")
+    assert (x * 2.0)._parents
+
+
+def test_eval_with_grads_refuses_to_run_inside_no_graph():
+    params = ad.ParamSet()
+    params.add("x", np.array([1.0]))
+    with ad.no_graph(), pytest.raises(RuntimeError, match="no_graph"):
+        ad.eval_with_grads(lambda p: (p["x"] * 3.0).sum(), params)
+
+
 # ---------------------------------------------------------------------------
 # the finite-difference checker itself
+
+
+def test_finite_diff_probes_record_no_graph():
+    recorded = []
+    params = ad.ParamSet()
+    params.add("x", np.array([0.5, -0.3]))
+
+    def build(p):
+        out = (p["x"] * p["x"]).sum()
+        recorded.append(out.requires_grad)
+        return out
+
+    assert ad.finite_diff_check(build, params).passed
+    assert recorded == [True] + [False] * 4  # the analytic pass, then 2 probes per entry
 
 
 def test_finite_diff_flags_corrupted_gradient():

@@ -217,6 +217,26 @@ def test_eval_rejects_a_checkpoint_config_with_an_unknown_key(workspace, tmp_pat
     assert f"{broken / 'manifest'}: invalid train_config" in err and "bogus" in err
 
 
+@pytest.mark.parametrize("damage,message", [
+    # seed 0 is also the default, so only the missing-field check sees this
+    (lambda m: m["train_config"]["lm"].pop("seed"),
+     "invalid train_config: missing config lm keys: seed"),
+    (lambda m: m["train_config"].pop("beta"), "invalid train_config: missing config keys: beta"),
+    (lambda m: m["train_config"]["lm"].update(seed=3), "backbone weights hash"),
+    (lambda m: m.update(weights_hash="0" * 64), "backbone weights hash"),
+], ids=["lm-seed-deleted", "beta-deleted", "lm-seed-edited", "hash-edited"])
+def test_eval_rejects_a_checkpoint_whose_backbone_does_not_verify(workspace, tmp_path, capsys,
+                                                                  damage, message):
+    broken = tmp_path / "iso"
+    shutil.copytree(workspace["iso"], broken)
+    manifest = read_json(broken / "manifest")
+    damage(manifest)
+    dump_json(broken / "manifest", manifest)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "iso-joint"]) == EXIT_CONFIG
+    assert f"{broken / 'manifest'}: {message}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def raw_workspace(workspace):
     data = workspace["root"] / "raw"

@@ -190,9 +190,15 @@ def test_train_config_from_dict_roundtrips_and_rejects_unknown_keys():
     assert TrainConfig.from_dict({"epochs": 2}) == TrainConfig(epochs=2)
     for bad, key in [({"momentum": 0.9}, "momentum"),
                      ({"asl": {"margin": 0.1, "gamma_pos": 1.0}}, "gamma_pos"),
-                     ({"lm": {"head_count": 2}}, "head_count")]:
+                     ({"lm": {"head_count": 2}}, "head_count"),
+                     ({"lm": 5}, "config lm must be an object")]:
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(bad)
+    full = dataclasses.asdict(cfg)
+    assert TrainConfig.from_dict(full, complete=True) == cfg
+    del full["lm"]["n_heads"]
+    with pytest.raises(ValueError, match="missing config lm keys: n_heads"):
+        TrainConfig.from_dict(full, complete=True)
 
 
 def test_backbone_weights_never_move(joint_ckpt, iso_ckpt):
@@ -440,6 +446,20 @@ def test_evaluate_bss_protocol(iso_ckpt, dataset):
 def test_evaluate_rejects_wrong_pairing(iso_ckpt, dataset):
     with pytest.raises(ValueError):
         evaluate_protocol(iso_ckpt, dataset, "joint")
+
+
+def test_predict_records_no_graph(joint_ckpt, dataset, monkeypatch):
+    seen = []
+    confidence_graph = pipeline._confidence_graph
+
+    def spy(*args):
+        phi = confidence_graph(*args)
+        seen.append(phi.requires_grad)
+        return phi
+
+    monkeypatch.setattr(pipeline, "_confidence_graph", spy)
+    predict(joint_ckpt, dataset, np.arange(10), "joint")
+    assert seen == [False]
 
 
 # ---------------------------------------------------------------------------
