@@ -36,13 +36,11 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
     "tanh",
     "sigmoid",
     "relu",
-    "exp",
     "log",
     "maximum_const",
     "power_const",
@@ -130,11 +128,6 @@ class Tensor:
     def size(self) -> int:
         return self.value.size
 
-    def item(self) -> float:
-        if self.value.size != 1:
-            raise ValueError(f"item() needs a size-1 tensor, got shape {self.shape}")
-        return float(self.value)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -156,12 +149,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -195,9 +182,6 @@ class Tensor:
 
     def log(self):
         return log(self)
-
-    def exp(self):
-        return exp(self)
 
     def tanh(self):
         return tanh(self)
@@ -285,16 +269,6 @@ def mul(a, b) -> Tensor:
                   lambda g: _unbroadcast(g * a.value, b.shape)))
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a, b, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.value / b.value
-    return _node(out, "div", (a, b),
-                 (lambda g: _unbroadcast(g / b.value, a.shape),
-                  lambda g: _unbroadcast(-g * out / b.value, b.shape)))
-
-
 def neg(a) -> Tensor:
     a = _wrap(a)
     return _node(-a.value, "neg", (a,), (lambda g: -g,))
@@ -333,13 +307,6 @@ def relu(a) -> Tensor:
     a = _wrap(a)
     out = np.maximum(a.value, 0.0)
     return _node(out, "relu", (a,), (lambda g: g * (a.value > 0).astype(np.float64),))
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.value)
-    return _node(out, "exp", (a,), (lambda g: g * out,))
 
 
 def log(a) -> Tensor:
@@ -592,8 +559,8 @@ class ParamSet:
         self.grads_populated = False
 
 
-def eval_with_grads(computation, params: ParamSet, *inputs) -> float:
-    """Evaluate computation(params, *inputs) and write gradients into params.
+def eval_with_grads(computation, params: ParamSet) -> float:
+    """Evaluate computation(params) and write gradients into params.
 
     The computation must return a scalar Tensor. Gradient buffers are zeroed
     first, so each call yields exactly d loss / d param. Inside no_graph()
@@ -602,7 +569,7 @@ def eval_with_grads(computation, params: ParamSet, *inputs) -> float:
     if not _recording:
         raise RuntimeError("eval_with_grads called inside no_graph()")
     params.zero_grads()
-    out = computation(params, *inputs)
+    out = computation(params)
     if not isinstance(out, Tensor):
         raise TypeError("computation must return a Tensor")
     loss = backward(out)
@@ -652,14 +619,17 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def finite_diff_check(computation, params: ParamSet, inputs=(), *, h: float = 1e-5,
-                      tol: float = 1e-6, floor: float = 1e-6,
+# gradient magnitude below which a finite-difference entry carries no signal
+FD_FLOOR = 1e-6
+
+
+def finite_diff_check(computation, params: ParamSet, *, h: float = 1e-5, tol: float = 1e-6,
                       analytic: dict[str, np.ndarray] | None = None) -> GradCheckReport:
     """Compare analytic gradients against central differences, per entry.
 
     For each scalar parameter entry the symmetric difference
     (f(x+h) - f(x-h)) / 2h is compared to the analytic gradient; entries
-    where both magnitudes fall below `floor` are counted as negligible and
+    where both magnitudes fall below FD_FLOOR are counted as negligible and
     skipped (the difference quotient carries no signal there). `analytic`
     overrides the freshly computed gradients, which lets callers check a
     gradient they obtained elsewhere.
@@ -667,12 +637,12 @@ def finite_diff_check(computation, params: ParamSet, inputs=(), *, h: float = 1e
     if h <= 0:
         raise ValueError("h must be positive")
     if analytic is None:
-        eval_with_grads(computation, params, *inputs)
+        eval_with_grads(computation, params)
         analytic = {name: params.grad(name).copy() for name in params.names()}
 
     def loss_at() -> float:
         with no_graph():
-            out = computation(params, *inputs)
+            out = computation(params)
         if out.value.size != 1:
             raise ValueError("computation must return a scalar")
         return float(out.value)
@@ -695,7 +665,7 @@ def finite_diff_check(computation, params: ParamSet, inputs=(), *, h: float = 1e
             values[i] = saved
             numeric = (lo_plus - lo_minus) / (2.0 * h)
             scale = max(abs(an[i]), abs(numeric))
-            if scale < floor:
+            if scale < FD_FLOOR:
                 negligible += 1
                 continue
             rel = abs(an[i] - numeric) / scale

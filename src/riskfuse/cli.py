@@ -146,6 +146,10 @@ def _format_metrics(rows) -> str:
 def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     ckpt = pipeline.load_checkpoint(args.ckpt)
+    try:
+        pipeline.check_compatible(ckpt, dataset)
+    except ValueError as err:
+        raise CliError(f"{args.data} does not fit checkpoint {args.ckpt}: {err}") from None
     rows, selection = pipeline.evaluate_protocol(ckpt, dataset, args.protocol,
                                                  threshold=args.threshold)
     print(_format_metrics(rows))

@@ -36,7 +36,6 @@ __all__ = [
     "GenConfig",
     "GenSummary",
     "threshold_for",
-    "planted_labels",
     "task_source_names",
     "build",
     "generate",
@@ -84,7 +83,6 @@ class GenConfig:
     stay_p: float = 0.5            # geometric(stay_p) stays per patient
     patient_corr: float = 0.3      # correlation of latents across one patient's stays
     noise_std: float = 0.05
-    enforce_cross_modal: bool = True
 
     def validate(self) -> None:
         if self.latent_dim <= 0:
@@ -131,7 +129,7 @@ class GenConfig:
         for t in self.tasks:
             if len(t.direction) != self.latent_dim:
                 raise ValueError(f"task {t.name!r}: direction length must be {self.latent_dim}")
-            if self.enforce_cross_modal and len(task_source_names(self, t)) < 2:
+            if len(task_source_names(self, t)) < 2:
                 raise ValueError(
                     f"task {t.name!r}: signal direction must touch coordinates observed "
                     f"by at least two sources")
@@ -158,23 +156,11 @@ def threshold_for(direction, pos_rate: float) -> float:
     return norm * _NORMAL.inv_cdf(1.0 - pos_rate)
 
 
-def planted_labels(z, directions, thresholds) -> np.ndarray:
-    """Binary labels for one latent vector: 1 where a_k . z > tau_k."""
-    z = np.asarray(z, dtype=np.float64)
-    a = np.asarray(directions, dtype=np.float64)
-    tau = np.asarray(thresholds, dtype=np.float64)
-    return (a @ z > tau).astype(np.int64)
-
-
 @dataclass
 class GenSummary:
     n_records: int
     n_patients: int
     counts: dict  # task name -> {"pos": int, "neg": int, "unknown": int}
-
-    def pair(self, task: str) -> tuple[int, int]:
-        c = self.counts[task]
-        return c["pos"], c["neg"]
 
 
 def _draw_cohort(cfg: GenConfig, gen: np.random.Generator) -> np.ndarray:

@@ -20,6 +20,7 @@ from . import seeding
 __all__ = [
     "N_TS_FEATURES",
     "TEXT_CHUNK_TOKENS",
+    "check_fields",
     "SourceSpec",
     "default_source_specs",
     "FeatureStats",
@@ -30,18 +31,30 @@ __all__ = [
     "Screening",
     "latest_image",
     "aggregate_images",
-    "aggregate_text",
     "image_stub_matrix",
-    "encode_image_stub",
     "text_stub_table",
     "encode_text_with_table",
-    "encode_text_stub",
 ]
 
 N_TS_FEATURES = 11
 TEXT_CHUNK_TOKENS = 512
 
 MODALITIES = ("time-series", "image", "text")
+
+
+def check_fields(cls, d, where: str, complete: bool) -> None:
+    """Check a decoded JSON object against the fields of dataclass `cls`: a
+    non-object or an unknown key is a ValueError, and so is a missing key if
+    `complete` (a saved object must name every field)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {type(d).__name__}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - names)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = sorted(names - set(d))
+    if complete and missing:
+        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -82,11 +95,9 @@ class SourceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> SourceSpec:
-        return cls(
-            source_id=d["source_id"], name=d["name"], modality=d["modality"], dim=d["dim"],
-            n_series=d.get("n_series", 0), raw_dim=d.get("raw_dim", 0),
-            token_vocab=d.get("token_vocab", 0), image_rule=d.get("image_rule", "latest"),
-        )
+        """Inverse of `to_dict`; every field must be present."""
+        check_fields(cls, d, "source", complete=True)
+        return cls(**d)
 
 
 def default_source_specs() -> tuple[SourceSpec, ...]:
@@ -260,14 +271,10 @@ def latest_image(screenings) -> np.ndarray:
     return best.vector.copy()
 
 
-def aggregate_images(screenings, normalize: bool = True) -> np.ndarray:
-    """Recency-weighted average: w_j = (t_j - min t) / max t.
-
-    With normalize=True (default) the weights are divided by their sum; when
-    they sum to zero (single screening, equal times, or all times zero) the
-    latest screening is returned instead. normalize=False applies the raw
-    weights literally, except that all-zero times still fall back to the
-    latest screening (the weight formula is undefined there).
+def aggregate_images(screenings) -> np.ndarray:
+    """Recency-weighted average: w_j = (t_j - min t) / max t, divided by the
+    weights' sum. When they sum to zero (single screening, equal times, or
+    all times zero) the latest screening is returned instead.
     """
     items = _check_screenings(screenings)
     times = np.array([s.time for s in items], dtype=np.float64)
@@ -275,21 +282,10 @@ def aggregate_images(screenings, normalize: bool = True) -> np.ndarray:
     if t_max == 0.0:
         return latest_image(items)
     w = (times - times.min()) / t_max
-    stack = np.stack([s.vector for s in items])
-    if not normalize:
-        return w @ stack
     total = w.sum()
     if total == 0.0:
         return latest_image(items)
-    return (w / total) @ stack
-
-
-def aggregate_text(chunk_embeddings) -> np.ndarray:
-    """Mean of per-chunk embeddings."""
-    chunks = np.asarray(chunk_embeddings, dtype=np.float64)
-    if chunks.ndim != 2 or chunks.shape[0] == 0:
-        raise ValueError(f"need a nonempty (chunks, dim) matrix, got {chunks.shape}")
-    return chunks.mean(axis=0)
+    return (w / total) @ np.stack([s.vector for s in items])
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +299,6 @@ def image_stub_matrix(spec: SourceSpec, seed: int) -> np.ndarray:
     return gen.normal(0.0, 1.0 / np.sqrt(spec.raw_dim), size=(spec.dim, spec.raw_dim))
 
 
-def encode_image_stub(spec: SourceSpec, raw, seed: int) -> np.ndarray:
-    """Linear stub embedding of one raw screening vector (zero bias, so a
-    zero payload embeds to zero)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (spec.raw_dim,):
-        raise ValueError(f"raw vector shape {raw.shape} does not match raw_dim {spec.raw_dim}")
-    return image_stub_matrix(spec, seed) @ raw
-
-
 def text_stub_table(spec: SourceSpec, seed: int) -> np.ndarray:
     if spec.modality != "text":
         raise ValueError(f"source {spec.name!r} is not a text source")
@@ -319,8 +306,7 @@ def text_stub_table(spec: SourceSpec, seed: int) -> np.ndarray:
     return gen.normal(0.0, 1.0, size=(spec.token_vocab, spec.dim))
 
 
-def encode_text_with_table(table: np.ndarray, token_ids,
-                           chunk_tokens: int = TEXT_CHUNK_TOKENS) -> np.ndarray:
+def encode_text_with_table(table: np.ndarray, token_ids) -> np.ndarray:
     """Chunk a token sequence, average token embeddings per chunk, then
     average the chunks. 600 tokens become chunks of 512 and 88."""
     ids = np.asarray(token_ids)
@@ -328,11 +314,6 @@ def encode_text_with_table(table: np.ndarray, token_ids,
         raise ValueError("token sequence must be a nonempty 1-D array")
     if np.any(ids < 0) or np.any(ids >= table.shape[0]):
         raise ValueError(f"token ids out of range [0, {table.shape[0]})")
-    chunks = [table[ids[i:i + chunk_tokens]].mean(axis=0)
-              for i in range(0, ids.size, chunk_tokens)]
-    return aggregate_text(np.stack(chunks))
-
-
-def encode_text_stub(spec: SourceSpec, token_ids, seed: int,
-                     chunk_tokens: int = TEXT_CHUNK_TOKENS) -> np.ndarray:
-    return encode_text_with_table(text_stub_table(spec, seed), token_ids, chunk_tokens)
+    chunks = [table[ids[i:i + TEXT_CHUNK_TOKENS]].mean(axis=0)
+              for i in range(0, ids.size, TEXT_CHUNK_TOKENS)]
+    return np.stack(chunks).mean(axis=0)

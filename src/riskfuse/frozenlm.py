@@ -27,11 +27,8 @@ __all__ = [
     "FrozenWeights",
     "init_frozen",
     "lm_forward",
-    "fuse_logits",
     "DesignatedVocab",
     "draw_designated",
-    "selection_matrix",
-    "extract_confidence",
 ]
 
 LN_EPS = 1e-5
@@ -169,23 +166,6 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
     return h @ weights.head
 
 
-def fuse_logits(logits) -> ad.Tensor | np.ndarray:
-    """Arithmetic mean of per-position logit vectors.
-
-    Accepts a list of 1-D vectors, a (S, V) array, or a Tensor whose second
-    to last axis is the sequence axis.
-    """
-    if isinstance(logits, ad.Tensor):
-        return logits.mean(axis=-2)
-    if isinstance(logits, (list, tuple)):
-        stack = np.stack([np.asarray(v, dtype=np.float64) for v in logits])
-    else:
-        stack = np.asarray(logits, dtype=np.float64)
-    if stack.ndim < 2:
-        raise ValueError("need per-position logit vectors to fuse")
-    return stack.mean(axis=-2)
-
-
 @dataclass(frozen=True)
 class DesignatedVocab:
     """K distinct vocabulary indices carrying the task confidences."""
@@ -208,26 +188,3 @@ def draw_designated(vocab: int, n_tasks: int, seed: int) -> DesignatedVocab:
     gen = seeding.rng(seed, "designated")
     idx = gen.choice(vocab, size=n_tasks, replace=False)
     return DesignatedVocab(indices=tuple(int(i) for i in idx), seed=seed)
-
-
-def selection_matrix(designated: DesignatedVocab, vocab: int) -> np.ndarray:
-    """(V, K) one-hot columns; fused_logits @ sel picks the designated logits."""
-    sel = np.zeros((vocab, len(designated.indices)))
-    for col, idx in enumerate(designated.indices):
-        if idx >= vocab:
-            raise ValueError(f"designated index {idx} outside vocabulary of size {vocab}")
-        sel[idx, col] = 1.0
-    return sel
-
-
-def extract_confidence(fused_logits, designated: DesignatedVocab) -> np.ndarray:
-    """phi_k = sigmoid(fused_logits[designated_k])."""
-    v = np.asarray(fused_logits, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"fused logits must be 1-D, got shape {v.shape}")
-    for idx in designated.indices:
-        if idx >= v.size:
-            raise ValueError(f"designated index {idx} outside vocabulary of size {v.size}")
-    picked = v[list(designated.indices)]
-    z = np.exp(-np.abs(picked))
-    return np.where(picked >= 0, 1.0 / (1.0 + z), z / (1.0 + z))

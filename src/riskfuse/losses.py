@@ -73,14 +73,11 @@ class ClassWeights:
             raise ValueError("weights must be positive")
 
 
-def validate_labels(labels, n_tasks: int | None = None) -> np.ndarray:
+def validate_labels(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if not np.all(np.isin(arr, (UNKNOWN, 0, 1))):
         raise ValueError("labels must be -1 (unknown), 0, or 1")
-    arr = arr.astype(np.int64)
-    if n_tasks is not None and arr.shape[-1] != n_tasks:
-        raise ValueError(f"expected {n_tasks} tasks, got {arr.shape[-1]}")
-    return arr
+    return arr.astype(np.int64)
 
 
 def class_weights(labels) -> ClassWeights:

@@ -16,28 +16,26 @@ from .autodiff import ParamSet
 
 __all__ = ["AdamWState", "init_adamw", "adamw_step"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
     lr: float = 5e-4
     weight_decay: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_adamw(params: ParamSet, lr: float = 5e-4, weight_decay: float = 3e-4,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamWState:
+def init_adamw(params: ParamSet, lr: float = 5e-4, weight_decay: float = 3e-4) -> AdamWState:
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-        raise ValueError("betas must lie in [0, 1)")
     if weight_decay < 0:
         raise ValueError("weight decay must be nonnegative")
-    state = AdamWState(lr=lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2, eps=eps)
+    state = AdamWState(lr=lr, weight_decay=weight_decay)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p.value)
         state.v[name] = np.zeros_like(p.value)
@@ -51,8 +49,8 @@ def adamw_step(params: ParamSet, state: AdamWState) -> None:
         raise ValueError("optimizer state does not match the parameter set")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if state.m[name].shape != p.value.shape:
@@ -61,9 +59,9 @@ def adamw_step(params: ParamSet, state: AdamWState) -> None:
             p.value *= 1.0 - state.lr * state.weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     params.zero_grads()

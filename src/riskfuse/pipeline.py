@@ -26,18 +26,18 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding, tensorfile
-from .encoders import (FeatureStats, Screening, SourceSpec, apply_feature_stats,
-                       aggregate_images, fit_feature_stats, image_stub_matrix,
+from .encoders import (FeatureStats, Screening, SourceSpec, aggregate_images,
+                       apply_feature_stats, check_fields, fit_feature_stats, image_stub_matrix,
                        latest_image, encode_text_with_table, text_stub_table,
                        timeseries_feature_matrix)
 from .frozenlm import (DesignatedVocab, FrozenWeights, LMConfig, draw_designated,
-                       fuse_logits, init_frozen, lm_forward, selection_matrix)
+                       init_frozen, lm_forward)
 from .losses import (ASLConfig, ClassWeights, class_weights,
                      classification_loss_graph, reconstruction_loss_graph)
 from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import Dataset, dump_json, manifest_keys, read_json
+from .storage import Dataset, dump_json, manifest_keys, read_json, read_source_specs
 
 __all__ = [
     "SEQUENCE_ORDER",
@@ -45,6 +45,7 @@ __all__ = [
     "Checkpoint",
     "split_by_patient",
     "prepare_embeddings",
+    "check_compatible",
     "build_joint_loss",
     "build_isolated_loss",
     "train",
@@ -100,25 +101,13 @@ class TrainConfig:
         `dataclasses.asdict` dict. Unknown keys are a ValueError at every
         level; so are missing ones if `complete` (a saved config must name
         every field), otherwise they take their defaults."""
-        _check_fields(cls, d, "config", complete)
+        check_fields(cls, d, "config", complete)
         kw = dict(d)
         for key, sub in (("asl", ASLConfig), ("lm", LMConfig)):
             if key in kw:
-                _check_fields(sub, kw[key], f"config {key}", complete)
+                check_fields(sub, kw[key], f"config {key}", complete)
                 kw[key] = sub(**kw[key])
         return cls(**kw)
-
-
-def _check_fields(cls, d, where: str, complete: bool) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be an object, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - names)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    missing = sorted(names - set(d))
-    if complete and missing:
-        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
 
 
 def split_by_patient(patients, ratio: float = 0.75, seed: int = 0
@@ -182,29 +171,20 @@ def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
     return base
 
 
-def prepare_embeddings(dataset: Dataset, train_idx=None, stats: dict | None = None,
-                       rows=None, sources=None) -> tuple[dict, dict]:
-    """Per-source (len(rows), d_e) embeddings, z-scored with training-split stats.
+def prepare_embeddings(dataset: Dataset, rows, stats: dict | None = None,
+                       sources=None) -> tuple[dict, dict]:
+    """Per-source (len(rows), d_e) embeddings of the record `rows`, z-scored.
 
-    Only the record `rows` (default: every record, in order) of the named
-    `sources` (default: every source) are featurized. Pass `stats` (from a
-    checkpoint) to normalize evaluation data exactly as the training run
-    did; otherwise `train_idx` selects the rows the stats are fitted on,
-    which needs every record featurized, so `rows` must then be omitted.
+    Only the named `sources` (default: every source) are featurized. Pass
+    `stats` (from a checkpoint) to normalize evaluation data exactly as the
+    training run did; without them they are fitted on the rows featurized
+    here, which are then the training split.
     """
-    if stats is None:
-        if train_idx is None:
-            raise ValueError("need train_idx to fit normalization stats")
-        idx = np.asarray(train_idx)
-        if idx.size == 0:
-            raise ValueError("empty training split")
-        if rows is not None:
-            raise ValueError("fitting normalization stats needs every record; omit rows")
-    rows = np.arange(dataset.n_records) if rows is None else np.asarray(rows)
+    rows = np.asarray(rows)
     names = [s.name for s in dataset.source_specs] if sources is None else sources
     base = _base_embeddings(dataset, rows, names)
     if stats is None:
-        stats = {name: fit_feature_stats(mat[idx]) for name, mat in base.items()}
+        stats = {name: fit_feature_stats(mat) for name, mat in base.items()}
     emb = {}
     for name, mat in base.items():
         if name not in stats:
@@ -218,16 +198,16 @@ def prepare_embeddings(dataset: Dataset, train_idx=None, stats: dict | None = No
 
 
 def _confidence_graph(tokens: list[ad.Tensor], frozen: FrozenWeights,
-                      sel: np.ndarray) -> ad.Tensor:
-    """(B, K) confidences from per-source (B, d_t) token batches."""
+                      designated: DesignatedVocab) -> ad.Tensor:
+    """(B, K) confidences from per-source (B, d_t) token batches: the
+    sigmoid of the position-mean logits at the designated indices."""
     stacked = [t.reshape(t.shape[0], 1, t.shape[1]) for t in tokens]
     seq = stacked[0] if len(stacked) == 1 else ad.concat(stacked, axis=1)
     logits = lm_forward(frozen, seq)
-    fused = fuse_logits(logits)
-    return ad.sigmoid(fused @ ad.constant(sel))
+    return ad.sigmoid(logits.mean(axis=-2)[:, list(designated.indices)])
 
 
-def build_joint_loss(projectors: dict, frozen: FrozenWeights, sel: np.ndarray,
+def build_joint_loss(projectors: dict, frozen: FrozenWeights, designated: DesignatedVocab,
                      emb_batch: dict, labels_batch, loss_kind: str,
                      beta: float, weights: ClassWeights | None = None,
                      asl: ASLConfig | None = None):
@@ -244,7 +224,7 @@ def build_joint_loss(projectors: dict, frozen: FrozenWeights, sel: np.ndarray,
             rec = reconstruction_loss_graph(e, reconstruct(pp, t))
             recon = rec if recon is None else recon + rec
             tokens.append(t)
-        phi = _confidence_graph(tokens, frozen, sel)
+        phi = _confidence_graph(tokens, frozen, designated)
         cls = classification_loss_graph(phi, labels_batch, loss_kind,
                                         weights=weights, asl=asl)
         return (recon + beta * cls).mean()
@@ -252,14 +232,14 @@ def build_joint_loss(projectors: dict, frozen: FrozenWeights, sel: np.ndarray,
     return computation
 
 
-def build_isolated_loss(pp: ProjectorParams, frozen: FrozenWeights, sel: np.ndarray,
-                        emb_batch, labels_batch, loss_kind: str, beta: float,
-                        weights: ClassWeights | None = None,
+def build_isolated_loss(pp: ProjectorParams, frozen: FrozenWeights,
+                        designated: DesignatedVocab, emb_batch, labels_batch,
+                        loss_kind: str, beta: float, weights: ClassWeights | None = None,
                         asl: ASLConfig | None = None):
     """Single-source objective: the joint objective of a one-source group,
     i.e. on the length-1 sequence of that source's token."""
-    return build_joint_loss({"source": pp}, frozen, sel, {"source": emb_batch}, labels_batch,
-                            loss_kind, beta, weights, asl)
+    return build_joint_loss({"source": pp}, frozen, designated, {"source": emb_batch},
+                            labels_batch, loss_kind, beta, weights, asl)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +284,19 @@ def _param_set(projectors: dict) -> ad.ParamSet:
     return params
 
 
-def _epoch_batches(rng: np.random.Generator, idx: np.ndarray, batch_size: int):
-    perm = rng.permutation(idx)
-    for start in range(0, perm.size, batch_size):
+def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
         yield perm[start:start + batch_size]
 
 
-def _run_epochs(params: ad.ParamSet, make_batch_loss, rng, train_idx, cfg: TrainConfig,
+def _run_epochs(params: ad.ParamSet, make_batch_loss, rng, n_train: int, cfg: TrainConfig,
                 label: str) -> list[float]:
     state = init_adamw(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     history = []
     for epoch in range(cfg.epochs):
         batch_losses = []
-        for b, batch in enumerate(_epoch_batches(rng, train_idx, cfg.batch_size)):
+        for b, batch in enumerate(_epoch_batches(rng, n_train, cfg.batch_size)):
             computation = make_batch_loss(batch)
             try:
                 loss = ad.eval_with_grads(computation, params)
@@ -334,13 +314,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     names = _source_order(dataset.source_specs)
     proj_cfgs = _projector_configs(dataset.source_specs, cfg.lm)
 
+    # embeddings and labels of the training split; batches index its positions
     train_idx, _ = split_by_patient(dataset.patients, cfg.split_ratio, cfg.seed)
-    emb, stats = prepare_embeddings(dataset, train_idx=train_idx)
-    labels = dataset.labels
+    emb, stats = prepare_embeddings(dataset, train_idx)
+    labels = dataset.labels[train_idx]
 
-    weights = class_weights(labels[train_idx]) if cfg.loss_kind == "avg" else None
+    weights = class_weights(labels) if cfg.loss_kind == "avg" else None
     designated = draw_designated(cfg.lm.vocab, dataset.n_tasks, cfg.seed)
-    sel = selection_matrix(designated, cfg.lm.vocab)
     frozen = init_frozen(cfg.lm)
     projectors = {name: init_projector(proj_cfgs[name], cfg.seed, name) for name in names}
 
@@ -353,11 +333,11 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     for key, (group, rng_key, label) in groups.items():
         def make_batch_loss(batch, group=group):
             emb_b = {name: emb[name][batch] for name in group}
-            return build_joint_loss(group, frozen, sel, emb_b, labels[batch],
+            return build_joint_loss(group, frozen, designated, emb_b, labels[batch],
                                     cfg.loss_kind, cfg.beta, weights, cfg.asl)
 
         history[key] = _run_epochs(_param_set(group), make_batch_loss,
-                                   seeding.rng(cfg.seed, *rng_key), train_idx, cfg, label)
+                                   seeding.rng(cfg.seed, *rng_key), train_idx.size, cfg, label)
 
     return Checkpoint(
         config=cfg,
@@ -377,10 +357,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
 # prediction protocols
 
 
-def _check_compatible(ckpt: Checkpoint, dataset: Dataset) -> None:
-    ck = {(s.name, s.modality, s.dim) for s in ckpt.source_specs}
-    ds = {(s.name, s.modality, s.dim) for s in dataset.source_specs}
-    if ck != ds:
+def check_compatible(ckpt: Checkpoint, dataset: Dataset) -> None:
+    """The dataset must have the mode, sources (every spec field) and tasks
+    the checkpoint was trained on."""
+    if dataset.mode != ckpt.dataset_mode:
+        raise ValueError(f"dataset mode {dataset.mode!r} does not match the "
+                         f"checkpoint's {ckpt.dataset_mode!r}")
+    if set(dataset.source_specs) != set(ckpt.source_specs):
         raise ValueError("dataset sources do not match the checkpoint's sources")
     if tuple(dataset.task_names) != ckpt.task_names:
         raise ValueError("dataset task list does not match the checkpoint's tasks")
@@ -409,7 +392,7 @@ def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
     mode is "joint", "iso-joint", or "single:<source>"; the decision rule is
     boundary-inclusive, yhat = 1 wherever phi >= threshold.
     """
-    _check_compatible(ckpt, dataset)
+    check_compatible(ckpt, dataset)
     kind, single_source = _parse_mode(mode, ckpt.config.mode)
     if threshold is None:
         threshold = ckpt.config.threshold
@@ -423,15 +406,14 @@ def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
     idx = np.asarray(indices)
     if idx.size == 0:
         raise ValueError("no records to predict")
-    emb, _ = prepare_embeddings(dataset, stats=ckpt.stats, rows=idx, sources=names)
-    sel = selection_matrix(ckpt.designated, ckpt.config.lm.vocab)
+    emb, _ = prepare_embeddings(dataset, idx, stats=ckpt.stats, sources=names)
     frozen = ckpt.frozen()
     out = np.empty((idx.size, len(ckpt.task_names)))
     with ad.no_graph():
         for start in range(0, idx.size, PREDICT_CHUNK):
             chunk = slice(start, start + PREDICT_CHUNK)
             tokens = [project(ckpt.projectors[name], emb[name][chunk]) for name in names]
-            phi = _confidence_graph(tokens, frozen, sel)
+            phi = _confidence_graph(tokens, frozen, ckpt.designated)
             out[chunk] = phi.value
     return out, (out >= threshold).astype(np.int64)
 
@@ -488,7 +470,7 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
     """Test-split metrics for one protocol: joint, iso-joint, single:<src>,
     or bss (which carves a patient-grouped validation slice out of the
     training split to pick sources, then scores them on the test split)."""
-    _check_compatible(ckpt, dataset)
+    check_compatible(ckpt, dataset)
     train_idx, test_idx = split_by_patient(dataset.patients, ckpt.config.split_ratio,
                                            ckpt.config.seed)
     if test_idx.size == 0:
@@ -579,7 +561,7 @@ def load_checkpoint(path) -> Checkpoint:
         if rebuilt != stored:
             raise ValueError(f"{manifest_path}: backbone weights hash {rebuilt} rebuilt "
                              f"from train_config.lm does not match the stored {stored}")
-        specs = tuple(SourceSpec.from_dict(d) for d in manifest["sources"])
+        specs = read_source_specs(manifest_path, manifest["sources"])
         proj_cfgs = _projector_configs(specs, cfg.lm)
         projectors = {}
         for s in specs:
@@ -592,8 +574,12 @@ def load_checkpoint(path) -> Checkpoint:
         for s in specs:
             mat = tensorfile.read_matrix(root / manifest["stats"][s.name])
             stats[s.name] = FeatureStats(mean=mat[0], std=mat[1])
-        designated = DesignatedVocab(indices=tuple(manifest["designated"]["indices"]),
-                                     seed=int(manifest["designated"]["seed"]))
+        indices = tuple(manifest["designated"]["indices"])
+        for i in indices:
+            if not 0 <= i < cfg.lm.vocab:
+                raise ValueError(f"{manifest_path}: designated index {i} outside the "
+                                 f"vocabulary of size {cfg.lm.vocab}")
+        designated = DesignatedVocab(indices=indices, seed=int(manifest["designated"]["seed"]))
         return Checkpoint(
             config=cfg,
             source_specs=specs,
@@ -628,7 +614,6 @@ def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5
                   for name in names}
     frozen = init_frozen(lm)
     designated = draw_designated(lm.vocab, 4, seed)
-    sel = selection_matrix(designated, lm.vocab)
-    computation = build_joint_loss(projectors, frozen, sel, emb, labels,
+    computation = build_joint_loss(projectors, frozen, designated, emb, labels,
                                    "asl", beta=10.0, asl=ASLConfig())
     return ad.finite_diff_check(computation, _param_set(projectors), h=h, tol=tol)

@@ -75,25 +75,20 @@ def init_projector(config: ProjectorConfig, seed: int, source_key: int | str = 0
     )
 
 
-def _rows(x, dim: int, what: str) -> tuple[ad.Tensor, bool]:
+def _rows(x, dim: int, what: str) -> ad.Tensor:
     t = x if isinstance(x, ad.Tensor) else ad.constant(x)
-    single = t.ndim == 1
-    if single:
-        t = t.reshape(1, t.shape[0])
     if t.ndim != 2 or t.shape[1] != dim:
-        raise ValueError(f"{what} must have {dim} columns, got shape {x.shape}")
-    return t, single
+        raise ValueError(f"{what} batch must be (B, {dim}), got shape {t.shape}")
+    return t
 
 
 def project(pp: ProjectorParams, e) -> ad.Tensor:
-    """tanh(W_enc e + b_enc); accepts one embedding or a (B, d_e) batch."""
-    rows, single = _rows(e, pp.config.embed_dim, "embedding")
-    t = ad.tanh(rows @ pp.tensor("enc_w").swapaxes(0, 1) + pp.tensor("enc_b"))
-    return t.reshape(pp.config.token_dim) if single else t
+    """tanh(W_enc e + b_enc) of each row of a (B, d_e) batch."""
+    rows = _rows(e, pp.config.embed_dim, "embedding")
+    return ad.tanh(rows @ pp.tensor("enc_w").swapaxes(0, 1) + pp.tensor("enc_b"))
 
 
 def reconstruct(pp: ProjectorParams, t) -> ad.Tensor:
-    """Affine decode W_dec t + b_dec; accepts one token or a (B, d_t) batch."""
-    rows, single = _rows(t, pp.config.token_dim, "token")
-    e = rows @ pp.tensor("dec_w").swapaxes(0, 1) + pp.tensor("dec_b")
-    return e.reshape(pp.config.embed_dim) if single else e
+    """Affine decode W_dec t + b_dec of each row of a (B, d_t) batch."""
+    rows = _rows(t, pp.config.token_dim, "token")
+    return rows @ pp.tensor("dec_w").swapaxes(0, 1) + pp.tensor("dec_b")

@@ -26,23 +26,13 @@ import numpy as np
 from . import tensorfile
 from .encoders import Screening, SourceSpec
 
-__all__ = ["FORMAT_VERSION", "Dataset", "Record", "write_dataset", "load_dataset"]
+__all__ = ["FORMAT_VERSION", "Dataset", "write_dataset", "load_dataset"]
 
 FORMAT_VERSION = 1
 
 MANIFEST = "manifest"
 LABELS = "labels.bin"
 PATIENTS = "patients.bin"
-
-
-@dataclass
-class Record:
-    """One stay, materialized for inspection."""
-
-    index: int
-    patient: int
-    labels: np.ndarray
-    payloads: dict
 
 
 @dataclass
@@ -72,20 +62,6 @@ class Dataset:
             if s.name == name:
                 return s
         raise KeyError(f"no source named {name!r}")
-
-    def record(self, i: int) -> Record:
-        payloads = {}
-        for s in self.source_specs:
-            if self.mode == "latent":
-                payloads[s.name] = self.embeddings[s.name][i]
-            elif s.modality == "time-series":
-                payloads[s.name] = self.raw_timeseries[s.name][i]
-            elif s.modality == "image":
-                payloads[s.name] = self.raw_screenings[i]
-            else:
-                payloads[s.name] = self.raw_tokens[s.name][i]
-        return Record(index=i, patient=int(self.patients[i]),
-                      labels=self.labels[i].copy(), payloads=payloads)
 
     def validate(self) -> None:
         if self.labels.ndim != 2 or self.labels.shape[0] != self.patients.shape[0]:
@@ -150,6 +126,15 @@ def manifest_keys(path):
         yield
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err.args[0]!r}") from None
+
+
+def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
+    """Decode the source list of the manifest at `path`; a spec that lacks a
+    field or holds an invalid one is a ValueError naming the manifest."""
+    try:
+        return tuple(SourceSpec.from_dict(d) for d in items)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: invalid sources: {err}") from None
 
 
 # what np.frombuffer says when a count or offset runs past the buffer
@@ -305,7 +290,7 @@ def load_dataset(path) -> Dataset:
     if manifest.get("format") != "riskfuse-dataset":
         raise ValueError(f"{manifest_path}: unrecognized dataset manifest")
     with manifest_keys(manifest_path):
-        specs = tuple(SourceSpec.from_dict(d) for d in manifest["sources"])
+        specs = read_source_specs(manifest_path, manifest["sources"])
         n = int(manifest["n_records"])
         k = int(manifest["n_tasks"])
         task_names = tuple(manifest["task_names"])

@@ -20,8 +20,7 @@ from riskfuse.cli import EXIT_OK, main
 from riskfuse.datagen import (TABLE1_COUNTS, build, planted_profile,
                               task_source_names)
 from riskfuse.encoders import ts_features
-from riskfuse.frozenlm import (DesignatedVocab, LMConfig, draw_designated,
-                               init_frozen, selection_matrix)
+from riskfuse.frozenlm import DesignatedVocab, LMConfig, draw_designated, init_frozen
 from riskfuse.losses import (ASLConfig, ClassWeights, asl_term, class_weights,
                              classification_loss_graph, masked_multilabel_loss,
                              projector_loss, wbce_term)
@@ -172,8 +171,7 @@ def _masked_task_case(case: int, flip_sanity: bool = False) -> None:
         for name in dims:
             for pname in PARAM_NAMES:
                 params.adopt(f"{name}.{pname}", projectors[name].tensor(pname))
-        computation = build_joint_loss(projectors, frozen,
-                                       selection_matrix(des, lm.vocab),
+        computation = build_joint_loss(projectors, frozen, des,
                                        emb, labels, kind, 10.0,
                                        weights=weights, asl=ASLConfig())
         loss = ad.eval_with_grads(computation, params)

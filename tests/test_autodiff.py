@@ -35,10 +35,8 @@ def test_forward_matches_numpy_elementwise():
     np.testing.assert_array_equal((ta + tb).value, a + b)
     np.testing.assert_array_equal((ta - tb).value, a - b)
     np.testing.assert_array_equal((ta * tb).value, a * b)
-    np.testing.assert_array_equal((ta / (tb * tb + 1.0)).value, a / (b * b + 1.0))
     np.testing.assert_array_equal((-ta).value, -a)
     np.testing.assert_allclose(ad.tanh(ta).value, np.tanh(a), rtol=1e-15)
-    np.testing.assert_allclose(ad.exp(ta).value, np.exp(a), rtol=1e-15)
     np.testing.assert_array_equal(ad.relu(ta).value, np.maximum(a, 0.0))
 
 
@@ -46,7 +44,7 @@ def test_ndarray_left_operand_dispatches_to_tensor():
     # ndarray.__mul__ must not swallow the tensor into an object array
     a = _rng(3).standard_normal((2, 3))
     t = ad.parameter(np.ones((2, 3)))
-    for combined in (a * t, a + t, a - t, a / (t + 2.0)):
+    for combined in (a * t, a + t, a - t):
         assert isinstance(combined, ad.Tensor)
         assert combined.shape == (2, 3)
     m = _rng(4).standard_normal((4, 2))
@@ -100,11 +98,9 @@ def test_power_const_zero_base_special_cases():
     ("add", lambda x, y: (x + y).sum()),
     ("sub", lambda x, y: (x - y).sum()),
     ("mul", lambda x, y: (x * y).sum()),
-    ("div", lambda x, y: (x / (y * y + 0.5)).sum()),
     ("neg", lambda x, y: (-(x * y)).sum()),
     ("tanh", lambda x, y: ad.tanh(x * y).sum()),
     ("sigmoid", lambda x, y: ad.sigmoid(x - y).sum()),
-    ("exp", lambda x, y: ad.exp(x * 0.3 + y * 0.1).sum()),
     ("mean", lambda x, y: (x * y).mean()),
     ("axis_sum", lambda x, y: ((x + y).sum(axis=0) * 2.0).sum()),
     ("softmax", lambda x, y: (ad.softmax_last(x) * y).sum()),
@@ -125,7 +121,8 @@ def test_primitive_gradients(name, expr):
     ("add", ((3, 3), (3,)), lambda u, v: ad.tanh(u + v).sum()),
     ("sub", ((3, 3), (3,)), lambda u, v: ad.tanh(u - v).sum()),
     ("mul", ((3, 3), (3,)), lambda u, v: ad.tanh(u * v).sum()),
-    ("div", ((3, 3), (3,)), lambda u, v: ad.tanh(u / (v * v + 0.5)).sum()),
+    # the left operand is the broadcast one
+    ("mul_broadcast_left", ((3,), (2, 3)), lambda u, v: ad.tanh(u * v).sum()),
     ("matmul", ((3, 4), (4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
     ("matmul_batched", ((2, 3, 4), (4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
     ("matmul_batched_right", ((3, 4), (2, 4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
@@ -249,11 +246,11 @@ def test_reused_node_many_consumers():
 
 
 def test_forward_nan_raises_and_names_primitive():
-    zero = ad.constant(np.array([0.0]))
+    negative = ad.constant(np.array([-1.0]))
     with pytest.raises(ad.NonFiniteError) as exc:
-        _ = zero / zero
-    assert exc.value.op == "div"
-    assert "div" in str(exc.value)
+        ad.log(negative)
+    assert exc.value.op == "log"
+    assert "log" in str(exc.value)
 
 
 def test_forward_inf_raises():

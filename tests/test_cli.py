@@ -258,6 +258,43 @@ def test_eval_rejects_a_truncated_raw_payload(workspace, raw_workspace, tmp_path
     assert f"{data / fname}: truncated payload" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_designated_index_outside_the_vocabulary(workspace, tmp_path, capsys):
+    broken = tmp_path / "iso"
+    shutil.copytree(workspace["iso"], broken)
+    manifest = read_json(broken / "manifest")
+    manifest["designated"]["indices"][1] = SMALL_LM["vocab"]
+    dump_json(broken / "manifest", manifest)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "iso-joint"]) == EXIT_CONFIG
+    assert (f"{broken / 'manifest'}: designated index {SMALL_LM['vocab']} outside the "
+            f"vocabulary of size {SMALL_LM['vocab']}") in capsys.readouterr().err
+
+
+def test_eval_rejects_a_source_spec_missing_a_field(workspace, raw_workspace, tmp_path,
+                                                    capsys):
+    # a default would silently switch axr from the aggregate to the latest rule
+    data = tmp_path / "raw"
+    shutil.copytree(raw_workspace, data)
+    manifest = read_json(data / "manifest")
+    axr = next(s for s in manifest["sources"] if s["name"] == "axr")
+    assert axr.pop("image_rule") == "aggregate"
+    dump_json(data / "manifest", manifest)
+    assert main(["eval", "--data", str(data), "--ckpt", str(workspace["iso"]),
+                 "--protocol", "single:axr"]) == EXIT_CONFIG
+    assert (f"{data / 'manifest'}: invalid sources: missing source keys: image_rule"
+            in capsys.readouterr().err)
+
+
+def test_eval_rejects_a_dataset_the_checkpoint_was_not_trained_on(workspace, raw_workspace,
+                                                                 capsys):
+    # the raw cohort has the latent cohort's sources, so only the mode differs
+    assert main(["eval", "--data", str(raw_workspace), "--ckpt", str(workspace["iso"]),
+                 "--protocol", "iso-joint"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{raw_workspace} does not fit checkpoint {workspace['iso']}" in err
+    assert "dataset mode 'raw' does not match the checkpoint's 'latent'" in err
+
+
 def test_train_and_eval_reject_nonfinite_latent_embeddings(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)

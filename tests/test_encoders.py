@@ -1,18 +1,20 @@
 """Feature extraction tests: the 11-statistic summary (frozen oracles),
 image screening selection/aggregation, text chunking, normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import (N_TS_FEATURES, Screening, SourceSpec,
-                               aggregate_images, aggregate_text,
-                               apply_feature_stats, default_source_specs,
-                               encode_image_stub, encode_text_stub,
-                               encode_text_with_table, fit_feature_stats,
-                               image_stub_matrix, latest_image, text_stub_table,
-                               timeseries_feature_matrix, ts_features)
+                               aggregate_images, apply_feature_stats,
+                               default_source_specs, encode_text_with_table,
+                               fit_feature_stats, image_stub_matrix, latest_image,
+                               text_stub_table, timeseries_feature_matrix, ts_features)
+from riskfuse.pipeline import _base_embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +191,6 @@ def test_aggregate_images_weight_oracle():
     assert out[0] == pytest.approx(6.0 * (1 / 3) + 9.0 * (2 / 3), abs=1e-12)
 
 
-def test_aggregate_images_unnormalized():
-    out = aggregate_images([_scr(0.0, 3.0), _scr(6.0, 6.0), _scr(12.0, 9.0)],
-                           normalize=False)
-    assert out[0] == pytest.approx(6.0 * 0.5 + 9.0 * 1.0, abs=1e-12)
-
-
 def test_aggregate_single_screening_falls_back_to_latest():
     out = aggregate_images([_scr(7.0, 4.0)])
     np.testing.assert_array_equal(out, [4.0])
@@ -240,8 +236,11 @@ def test_text_single_chunk_is_plain_mean():
 
 
 def test_aggregate_text_means_chunks():
-    chunks = [np.array([1.0, 2.0]), np.array([3.0, 6.0])]
-    np.testing.assert_array_equal(aggregate_text(chunks), [2.0, 4.0])
+    # a 512-token chunk of token 0 and a 1-token chunk of token 1 weigh the
+    # same: the chunk means are averaged, not the tokens
+    table = np.array([[1.0, 2.0], [3.0, 6.0]])
+    ids = np.array([0] * 512 + [1])
+    np.testing.assert_array_equal(encode_text_with_table(table, ids), [2.0, 4.0])
 
 
 def test_text_rejects_out_of_vocab_ids():
@@ -274,21 +273,31 @@ def test_stub_matrices_differ_between_sources():
 
 
 def test_encode_image_stub_is_linear_in_payload():
-    spec = SourceSpec(0, "xr", "image", 8, raw_dim=16)
-    gen = np.random.default_rng(0)
-    x = gen.standard_normal(16)
-    e1 = encode_image_stub(spec, x, seed=2)
-    e2 = encode_image_stub(spec, 2.0 * x, seed=2)
-    np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-12)
-    np.testing.assert_array_equal(encode_image_stub(spec, np.zeros(16), seed=2),
-                                  np.zeros(8))
+    # the image stub has no bias and both screening rules are weighted
+    # averages, so a record's image embedding is linear in its payloads
+    ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
+    rows = np.arange(ds.n_records)
+
+    def scaled(c):
+        screenings = [[Screening(s.time, c * s.vector) for s in rec]
+                      for rec in ds.raw_screenings]
+        return _base_embeddings(dataclasses.replace(ds, raw_screenings=screenings),
+                                rows, ("xr", "axr"))
+
+    once, twice, zero = scaled(1.0), scaled(2.0), scaled(0.0)
+    for name in ("xr", "axr"):
+        np.testing.assert_allclose(twice[name], 2.0 * once[name], atol=1e-12)
+        np.testing.assert_array_equal(zero[name], 0.0)
 
 
 def test_encode_text_stub_matches_table_route():
-    spec = SourceSpec(5, "txt", "text", 4, token_vocab=32)
-    ids = np.array([1, 2, 3])
-    via_table = encode_text_with_table(text_stub_table(spec, seed=9), ids)
-    np.testing.assert_array_equal(encode_text_stub(spec, ids, seed=9), via_table)
+    # a raw dataset's text embedding is the table route through the stub
+    # table seeded by the dataset seed and the source
+    ds = build(planted_profile(n_records=4, seed=9, mode="raw"))
+    table = text_stub_table(ds.spec("txt"), seed=9)
+    want = np.stack([encode_text_with_table(table, ids) for ids in ds.raw_tokens["txt"]])
+    got = _base_embeddings(ds, np.arange(ds.n_records), ("txt",))["txt"]
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

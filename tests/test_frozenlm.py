@@ -8,8 +8,9 @@ import pytest
 
 import riskfuse.autodiff as ad
 from riskfuse.frozenlm import (DesignatedVocab, LMConfig, _sinusoidal_table,
-                               draw_designated, extract_confidence, fuse_logits,
-                               init_frozen, lm_forward, selection_matrix)
+                               draw_designated, init_frozen, lm_forward)
+from riskfuse.pipeline import _confidence_graph
+from riskfuse.projector import ProjectorConfig, init_projector, project
 
 SMALL = LMConfig(d_model=16, n_layers=2, n_heads=2, vocab=32, max_seq=6, seed=0)
 
@@ -151,7 +152,7 @@ def test_gradient_flows_through_backbone_to_inputs():
     target = gen.standard_normal(32)
 
     def build(p):
-        fused = fuse_logits(lm_forward(w, p["x"]))
+        fused = lm_forward(w, p["x"]).mean(axis=-2)
         diff = fused - ad.constant(target)
         return (diff * diff).sum()
 
@@ -160,23 +161,24 @@ def test_gradient_flows_through_backbone_to_inputs():
 
 
 # ---------------------------------------------------------------------------
-# fusion and designated vocabulary
+# readout: fusion and designated vocabulary
+
+
+def _stable_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def test_fuse_is_mean_over_positions():
+    # the readout averages the logits of every position of each record
     w = init_frozen(SMALL)
     gen = np.random.default_rng(6)
-    x = _tokens(gen, 4, 16)
-    logits = lm_forward(w, x)
-    np.testing.assert_allclose(fuse_logits(logits).value,
-                               logits.value.mean(axis=0), atol=1e-14)
-    batched = lm_forward(w, _tokens(gen, 2, 4, 16))
-    assert fuse_logits(batched).shape == (2, 32)
-
-
-def test_fuse_accepts_plain_arrays():
-    arr = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(fuse_logits(arr), arr.mean(axis=0))
+    tokens = [ad.constant(_tokens(gen, 2, 16)) for _ in range(4)]
+    dv = DesignatedVocab(indices=tuple(range(32)), seed=0)
+    phi = _confidence_graph(tokens, w, dv).value
+    logits = lm_forward(w, np.stack([t.value for t in tokens], axis=1)).value
+    assert phi.shape == (2, 32)
+    np.testing.assert_array_equal(phi, _stable_sigmoid(logits.mean(axis=1)))
 
 
 def test_draw_designated_distinct_and_deterministic():
@@ -195,37 +197,65 @@ def test_draw_designated_needs_room():
         draw_designated(12, 12, seed=0)
 
 
-def test_selection_matrix_is_one_hot():
-    dv = DesignatedVocab(indices=(3, 0, 5), seed=0)
-    sel = selection_matrix(dv, vocab=6)
-    assert sel.shape == (6, 3)
-    np.testing.assert_array_equal(sel.sum(axis=0), 1.0)
-    assert sel[3, 0] == 1.0 and sel[0, 1] == 1.0 and sel[5, 2] == 1.0
-    fused = np.arange(6.0)
-    np.testing.assert_array_equal(fused @ sel, [3.0, 0.0, 5.0])
-
-
-def test_selection_matrix_validates_range():
-    with pytest.raises(ValueError):
-        selection_matrix(DesignatedVocab(indices=(7,), seed=0), vocab=6)
-
-
 def test_designated_vocab_rejects_duplicates():
     with pytest.raises(ValueError):
         DesignatedVocab(indices=(1, 1), seed=0)
 
 
 def test_extract_confidence_is_sigmoid_at_designated():
-    dv = DesignatedVocab(indices=(2, 0), seed=0)
-    fused = np.array([0.5, -1.0, 2.0])
-    got = extract_confidence(fused, dv)
-    want = 1.0 / (1.0 + np.exp(-np.array([2.0, 0.5])))
-    np.testing.assert_allclose(got, want, atol=1e-15)
+    # confidence k is the sigmoid of the fused logit at designated index k,
+    # in the designated order
+    w = init_frozen(SMALL)
+    x = _tokens(np.random.default_rng(7), 3, 16)
+    fused = lm_forward(w, x[:, None, :]).value[:, 0, :]
+    dv = DesignatedVocab(indices=(9, 2, 30), seed=0)
+    phi = _confidence_graph([ad.constant(x)], w, dv).value
+    np.testing.assert_array_equal(phi, _stable_sigmoid(fused[:, [9, 2, 30]]))
 
 
 def test_confidence_via_selection_matrix_matches_extract():
-    dv = DesignatedVocab(indices=(4, 1, 7), seed=0)
-    gen = np.random.default_rng(8)
-    fused = gen.standard_normal(9)
-    via_matrix = 1.0 / (1.0 + np.exp(-(fused @ selection_matrix(dv, 9))))
-    np.testing.assert_allclose(via_matrix, extract_confidence(fused, dv), atol=1e-15)
+    # reading the designated logits by index equals, bit for bit in values
+    # and projector gradients, the product with a one-hot (V, K) selection
+    # matrix: that product only adds exact zeros
+    w = init_frozen(SMALL)
+    dv = DesignatedVocab(indices=(4, 1, 7, 30), seed=0)
+    onehot = np.zeros((SMALL.vocab, len(dv.indices)))
+    onehot[list(dv.indices), np.arange(len(dv.indices))] = 1.0
+
+    def by_index(tokens):
+        return _confidence_graph(tokens, w, dv)
+
+    def by_matrix(tokens):
+        seq = ad.concat([t.reshape(t.shape[0], 1, SMALL.d_model) for t in tokens], axis=1)
+        return ad.sigmoid(lm_forward(w, seq).mean(axis=-2) @ ad.constant(onehot))
+
+    for n_sources in (1, 3):
+        for batch in (1, 5):
+            gen = np.random.default_rng(10 * n_sources + batch)
+            projectors = [init_projector(ProjectorConfig(8, SMALL.d_model), 0, k)
+                          for k in range(n_sources)]
+            emb = [gen.standard_normal((batch, 8)) for _ in projectors]
+            mix = ad.constant(gen.standard_normal((batch, len(dv.indices))))
+            results = []
+            for readout in (by_index, by_matrix):
+                params = ad.ParamSet()
+                for k, pp in enumerate(projectors):
+                    for name, t in pp.params.items():
+                        params.adopt(f"{k}.{name}", t)
+                phi = []
+
+                def loss(_p):
+                    out = readout([project(pp, e) for pp, e in zip(projectors, emb)])
+                    phi.append(out.value)
+                    return (out * mix).sum()
+
+                value = ad.eval_with_grads(loss, params)
+                grads = {n: params.grad(n).copy() for n in params.names()}
+                results.append((value, phi[0], grads))
+            (loss_a, phi_a, grads_a), (loss_b, phi_b, grads_b) = results
+            case = f"{n_sources} sources, batch {batch}"
+            assert loss_a == loss_b, case
+            np.testing.assert_array_equal(phi_a, phi_b, err_msg=case)
+            for name in grads_a:
+                np.testing.assert_array_equal(grads_a[name], grads_b[name],
+                                              err_msg=f"{case}, {name}")

@@ -106,8 +106,6 @@ def test_invalid_hyperparameters_rejected():
         init_adamw(params, lr=0.0, weight_decay=0.0)
     with pytest.raises(ValueError):
         init_adamw(params, lr=1e-3, weight_decay=-0.1)
-    with pytest.raises(ValueError):
-        init_adamw(params, lr=1e-3, weight_decay=0.0, beta1=1.0)
 
 
 def test_descends_a_quadratic():

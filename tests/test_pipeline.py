@@ -106,32 +106,23 @@ def test_split_argument_validation():
 
 def test_stats_are_fitted_on_the_training_rows_only(dataset):
     tr, te = split_by_patient(dataset.patients, 0.75, seed=0)
-    emb, stats = prepare_embeddings(dataset, train_idx=tr)
+    emb, stats = prepare_embeddings(dataset, tr)
     name = dataset.source_specs[0].name
     base = dataset.embeddings[name]
     np.testing.assert_allclose(stats[name].mean, base[tr].mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(stats[name].std, base[tr].std(axis=0), atol=1e-12)
     # full-cohort stats would differ
     assert not np.allclose(stats[name].mean, base.mean(axis=0))
-    np.testing.assert_allclose(emb[name], apply_feature_stats(base, stats[name]))
+    np.testing.assert_allclose(emb[name], apply_feature_stats(base[tr], stats[name]))
 
 
 def test_stored_stats_reproduce_training_normalization(dataset):
     tr, _ = split_by_patient(dataset.patients, 0.75, seed=0)
-    emb1, stats = prepare_embeddings(dataset, train_idx=tr)
-    emb2, stats2 = prepare_embeddings(dataset, stats=stats)
+    emb1, stats = prepare_embeddings(dataset, tr)
+    emb2, stats2 = prepare_embeddings(dataset, np.arange(dataset.n_records), stats=stats)
     assert stats2 is stats
     for name in emb1:
-        np.testing.assert_array_equal(emb1[name], emb2[name])
-
-
-def test_prepare_requires_train_idx_or_stats(dataset):
-    with pytest.raises(ValueError):
-        prepare_embeddings(dataset)
-    with pytest.raises(ValueError):
-        prepare_embeddings(dataset, train_idx=np.array([], dtype=np.int64))
-    with pytest.raises(ValueError, match="omit rows"):
-        prepare_embeddings(dataset, train_idx=np.arange(10), rows=np.arange(5))
+        np.testing.assert_array_equal(emb1[name], emb2[name][tr])
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +223,8 @@ def test_training_is_deterministic(dataset):
 def test_nonfinite_abort_names_epoch_and_batch(dataset, monkeypatch):
     real = pipeline.prepare_embeddings
 
-    def poisoned(ds, train_idx=None, stats=None):
-        emb, st = real(ds, train_idx=train_idx, stats=stats)
+    def poisoned(ds, rows, stats=None, sources=None):
+        emb, st = real(ds, rows, stats=stats, sources=sources)
         bad = {k: v.copy() for k, v in emb.items()}
         bad[next(iter(bad))][:] = np.nan
         return bad, st
@@ -300,6 +291,18 @@ def test_checkpoint_rejects_mismatched_dataset(joint_ckpt, dataset):
         predict(joint_ckpt, other, np.arange(4), "joint")
 
 
+def test_checkpoint_rejects_a_dataset_of_another_mode_or_source_spec(
+        joint_ckpt, dataset, raw_dataset):
+    with pytest.raises(ValueError, match="dataset mode 'raw'"):
+        predict(joint_ckpt, raw_dataset, np.arange(4), "joint")
+    # same name, modality and width, but the other image rule
+    specs = tuple(dataclasses.replace(s, image_rule="latest") if s.name == "axr" else s
+                  for s in dataset.source_specs)
+    with pytest.raises(ValueError, match="sources"):
+        predict(joint_ckpt, dataclasses.replace(dataset, source_specs=specs),
+                np.arange(4), "joint")
+
+
 def test_chunked_prediction_matches_one_shot(joint_ckpt, dataset, monkeypatch):
     idx = np.arange(50)
     whole, _ = predict(joint_ckpt, dataset, idx, "joint")
@@ -353,6 +356,16 @@ def test_bss_featurizes_each_record_source_pair_at_most_once(
     assert seen and max(seen.values()) == 1
     # every source is scored on the validation slice
     assert {name for _, name in seen} == set(raw_ckpts[1].source_order())
+
+
+def test_training_featurizes_only_the_training_rows_once(raw_dataset, monkeypatch):
+    seen = _count_featurized(monkeypatch)
+    cfg = _cfg(epochs=1)
+    train(raw_dataset, cfg)
+    tr, te = split_by_patient(raw_dataset.patients, cfg.split_ratio, cfg.seed)
+    assert te.size > 0
+    names = [s.name for s in raw_dataset.source_specs]
+    assert seen == Counter({(int(r), name): 1 for r in tr for name in names})
 
 
 # ---------------------------------------------------------------------------

@@ -49,26 +49,14 @@ def test_project_output_is_tanh_bounded():
     assert np.all(np.abs(t.value) <= 1.0)
 
 
-def test_single_vector_and_batch_agree():
-    cfg = ProjectorConfig(embed_dim=4, token_dim=6)
-    pp = init_projector(cfg, seed=3)
-    e = np.random.default_rng(1).standard_normal(4)
-    single = project(pp, e)
-    batch = project(pp, e.reshape(1, 4))
-    assert single.shape == (6,)
-    np.testing.assert_array_equal(single.value, batch.value[0])
-    back = reconstruct(pp, single)
-    assert back.shape == (4,)
-
-
 def test_projection_matches_manual_formula():
     cfg = ProjectorConfig(embed_dim=3, token_dim=5)
     pp = init_projector(cfg, seed=9)
-    e = np.random.default_rng(2).standard_normal(3)
-    want = np.tanh(pp.value("enc_w") @ e + pp.value("enc_b"))
+    e = np.random.default_rng(2).standard_normal((2, 3))
+    want = np.tanh(e @ pp.value("enc_w").T + pp.value("enc_b"))
     np.testing.assert_allclose(project(pp, e).value, want, atol=1e-14)
-    t = np.random.default_rng(3).standard_normal(5)
-    want_rec = pp.value("dec_w") @ t + pp.value("dec_b")
+    t = np.random.default_rng(3).standard_normal((2, 5))
+    want_rec = t @ pp.value("dec_w").T + pp.value("dec_b")
     np.testing.assert_allclose(reconstruct(pp, t).value, want_rec, atol=1e-14)
 
 
@@ -76,9 +64,11 @@ def test_wrong_width_rejected():
     cfg = ProjectorConfig(embed_dim=4, token_dim=6)
     pp = init_projector(cfg, seed=0)
     with pytest.raises(ValueError):
-        project(pp, np.zeros(5))
+        project(pp, np.zeros((2, 5)))
     with pytest.raises(ValueError):
-        reconstruct(pp, np.zeros(4))
+        reconstruct(pp, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="batch"):
+        project(pp, np.zeros(4))  # one embedding must come as a (1, d_e) batch
 
 
 def test_params_validate_shapes():

@@ -188,15 +188,6 @@ def test_validate_rejects_raw_payloads_of_the_wrong_length(source):
         ds.validate()
 
 
-def test_record_view():
-    ds = _latent_ds()
-    rec = ds.record(3)
-    assert rec.index == 3
-    assert rec.patient == int(ds.patients[3])
-    np.testing.assert_array_equal(rec.labels, ds.labels[3])
-    assert set(rec.payloads) == {s.name for s in ds.source_specs}
-
-
 def test_manifest_is_json_with_format_marker(tmp_path):
     write_dataset(_latent_ds(), tmp_path)
     manifest = json.loads((tmp_path / "manifest").read_text())
