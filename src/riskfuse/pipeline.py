@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import seeding, tensorfile
+from . import seeding
 from .encoders import (FeatureStats, Screening, SourceSpec, aggregate_images,
                        apply_feature_stats, check_fields, fit_feature_stats, image_stub_matrix,
                        latest_image, encode_text_with_table, text_stub_table,
@@ -37,7 +37,8 @@ from .losses import (ASLConfig, ClassWeights, class_weights,
 from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import Dataset, dump_json, manifest_keys, read_json, read_source_specs
+from .storage import (FORMAT_VERSION, MANIFEST, Dataset, dump_json, load_arrays,
+                      manifest_keys, read_manifest, read_source_specs, save_arrays)
 
 __all__ = [
     "SEQUENCE_ORDER",
@@ -358,8 +359,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
 
 
 def check_compatible(ckpt: Checkpoint, dataset: Dataset) -> None:
-    """The dataset must have the mode, sources (every spec field) and tasks
-    the checkpoint was trained on."""
+    """The dataset must have the mode, sources (every spec field), tasks and
+    seed the checkpoint was trained on."""
     if dataset.mode != ckpt.dataset_mode:
         raise ValueError(f"dataset mode {dataset.mode!r} does not match the "
                          f"checkpoint's {ckpt.dataset_mode!r}")
@@ -367,6 +368,10 @@ def check_compatible(ckpt: Checkpoint, dataset: Dataset) -> None:
         raise ValueError("dataset sources do not match the checkpoint's sources")
     if tuple(dataset.task_names) != ckpt.task_names:
         raise ValueError("dataset task list does not match the checkpoint's tasks")
+    # raw stub encoders and latent mixing maps are both drawn from the seed
+    if dataset.seed != ckpt.dataset_seed:
+        raise ValueError(f"dataset seed {dataset.seed} does not match the "
+                         f"checkpoint's {ckpt.dataset_seed}")
 
 
 def _parse_mode(mode: str, ckpt_mode: str) -> tuple[str, str | None]:
@@ -505,85 +510,81 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
 # checkpoint persistence
 
 
-CKPT_MANIFEST = "manifest"
+def _designated_entry(designated: DesignatedVocab) -> dict:
+    return {"indices": list(designated.indices), "seed": designated.seed}
 
 
 def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
+    """Projector parameters and stats go to float64 arrays, so a reloaded
+    checkpoint predicts exactly as the saved one."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     param_files = {}
     for name, pp in ckpt.projectors.items():
         for pname in PARAM_NAMES:
             fname = f"param_{name}_{pname}.bin"
-            tensorfile.write_matrix(out / fname, pp.value(pname))
+            save_arrays(out / fname, pp.value(pname))
             param_files[f"{name}.{pname}"] = fname
     stats_files = {}
     for name, st in ckpt.stats.items():
         fname = f"stats_{name}.bin"
-        tensorfile.write_matrix(out / fname, np.stack([st.mean, st.std]))
+        save_arrays(out / fname, st.mean, st.std)
         stats_files[name] = fname
     manifest = {
         "format": "riskfuse-checkpoint",
-        "version": 1,
+        "version": FORMAT_VERSION,
         "train_config": dataclasses.asdict(ckpt.config),
         "sources": [s.to_dict() for s in ckpt.source_specs],
         "task_names": list(ckpt.task_names),
         "dataset_mode": ckpt.dataset_mode,
         "dataset_seed": ckpt.dataset_seed,
         "weights_hash": ckpt.frozen().weights_hash(),
-        "designated": {"indices": list(ckpt.designated.indices),
-                       "seed": ckpt.designated.seed},
+        "designated": _designated_entry(ckpt.designated),
         "history": ckpt.history,
         "params": param_files,
         "stats": stats_files,
     }
-    dump_json(out / CKPT_MANIFEST, manifest)
+    dump_json(out / MANIFEST, manifest)
     return out
 
 
 def load_checkpoint(path) -> Checkpoint:
     root = Path(path)
-    manifest_path = root / CKPT_MANIFEST
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"{root}: not a checkpoint directory (missing manifest)")
-    manifest = read_json(manifest_path)
-    if manifest.get("format") != "riskfuse-checkpoint":
-        raise ValueError(f"{manifest_path}: unrecognized checkpoint manifest")
+    manifest_path, manifest = read_manifest(root, "checkpoint")
     with manifest_keys(manifest_path):
         try:
             cfg = TrainConfig.from_dict(manifest["train_config"], complete=True)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
-        # the backbone is rebuilt from its seed, not stored: check it is the
-        # one the projectors were trained through
+        # the backbone and the designated indices are rebuilt from their
+        # seeds, not stored: check they are the ones training used
         frozen = init_frozen(cfg.lm)
         rebuilt, stored = frozen.weights_hash(), manifest["weights_hash"]
         if rebuilt != stored:
             raise ValueError(f"{manifest_path}: backbone weights hash {rebuilt} rebuilt "
                              f"from train_config.lm does not match the stored {stored}")
+        task_names = tuple(manifest["task_names"])
+        designated = draw_designated(cfg.lm.vocab, len(task_names), cfg.seed)
+        if manifest["designated"] != _designated_entry(designated):
+            raise ValueError(f"{manifest_path}: designated {manifest['designated']} does not "
+                             f"match {_designated_entry(designated)} drawn from train_config")
         specs = read_source_specs(manifest_path, manifest["sources"])
         proj_cfgs = _projector_configs(specs, cfg.lm)
         projectors = {}
-        for s in specs:
-            loaded = {}
-            for pname in PARAM_NAMES:
-                mat = tensorfile.read_matrix(root / manifest["params"][f"{s.name}.{pname}"])
-                loaded[pname] = mat.reshape(-1) if pname.endswith("_b") else mat
-            projectors[s.name] = ProjectorParams(proj_cfgs[s.name], **loaded)
         stats = {}
         for s in specs:
-            mat = tensorfile.read_matrix(root / manifest["stats"][s.name])
-            stats[s.name] = FeatureStats(mean=mat[0], std=mat[1])
-        indices = tuple(manifest["designated"]["indices"])
-        for i in indices:
-            if not 0 <= i < cfg.lm.vocab:
-                raise ValueError(f"{manifest_path}: designated index {i} outside the "
-                                 f"vocabulary of size {cfg.lm.vocab}")
-        designated = DesignatedVocab(indices=indices, seed=int(manifest["designated"]["seed"]))
+            shapes = proj_cfgs[s.name].shapes()
+            loaded = {pname: load_arrays(root / manifest["params"][f"{s.name}.{pname}"],
+                                         ("<f8", shapes[pname]))[0]
+                      for pname in PARAM_NAMES}
+            projectors[s.name] = ProjectorParams(proj_cfgs[s.name], **loaded)
+            mean, std = load_arrays(root / manifest["stats"][s.name],
+                                    ("<f8", (s.dim,)), ("<f8", (s.dim,)))
+            stats[s.name] = FeatureStats(mean=mean, std=std)
         return Checkpoint(
             config=cfg,
             source_specs=specs,
-            task_names=tuple(manifest["task_names"]),
+            task_names=task_names,
             dataset_mode=manifest["dataset_mode"],
             dataset_seed=int(manifest["dataset_seed"]),
             designated=designated,

@@ -34,6 +34,11 @@ class ProjectorConfig:
                 f"projector must be overcomplete: token_dim {self.token_dim} "
                 f"must exceed embed_dim {self.embed_dim}")
 
+    def shapes(self) -> dict:
+        """Shape of each parameter in PARAM_NAMES."""
+        return {"enc_w": (self.token_dim, self.embed_dim), "enc_b": (self.token_dim,),
+                "dec_w": (self.embed_dim, self.token_dim), "dec_b": (self.embed_dim,)}
+
 
 class ProjectorParams:
     """Config plus the four named tensors in a ParamSet."""
@@ -41,12 +46,7 @@ class ProjectorParams:
     def __init__(self, config: ProjectorConfig, enc_w, enc_b, dec_w, dec_b):
         self.config = config
         self.params = ad.ParamSet()
-        shapes = {
-            "enc_w": (config.token_dim, config.embed_dim),
-            "enc_b": (config.token_dim,),
-            "dec_w": (config.embed_dim, config.token_dim),
-            "dec_b": (config.embed_dim,),
-        }
+        shapes = config.shapes()
         given = {"enc_w": enc_w, "enc_b": enc_b, "dec_w": dec_w, "dec_b": dec_b}
         for name in PARAM_NAMES:
             arr = np.asarray(given[name], dtype=np.float64)

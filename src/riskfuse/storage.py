@@ -1,38 +1,47 @@
 """Dataset directory format and in-memory dataset container.
 
-A dataset directory holds:
-  manifest          JSON: version, record/task counts, task names, source
-                    specs, mode, seed, and a generator echo
-  labels.bin        n_records x n_tasks signed bytes (-1 unknown, 0, 1)
-  patients.bin      n_records little-endian u32 patient ids
-  src_<name>.bin    latent mode: one matrix container per source
-  raw_<name>.bin    raw mode: per-source time-series or token payloads
-  raw_screenings.bin raw mode: imaging events shared by the image sources
+A dataset directory holds a JSON `manifest` (format version, record and
+task counts, task names, source specs, mode, seed and a generator echo)
+and binary files. Each binary file is one or more consecutive numpy .npy
+arrays, written by `save_arrays` and read back by `load_arrays`, which
+checks every array's dtype and shape against the manifest:
 
-All payload encodings are flat little-endian binary with explicit counts,
-so identical generator seeds produce byte-identical directories.
+  labels.bin          (n_records, n_tasks) int8: -1 unknown, 0, 1
+  patients.bin        (n_records,) u32 patient ids
+  src_<name>.bin      latent mode: (n_records, dim) float32 embeddings
+  raw_<name>.bin      raw mode, time series: (n_records, n_series) u32
+                      series lengths, then every value as one float32 array
+                      raw mode, text: (n_records,) u32 token counts, then
+                      every token id as one u32 array
+  raw_screenings.bin  raw mode, shared by the image sources: (n_records,)
+                      u32 screening counts, the float32 screening times, and
+                      their (total, raw_dim) float32 vectors
+
+Arrays are little-endian; values load as float64, ids as int64. Identical
+generator seeds produce byte-identical directories. Checkpoints store their
+parameters and stats through the same two functions, as float64.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import tensorfile
 from .encoders import Screening, SourceSpec
 
-__all__ = ["FORMAT_VERSION", "Dataset", "write_dataset", "load_dataset"]
+__all__ = ["FORMAT_VERSION", "Dataset", "write_dataset", "load_dataset", "save_arrays",
+           "load_arrays"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST = "manifest"
 LABELS = "labels.bin"
 PATIENTS = "patients.bin"
+SCREENINGS = "raw_screenings.bin"
 
 
 @dataclass
@@ -103,6 +112,13 @@ class Dataset:
                     raise ValueError(
                         f"source {s.name!r}: {len(payload)} raw {s.modality} records, "
                         f"expected {self.n_records}")
+                if s.modality == "time-series" and any(len(r) != s.n_series for r in payload):
+                    raise ValueError(f"source {s.name!r}: every record must hold "
+                                     f"{s.n_series} series")
+                if s.modality == "image" and any(sc.vector.shape != (s.raw_dim,)
+                                                 for r in payload for sc in r):
+                    raise ValueError(f"source {s.name!r}: every screening vector must "
+                                     f"have length {s.raw_dim}")
         else:
             raise ValueError(f"unknown dataset mode {self.mode!r}")
 
@@ -137,110 +153,66 @@ def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
         raise ValueError(f"{path}: invalid sources: {err}") from None
 
 
-# what np.frombuffer says when a count or offset runs past the buffer
-_SHORT_BUFFER = ("buffer is smaller than requested size", "offset must be non-negative")
+def read_manifest(root, kind: str) -> tuple[Path, dict]:
+    """Path and contents of the manifest of the `kind` ("dataset" or
+    "checkpoint") directory at `root`; a manifest of another kind or format
+    version is a ValueError naming it."""
+    path = Path(root) / MANIFEST
+    if not path.exists():
+        raise FileNotFoundError(f"{root}: not a {kind} directory (missing {MANIFEST})")
+    manifest = read_json(path)
+    if manifest.get("format") != f"riskfuse-{kind}":
+        raise ValueError(f"{path}: unrecognized {kind} manifest")
+    with manifest_keys(path):
+        version = manifest["version"]
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported {kind} format version {version!r}")
+    return path, manifest
 
 
-@contextmanager
-def payload_bounds(path):
-    """Report a read past the end of the payload at `path` (struct's for a
-    header or length prefix, numpy's for an array) as a ValueError."""
-    try:
-        yield
-    except (struct.error, ValueError) as err:
-        if isinstance(err, ValueError) and not str(err).startswith(_SHORT_BUFFER):
-            raise
-        raise ValueError(f"{path}: truncated payload") from None
-
-
-def _write_ts(path, records: list) -> None:
-    n_series = len(records[0]) if records else 0
+def save_arrays(path, *arrays) -> None:
+    """Write `arrays` to `path` as consecutive .npy arrays."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", len(records), n_series))
-        for rec in records:
-            if len(rec) != n_series:
-                raise ValueError("inconsistent series count across records")
-            for series in rec:
-                arr = np.asarray(series, dtype="<f4")
-                fh.write(struct.pack("<I", arr.size))
-                fh.write(arr.tobytes())
+        for arr in arrays:
+            np.save(fh, arr, allow_pickle=False)
 
 
-def _read_ts(path) -> list:
-    blob = Path(path).read_bytes()
-    n_records, n_series = struct.unpack_from("<II", blob, 0)
-    off = 8
-    records = []
-    for _ in range(n_records):
-        rec = []
-        for _ in range(n_series):
-            (length,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            rec.append(np.frombuffer(blob, dtype="<f4", count=length, offset=off)
-                       .astype(np.float64))
-            off += 4 * length
-        records.append(rec)
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in time-series payload")
-    return records
+def load_arrays(path, *expected) -> list[np.ndarray]:
+    """Read the arrays `save_arrays` wrote to `path`, one per (dtype, shape)
+    in `expected`; None in a shape matches any length. A short or malformed
+    file, trailing bytes, or an array of another dtype or shape is a
+    ValueError naming the file."""
+    arrays = []
+    with open(path, "rb") as fh:
+        for dtype, shape in expected:
+            try:
+                # not np.load, which opens a file starting with zip's magic
+                # as an .npz archive
+                arr = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError:
+                raise ValueError(f"{path}: truncated payload") from None
+            if arr.dtype != dtype or arr.ndim != len(shape) or any(
+                    want not in (None, got) for want, got in zip(shape, arr.shape)):
+                raise ValueError(f"{path}: expected a {np.dtype(dtype)} array of shape "
+                                 f"{shape}, got {arr.dtype} {arr.shape}")
+            arrays.append(arr)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after {len(expected)} arrays")
+    return arrays
 
 
-def _write_screenings(path, records: list, raw_dim: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", len(records), raw_dim))
-        for screenings in records:
-            fh.write(struct.pack("<I", len(screenings)))
-            for s in screenings:
-                if s.vector.size != raw_dim:
-                    raise ValueError("screening vector width mismatch")
-                fh.write(struct.pack("<f", s.time))
-                fh.write(np.asarray(s.vector, dtype="<f4").tobytes())
+def _concat(pieces, dtype) -> np.ndarray:
+    """The pieces end to end, as one `dtype` array."""
+    return np.concatenate([np.zeros(0, dtype), *pieces]).astype(dtype)
 
 
-def _read_screenings(path) -> list:
-    blob = Path(path).read_bytes()
-    n_records, raw_dim = struct.unpack_from("<II", blob, 0)
-    off = 8
-    records = []
-    for _ in range(n_records):
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        items = []
-        for _ in range(count):
-            (t,) = struct.unpack_from("<f", blob, off)
-            off += 4
-            vec = np.frombuffer(blob, dtype="<f4", count=raw_dim, offset=off).astype(np.float64)
-            off += 4 * raw_dim
-            items.append(Screening(time=float(t), vector=vec))
-        records.append(items)
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in screenings payload")
-    return records
-
-
-def _write_tokens(path, records: list) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(records)))
-        for ids in records:
-            arr = np.asarray(ids, dtype="<u4")
-            fh.write(struct.pack("<I", arr.size))
-            fh.write(arr.tobytes())
-
-
-def _read_tokens(path) -> list:
-    blob = Path(path).read_bytes()
-    (n_records,) = struct.unpack_from("<I", blob, 0)
-    off = 4
-    records = []
-    for _ in range(n_records):
-        (length,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        records.append(np.frombuffer(blob, dtype="<u4", count=length, offset=off)
-                       .astype(np.int64))
-        off += 4 * length
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in token payload")
-    return records
+def _split(path, lengths, values) -> list:
+    """`values` cut into consecutive pieces of the given `lengths`."""
+    if int(lengths.sum()) != len(values):
+        raise ValueError(f"{path}: lengths add up to {int(lengths.sum())}, "
+                         f"not to the {len(values)} values stored")
+    ends = np.cumsum(lengths.ravel()).tolist()
+    return [values[start:end] for start, end in zip([0] + ends, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +235,33 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
         "generator": ds.generator,
     }
     dump_json(out / MANIFEST, manifest)
-    (out / LABELS).write_bytes(ds.labels.astype(np.int8).tobytes(order="C"))
-    (out / PATIENTS).write_bytes(ds.patients.astype("<u4").tobytes(order="C"))
-    if ds.mode == "latent":
-        for s in ds.source_specs:
-            tensorfile.write_matrix(out / f"src_{s.name}.bin", ds.embeddings[s.name])
-    else:
-        image_specs = [s for s in ds.source_specs if s.modality == "image"]
-        if image_specs:
-            _write_screenings(out / "raw_screenings.bin", ds.raw_screenings,
-                              image_specs[0].raw_dim)
-        for s in ds.source_specs:
-            if s.modality == "time-series":
-                _write_ts(out / f"raw_{s.name}.bin", ds.raw_timeseries[s.name])
-            elif s.modality == "text":
-                _write_tokens(out / f"raw_{s.name}.bin", ds.raw_tokens[s.name])
+    save_arrays(out / LABELS, ds.labels.astype("i1"))
+    save_arrays(out / PATIENTS, ds.patients.astype("<u4"))
+    for s in ds.source_specs:
+        if ds.mode == "latent":
+            save_arrays(out / f"src_{s.name}.bin", ds.embeddings[s.name].astype("<f4"))
+        elif s.modality == "time-series":
+            records = ds.raw_timeseries[s.name]
+            series = [x for rec in records for x in rec]
+            lengths = np.array([len(x) for x in series], "<u4").reshape(len(records), s.n_series)
+            save_arrays(out / f"raw_{s.name}.bin", lengths, _concat(series, "<f4"))
+        elif s.modality == "text":
+            tokens = ds.raw_tokens[s.name]
+            save_arrays(out / f"raw_{s.name}.bin", np.array([len(t) for t in tokens], "<u4"),
+                        _concat(tokens, "<u4"))
+    images = [s for s in ds.source_specs if s.modality == "image"]
+    if ds.mode == "raw" and images:
+        items = [sc for rec in ds.raw_screenings for sc in rec]
+        vectors = np.array([sc.vector for sc in items], "<f4")
+        save_arrays(out / SCREENINGS, np.array([len(rec) for rec in ds.raw_screenings], "<u4"),
+                    np.array([sc.time for sc in items], "<f4"),
+                    vectors.reshape(len(items), images[0].raw_dim))
     return out
 
 
 def load_dataset(path) -> Dataset:
     root = Path(path)
-    manifest_path = root / MANIFEST
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"{root}: not a dataset directory (missing {MANIFEST})")
-    manifest = read_json(manifest_path)
-    if manifest.get("format") != "riskfuse-dataset":
-        raise ValueError(f"{manifest_path}: unrecognized dataset manifest")
+    manifest_path, manifest = read_manifest(root, "dataset")
     with manifest_keys(manifest_path):
         specs = read_source_specs(manifest_path, manifest["sources"])
         n = int(manifest["n_records"])
@@ -296,42 +269,42 @@ def load_dataset(path) -> Dataset:
         task_names = tuple(manifest["task_names"])
         mode = manifest["mode"]
         seed = int(manifest["seed"])
-    labels = np.frombuffer((root / LABELS).read_bytes(), dtype=np.int8)
-    if labels.size != n * k:
-        raise ValueError(f"{root / LABELS}: expected {n * k} label bytes, got {labels.size}")
-    labels = labels.astype(np.int64).reshape(n, k)
-    patients = np.frombuffer((root / PATIENTS).read_bytes(), dtype="<u4")
-    if patients.size != n:
-        raise ValueError(f"{root / PATIENTS}: expected {n} patient ids, got {patients.size}")
+    labels = load_arrays(root / LABELS, ("i1", (n, k)))[0]
+    patients = load_arrays(root / PATIENTS, ("<u4", (n,)))[0]
     ds = Dataset(
         source_specs=specs,
         task_names=task_names,
-        labels=labels,
+        labels=labels.astype(np.int64),
         patients=patients.astype(np.int64),
         mode=mode,
         seed=seed,
         generator=manifest.get("generator", {}),
     )
     if ds.mode == "latent":
-        ds.embeddings = {}
-        for s in specs:
-            emb = tensorfile.read_matrix(root / f"src_{s.name}.bin")
-            if emb.shape != (n, s.dim):
-                raise ValueError(f"source {s.name!r}: stored embeddings have shape {emb.shape}")
-            ds.embeddings[s.name] = emb
+        ds.embeddings = {
+            s.name: load_arrays(root / f"src_{s.name}.bin", ("<f4", (n, s.dim)))[0]
+            .astype(np.float64) for s in specs}
     else:
         ds.raw_timeseries = {}
         ds.raw_tokens = {}
         for s in specs:
             payload = root / f"raw_{s.name}.bin"
-            with payload_bounds(payload):
-                if s.modality == "time-series":
-                    ds.raw_timeseries[s.name] = _read_ts(payload)
-                elif s.modality == "text":
-                    ds.raw_tokens[s.name] = _read_tokens(payload)
-        if any(s.modality == "image" for s in specs):
-            payload = root / "raw_screenings.bin"
-            with payload_bounds(payload):
-                ds.raw_screenings = _read_screenings(payload)
+            if s.modality == "time-series":
+                lengths, values = load_arrays(payload, ("<u4", (n, s.n_series)), ("<f4", (None,)))
+                series = _split(payload, lengths, values.astype(np.float64))
+                ds.raw_timeseries[s.name] = [series[i:i + s.n_series]
+                                             for i in range(0, len(series), s.n_series)]
+            elif s.modality == "text":
+                lengths, ids = load_arrays(payload, ("<u4", (n,)), ("<u4", (None,)))
+                ds.raw_tokens[s.name] = _split(payload, lengths, ids.astype(np.int64))
+        images = [s for s in specs if s.modality == "image"]
+        if images:
+            payload = root / SCREENINGS
+            counts, times, vectors = load_arrays(payload, ("<u4", (n,)), ("<f4", (None,)),
+                                                 ("<f4", (None, images[0].raw_dim)))
+            ds.raw_screenings = [
+                [Screening(time=float(t), vector=v) for t, v in zip(ts, vs)]
+                for ts, vs in zip(_split(payload, counts, times),
+                                  _split(payload, counts, vectors.astype(np.float64)))]
     ds.validate()
     return ds

@@ -1,9 +1,15 @@
-"""The traced benchmark run wraps riskfuse functions by module attribute
-name (perfbench/spans.py). A renamed or deleted function would only show up
-in the slow benchmark self-tests, so check every name here."""
+"""Fast guards for what the benchmark (perfbench/) relies on. The traced
+run wraps riskfuse functions by module attribute name (perfbench/spans.py),
+and every run compares reference confidences with perfbench/reference.json;
+a renamed function or a numeric drift would otherwise only show up in the
+slow benchmark runs."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import numpy as np
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -22,3 +28,18 @@ def test_every_traced_function_still_exists():
     missing += [f"riskfuse.pipeline.{attr}" for attr in spans.LOSS_BUILDERS
                 if not callable(getattr(spans.pipeline, attr, None))]
     assert not missing, f"perfbench/spans.py wraps names riskfuse no longer has: {missing}"
+
+
+def test_reference_confidences_match_the_recorded_reference(tmp_path, monkeypatch):
+    # the benchmark rejects a run whose reference confidences drift; check
+    # the same thing here, through perfbench/bench.py itself
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_bench", SPANS.parent / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)   # its dataclasses look it up
+    spec.loader.exec_module(bench)
+    expected = json.loads(bench.REFERENCE.read_text())
+    for mode in bench.REFERENCE_RECORDS:
+        phi = bench.reference_confidences(mode, tmp_path / mode)
+        np.testing.assert_allclose(phi, np.array(expected[mode]), rtol=0,
+                                   atol=bench.REFERENCE_ATOL, err_msg=mode)

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from riskfuse import storage, tensorfile
+from riskfuse import storage
 from riskfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from riskfuse.metrics import metrics_for_run, read_metrics_csv, write_metrics_csv
 from riskfuse.storage import dump_json, load_dataset, read_json
@@ -250,7 +250,7 @@ def test_eval_rejects_a_truncated_raw_payload(workspace, raw_workspace, tmp_path
                                               fname):
     data = tmp_path / "raw"
     shutil.copytree(raw_workspace, data)
-    # cut inside the first length prefix, which follows the 4- or 8-byte header
+    # cut inside the first array's magic string or its header
     keep = 6 if fname == "raw_txt.bin" else 10
     (data / fname).write_bytes((data / fname).read_bytes()[:keep])
     assert main(["eval", "--data", str(data), "--ckpt", str(workspace["iso"]),
@@ -262,12 +262,41 @@ def test_eval_rejects_a_designated_index_outside_the_vocabulary(workspace, tmp_p
     broken = tmp_path / "iso"
     shutil.copytree(workspace["iso"], broken)
     manifest = read_json(broken / "manifest")
+    stored = read_json(workspace["iso"] / "manifest")["designated"]
     manifest["designated"]["indices"][1] = SMALL_LM["vocab"]
     dump_json(broken / "manifest", manifest)
     assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
                  "--protocol", "iso-joint"]) == EXIT_CONFIG
-    assert (f"{broken / 'manifest'}: designated index {SMALL_LM['vocab']} outside the "
-            f"vocabulary of size {SMALL_LM['vocab']}") in capsys.readouterr().err
+    assert (f"{broken / 'manifest'}: designated {manifest['designated']} does not match "
+            f"{stored} drawn from train_config") in capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_missing_a_designated_index(workspace, tmp_path, capsys):
+    broken = tmp_path / "iso"
+    shutil.copytree(workspace["iso"], broken)
+    manifest = read_json(broken / "manifest")
+    stored = read_json(workspace["iso"] / "manifest")["designated"]
+    manifest["designated"]["indices"].pop()
+    dump_json(broken / "manifest", manifest)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "iso-joint"]) == EXIT_CONFIG
+    assert (f"{broken / 'manifest'}: designated {manifest['designated']} does not match "
+            f"{stored} drawn from train_config") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact, kind", [("data", "dataset"), ("iso", "checkpoint")])
+def test_eval_rejects_a_manifest_of_format_version_1(workspace, tmp_path, capsys,
+                                                     artifact, kind):
+    broken = tmp_path / artifact
+    shutil.copytree(workspace[artifact], broken)
+    manifest = read_json(broken / "manifest")
+    manifest["version"] = 1
+    dump_json(broken / "manifest", manifest)
+    dirs = {"data": workspace["data"], "iso": workspace["iso"], artifact: broken}
+    assert main(["eval", "--data", str(dirs["data"]), "--ckpt", str(dirs["iso"]),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert (f"{broken / 'manifest'}: unsupported {kind} format version 1"
+            in capsys.readouterr().err)
 
 
 def test_eval_rejects_a_source_spec_missing_a_field(workspace, raw_workspace, tmp_path,
@@ -295,12 +324,28 @@ def test_eval_rejects_a_dataset_the_checkpoint_was_not_trained_on(workspace, raw
     assert "dataset mode 'raw' does not match the checkpoint's 'latent'" in err
 
 
+def test_eval_rejects_a_raw_cohort_of_another_seed(workspace, tmp_path, capsys):
+    data = {}
+    for seed in (4, 5):
+        data[seed] = tmp_path / f"raw{seed}"
+        assert main(["gen", "--profile", "planted", "--mode", "raw", "--n-records", "30",
+                     "--seed", str(seed), "--out", str(data[seed])]) == EXIT_OK
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--data", str(data[4]), "--out", str(ckpt),
+                 "--config", str(workspace["config"])]) == EXIT_OK
+    assert main(["eval", "--data", str(data[5]), "--ckpt", str(ckpt),
+                 "--protocol", "joint"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{data[5]} does not fit checkpoint {ckpt}" in err
+    assert "dataset seed 5 does not match the checkpoint's 4" in err
+
+
 def test_train_and_eval_reject_nonfinite_latent_embeddings(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
-    emb = tensorfile.read_matrix(data / "src_chart.bin")
+    [emb] = storage.load_arrays(data / "src_chart.bin", ("<f4", (None, None)))
     emb[5, 0] = np.nan
-    tensorfile.write_matrix(data / "src_chart.bin", emb)
+    storage.save_arrays(data / "src_chart.bin", emb)
     assert main(["eval", "--data", str(data), "--ckpt", str(workspace["iso"]),
                  "--protocol", "bss"]) == EXIT_CONFIG
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
@@ -314,11 +359,14 @@ def test_train_rejects_a_raw_payload_of_the_wrong_length(workspace, tmp_path, ca
     data = tmp_path / "raw"
     assert main(["gen", "--profile", "planted", "--mode", "raw", "--n-records", "30",
                  "--seed", "2", "--out", str(data)]) == EXIT_OK
-    series = load_dataset(data).raw_timeseries["lab"]
-    storage._write_ts(data / "raw_lab.bin", series[:-1])
+    records = load_dataset(data).raw_timeseries["lab"][:-1]
+    storage.save_arrays(data / "raw_lab.bin",
+                        np.array([[len(x) for x in rec] for rec in records], "<u4"),
+                        np.concatenate([x for rec in records for x in rec]).astype("<f4"))
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
                  "--config", str(workspace["config"])]) == EXIT_CONFIG
-    assert "source 'lab': 29 raw time-series records, expected 30" in capsys.readouterr().err
+    assert (f"{data / 'raw_lab.bin'}: expected a uint32 array of shape (30, 4), "
+            f"got uint32 (29, 4)") in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,19 @@ def test_isolated_checkpoint_roundtrip(iso_ckpt, dataset, tmp_path):
            [(m.tp, m.fp, m.fn, m.tn) for m in rows_b]
 
 
+def test_reloaded_checkpoints_predict_exactly_as_in_memory(dataset, joint_ckpt, iso_ckpt,
+                                                           raw_dataset, raw_ckpts, tmp_path):
+    for ds, ckpts in ((dataset, (joint_ckpt, iso_ckpt)), (raw_dataset, raw_ckpts)):
+        rows = np.arange(ds.n_records)
+        for ckpt in ckpts:
+            out = tmp_path / f"{ds.mode}-{ckpt.config.mode}"
+            back = load_checkpoint(save_checkpoint(ckpt, out))
+            fused = "joint" if ckpt.config.mode == "joint" else "iso-joint"
+            for mode in [fused] + [f"single:{n}" for n in ckpt.source_order()]:
+                assert np.array_equal(predict(back, ds, rows, mode)[0],
+                                      predict(ckpt, ds, rows, mode)[0]), (ds.mode, mode)
+
+
 def test_checkpoint_load_rejects_garbage(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "missing")

@@ -9,8 +9,11 @@ import pytest
 
 from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import Screening, SourceSpec
-from riskfuse.storage import (Dataset, dump_json, load_dataset, read_json,
-                              write_dataset)
+from riskfuse.frozenlm import LMConfig
+from riskfuse.pipeline import TrainConfig, load_checkpoint, save_checkpoint, train
+from riskfuse.projector import PARAM_NAMES
+from riskfuse.storage import (Dataset, dump_json, load_arrays, load_dataset, read_json,
+                              save_arrays, write_dataset)
 
 
 def _latent_ds(seed=0, n=40):
@@ -98,18 +101,82 @@ def test_truncated_labels_rejected(tmp_path):
         load_dataset(tmp_path)
 
 
-@pytest.mark.parametrize("fname", ["raw_lab.bin", "raw_txt.bin", "raw_screenings.bin"])
-def test_every_truncation_of_a_raw_payload_names_the_file(tmp_path, fname):
-    write_dataset(_raw_ds(n=3), tmp_path)
-    path = tmp_path / fname
+def _tiny_checkpoint():
+    """A checkpoint small enough to cut at every byte: two latent sources of
+    width 2 and 3 through a 4-wide backbone."""
+    gen = np.random.default_rng(0)
+    specs = (SourceSpec(0, "a", "text", 2, token_vocab=4),
+             SourceSpec(1, "b", "text", 3, token_vocab=4))
+    ds = Dataset(source_specs=specs, task_names=("t0", "t1"),
+                 labels=gen.integers(-1, 2, size=(12, 2)), patients=np.arange(12),
+                 mode="latent", seed=0,
+                 embeddings={s.name: gen.standard_normal((12, s.dim)) for s in specs})
+    lm = LMConfig(d_model=4, n_layers=1, n_heads=1, vocab=8, max_seq=4)
+    return train(ds, TrainConfig(epochs=1, batch_size=4, lm=lm))
+
+
+SOURCES = ("xr", "axr", "proc", "lab", "chart", "txt")
+# (directory, file) for every binary file; the raw dataset's ids are bare
+# file names, the others are prefixed with their directory
+BINARY_FILES = (
+    [pytest.param("raw", f, id=f) for f in ("labels.bin", "patients.bin", "raw_screenings.bin")]
+    + [pytest.param("raw", f"raw_{n}.bin", id=f"raw_{n}.bin") for n in SOURCES[2:]]
+    + [pytest.param("latent", f, id=f"latent/{f}")
+       for f in ["labels.bin", "patients.bin"] + [f"src_{n}.bin" for n in SOURCES]]
+    + [pytest.param("checkpoint", f, id=f"checkpoint/{f}")
+       for n in ("a", "b") for f in [f"param_{n}_{p}.bin" for p in PARAM_NAMES]
+       + [f"stats_{n}.bin"]])
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    write_dataset(_raw_ds(n=3), root / "raw")
+    write_dataset(_latent_ds(n=3), root / "latent")
+    save_checkpoint(_tiny_checkpoint(), root / "checkpoint")
+    return root
+
+
+@pytest.mark.parametrize("directory, fname", BINARY_FILES)
+def test_every_truncation_of_a_raw_payload_names_the_file(artifacts, directory, fname):
+    load = load_checkpoint if directory == "checkpoint" else load_dataset
+    path = artifacts / directory / fname
     blob = path.read_bytes()
-    # every cut: inside the header, a length prefix, a time stamp or an array
-    for keep in range(len(blob)):
-        path.write_bytes(blob[:keep])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
-            load_dataset(tmp_path)
-    path.write_bytes(blob)
-    load_dataset(tmp_path)
+    try:
+        # every cut: inside a magic string, a header or an array's data
+        for keep in range(len(blob)):
+            path.write_bytes(blob[:keep])
+            with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
+                load(path.parent)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes")):
+            load(path.parent)
+    finally:
+        path.write_bytes(blob)
+    load(path.parent)
+
+
+def test_load_arrays_checks_each_dtype_and_shape(tmp_path):
+    path = tmp_path / "a.bin"
+    save_arrays(path, np.zeros((2, 3), "<f4"), np.arange(4, dtype="<u4"))
+    first, second = load_arrays(path, ("<f4", (2, None)), ("<u4", (4,)))
+    assert first.shape == (2, 3) and second.tolist() == [0, 1, 2, 3]
+    for expected in [(("<f8", (2, 3)), ("<u4", (4,))),      # dtype
+                     (("<f4", (2, 3, 1)), ("<u4", (4,))),   # ndim
+                     (("<f4", (2, 3)), ("<u4", (5,)))]:     # length
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected a ")):
+            load_arrays(path, *expected)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes")):
+        load_arrays(path, ("<f4", (2, 3)))
+
+
+def test_load_arrays_reads_no_zip_archive(tmp_path):
+    # np.load would open a file that starts with zip's magic as an .npz
+    path = tmp_path / "a.bin"
+    save_arrays(path, np.zeros(3, "<f4"))
+    path.write_bytes(b"PK\x03\x04" + path.read_bytes()[4:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
+        load_arrays(path, ("<f4", (3,)))
 
 
 @pytest.mark.parametrize("key", ["n_records", "mode", "sources"])
@@ -185,6 +252,19 @@ def test_validate_rejects_raw_payloads_of_the_wrong_length(source):
     else:
         ds.raw_tokens["txt"] = ds.raw_tokens["txt"] + [np.array([1, 2])]
     with pytest.raises(ValueError, match=f"source '{source}': .* expected {ds.n_records}"):
+        ds.validate()
+
+
+def test_validate_rejects_raw_payloads_of_the_wrong_geometry():
+    ds = _raw_ds()
+    ds.raw_timeseries["lab"] = [rec[:-1] for rec in ds.raw_timeseries["lab"]]
+    with pytest.raises(ValueError, match="source 'lab': every record must hold 4 series"):
+        ds.validate()
+    ds = _raw_ds()
+    rec = next(r for r in ds.raw_screenings if r)
+    rec[0] = Screening(time=rec[0].time, vector=rec[0].vector[:-1])
+    with pytest.raises(ValueError, match="source 'xr': every screening vector must have "
+                                         "length 16"):
         ds.validate()
 
 
