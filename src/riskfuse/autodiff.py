@@ -51,6 +51,7 @@ __all__ = [
     "concat",
     "reshape",
     "swapaxes",
+    "records",
     "backward",
     "no_graph",
     "ParamSet",
@@ -228,9 +229,15 @@ def no_graph():
         _recording = saved
 
 
+def records(*parents: Tensor) -> bool:
+    """Whether a primitive over `parents` is recorded: the graph is on and
+    some parent needs a gradient. Only then must it keep what its VJPs read."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _node(value, op: str, parents: tuple, vjps: tuple) -> Tensor:
     """Result of a primitive; vjps[i] maps the output gradient to parents[i]'s."""
-    if not _recording or not any(p.requires_grad for p in parents):
+    if not records(*parents):
         # constants flow through without keeping graph structure alive
         return Tensor(value, op=op)
     return Tensor(value, requires_grad=True, op=op, parents=parents, vjps=vjps)

@@ -4,9 +4,19 @@ Projected source tokens are fed as a short sequence of d_model vectors
 (wide-open, no token embedding table on the way in). The backbone is
 pre-norm with causal multi-head attention and relu feed-forward blocks,
 sinusoidal positions, Gaussian(0, 0.02^2) weight init, unit layer-norm
-gains, and a bias-free d_model x V output head. All weights are frozen:
-they are constants in the graph, gradients flow through them into the
-inputs but never into them.
+gains, and a bias-free d_model x V output head. All weights are frozen.
+
+`lm_forward` runs the backbone in plain numpy and enters the autodiff graph
+as one node with one vector-Jacobian product, taken with respect to the
+input only: gradients flow through the weights into the inputs but never
+into them. It keeps activations only when that product can run (the graph
+is recording and the input needs a gradient). At sequence length 1 it skips
+the query and key projections and the softmax; this is exact, since the
+softmax of one score is 1.0 and sends exact zeros back to q and k. Values
+and input gradients equal, bit for bit, those of the same transformer built
+from generic autodiff primitives (kept in the tests as the oracle). A NaN
+or Inf in either pass raises NonFiniteError naming the block:
+`frozen_lm.layer<i>.attention`, `frozen_lm.layer<i>.ff` or `frozen_lm.head`.
 
 Task confidences come from K designated vocabulary indices: logits are
 averaged over sequence positions and phi_k = sigmoid(logit[designated_k]).
@@ -33,6 +43,7 @@ __all__ = [
 
 LN_EPS = 1e-5
 MASK_NEG = -1e9  # additive causal mask; exp() underflows to exactly 0.0
+HEAD_BLOCK = "frozen_lm.head"
 
 
 @dataclass(frozen=True)
@@ -114,35 +125,125 @@ def init_frozen(config: LMConfig) -> FrozenWeights:
     return FrozenWeights(config)
 
 
-def _layer_norm(x: ad.Tensor, gain: ad.Tensor, offset: ad.Tensor) -> ad.Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + LN_EPS) ** -0.5) * gain + offset
+def _finite(block: str, *arrays, context: str = "") -> None:
+    for arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise ad.NonFiniteError(block, context)
 
 
-def _attention(x: ad.Tensor, layer: dict, n_heads: int, mask: np.ndarray) -> ad.Tensor:
-    d = x.shape[-1]
-    dh = d // n_heads
-    q = x @ layer["wq"]
-    k = x @ layer["wk"]
-    v = x @ layer["wv"]
+# Each block below copies the arithmetic of the autodiff primitives it
+# replaces, operation for operation on the same array views, so values and
+# input gradients equal the primitive graph's bit for bit. Where a value's
+# gradient has three or more contributions, they are summed in the order
+# `ad.backward` sums them. One function per block frees its temporaries on
+# return; `tape` is None unless a backward will run, and otherwise receives
+# what that block's VJP reads.
+
+
+def _layer_norm(x, gain, offset, tape):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    shifted_var = (centered * centered).mean(axis=-1, keepdims=True) + LN_EPS
+    inv = np.power(shifted_var, -0.5)
+    if tape is not None:
+        tape.append((centered, shifted_var, inv))
+    return centered * inv * gain + offset, shifted_var
+
+
+def _layer_norm_vjp(g, gain, saved):
+    """(centered term, mean term) of the gradient of a layer norm's input;
+    the caller adds them to the input's other contributions."""
+    centered, shifted_var, inv = saved
+    d = centered.shape[-1]
+    g = g * gain
+    g_var = (g * centered).sum(axis=-1, keepdims=True) * (-0.5 * np.power(shifted_var, -1.5))
+    square = (g_var / d) * centered
+    g_centered = (g * inv + square) + square
+    return g_centered, (-g_centered).sum(axis=-1, keepdims=True) / d
+
+
+def _attention_probs(qh, kh, scale, mask, block):
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
+    # a non-finite score can vanish in the softmax
+    _finite(block, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention_block(h, layer, n_heads, tape, block):
+    """h + attention(ln1(h)) under the causal mask."""
+    a, shifted_var = _layer_norm(h, layer["ln1_g"].value, layer["ln1_b"].value, tape)
+    v = a @ layer["wv"].value
+    seq_len = h.shape[-2]
+    if seq_len == 1:
+        # the softmax of one score is exactly 1.0, so every head passes its
+        # values through unchanged and sends exact zeros back to q and k
+        attended = v
+    else:
+        mask = np.triu(np.full((seq_len, seq_len), MASK_NEG), k=1)
+        q = a @ layer["wq"].value
+        k = a @ layer["wk"].value
+        dh = h.shape[-1] // n_heads
+        scale = 1.0 / np.sqrt(dh)
+        heads, probs = [], []
+        for i in range(n_heads):
+            sl = (..., slice(i * dh, (i + 1) * dh))
+            p = _attention_probs(q[sl], k[sl], scale, mask, block)
+            heads.append(p @ v[sl])
+            if tape is not None:
+                probs.append(p)
+        if tape is not None:
+            tape.append((q, k, v, probs))
+        attended = np.concatenate(heads, axis=-1)
+    out = h + attended @ layer["wo"].value
+    # an overflowing variance vanishes in the layer norm
+    _finite(block, shifted_var, out)
+    return out
+
+
+def _attention_vjp(g, layer, n_heads, saved):
+    """Gradient with respect to ln1's output, from the gradient of the
+    attention block's output."""
+    g_cat = g @ layer["wo"].value.T
+    if saved is None:
+        return g_cat @ layer["wv"].value.T
+    q, k, v, probs = saved
+    dh = q.shape[-1] // n_heads
     scale = 1.0 / np.sqrt(dh)
-    heads = []
-    for h in range(n_heads):
-        sl = (..., slice(h * dh, (h + 1) * dh))
-        qh, kh, vh = q[sl], k[sl], v[sl]
-        scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
-        heads.append(ad.softmax_last(scores) @ vh)
-    return ad.concat(heads, axis=-1) @ layer["wo"]
+    g_q, g_k, g_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for i, p in enumerate(probs):
+        sl = (..., slice(i * dh, (i + 1) * dh))
+        g_head = g_cat[sl]
+        g_p = g_head @ np.swapaxes(v[sl], -1, -2)
+        g_v[sl] = np.swapaxes(p, -1, -2) @ g_head
+        g_scores = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p * scale
+        g_q[sl] = g_scores @ k[sl]
+        g_k[sl] = np.swapaxes(np.swapaxes(q[sl], -1, -2) @ g_scores, -1, -2)
+    return ((g_q @ layer["wq"].value.T + g_k @ layer["wk"].value.T)
+            + g_v @ layer["wv"].value.T)
+
+
+def _ff_block(h, layer, tape, block):
+    """h + relu(ln2(h) @ ff1) @ ff2."""
+    f, shifted_var = _layer_norm(h, layer["ln2_g"].value, layer["ln2_b"].value, tape)
+    hidden = f @ layer["ff1"].value
+    # before the relu can hide a -inf
+    _finite(block, shifted_var, hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    if tape is not None:
+        tape.append(hidden)
+    out = h + hidden @ layer["ff2"].value
+    _finite(block, out)
+    return out
 
 
 def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
-    """Logits over the vocabulary at each position.
+    """Logits over the vocabulary at each position, as one autodiff node.
 
     Accepts (S, d_model) or batched (B, S, d_model); the causal mask keeps
     position i blind to positions j > i exactly (masked scores underflow to
-    zero attention weight, not merely something small).
+    zero attention weight, not merely something small). The weights are
+    constants, so the node's one VJP maps the logits' gradient to the
+    input's. Activations are kept only when that VJP can run.
     """
     t = x if isinstance(x, ad.Tensor) else ad.constant(x)
     if t.ndim not in (2, 3):
@@ -155,15 +256,41 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         raise ValueError("empty sequence")
     if seq_len > cfg.max_seq:
         raise ValueError(f"sequence length {seq_len} exceeds max_seq {cfg.max_seq}")
-    mask = np.triu(np.full((seq_len, seq_len), MASK_NEG), k=1)
-    h = t + weights.positions[:seq_len]
-    for layer in weights.layers:
-        h = h + _attention(_layer_norm(h, layer["ln1_g"], layer["ln1_b"]), layer,
-                           cfg.n_heads, mask)
-        f = _layer_norm(h, layer["ln2_g"], layer["ln2_b"])
-        h = h + ad.relu(f @ layer["ff1"]) @ layer["ff2"]
-    h = _layer_norm(h, weights.ln_f_g, weights.ln_f_b)
-    return h @ weights.head
+    recorded = ad.records(t)
+    tape = [] if recorded else None
+    h = t.value + weights.positions.value[:seq_len]
+    for i, layer in enumerate(weights.layers):
+        h = _attention_block(h, layer, cfg.n_heads, tape, f"frozen_lm.layer{i}.attention")
+        h = _ff_block(h, layer, tape, f"frozen_lm.layer{i}.ff")
+    h, shifted_var = _layer_norm(h, weights.ln_f_g.value, weights.ln_f_b.value, tape)
+    _finite(HEAD_BLOCK, shifted_var)
+    # the Tensor built below checks the logits under the same name
+    logits = h @ weights.head.value
+    if not recorded:
+        return ad.Tensor(logits, op=HEAD_BLOCK)
+
+    def vjp(g):
+        saved = reversed(tape)
+        g_centered, g_mean = _layer_norm_vjp(g @ weights.head.value.T, weights.ln_f_g.value,
+                                             next(saved))
+        g = g_centered + g_mean
+        _finite(HEAD_BLOCK, g, context="backward")
+        for i in reversed(range(cfg.n_layers)):
+            layer = weights.layers[i]
+            # the relu's output is positive exactly where its input is
+            g_pre = (g @ layer["ff2"].value.T) * (next(saved) > 0).astype(np.float64)
+            g_centered, g_mean = _layer_norm_vjp(g_pre @ layer["ff1"].value.T,
+                                                 layer["ln2_g"].value, next(saved))
+            g = (g + g_centered) + g_mean
+            _finite(f"frozen_lm.layer{i}.ff", g, context="backward")
+            attention = next(saved) if seq_len > 1 else None
+            g_centered, g_mean = _layer_norm_vjp(_attention_vjp(g, layer, cfg.n_heads, attention),
+                                                 layer["ln1_g"].value, next(saved))
+            g = (g + g_centered) + g_mean
+            _finite(f"frozen_lm.layer{i}.attention", g, context="backward")
+        return g.reshape(t.shape)
+
+    return ad.Tensor(logits, requires_grad=True, op=HEAD_BLOCK, parents=(t,), vjps=(vjp,))
 
 
 @dataclass(frozen=True)

@@ -155,13 +155,16 @@ def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
 
 def read_manifest(root, kind: str) -> tuple[Path, dict]:
     """Path and contents of the manifest of the `kind` ("dataset" or
-    "checkpoint") directory at `root`; a manifest of another kind or format
-    version is a ValueError naming it."""
+    "checkpoint") directory at `root`; a manifest that is not a JSON object,
+    or is of another kind or format version, is a ValueError naming it."""
     path = Path(root) / MANIFEST
     if not path.exists():
         raise FileNotFoundError(f"{root}: not a {kind} directory (missing {MANIFEST})")
-    manifest = read_json(path)
-    if manifest.get("format") != f"riskfuse-{kind}":
+    try:
+        manifest = read_json(path)
+    except ValueError as err:  # invalid JSON or UTF-8
+        raise ValueError(f"{path}: not a JSON manifest: {err}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != f"riskfuse-{kind}":
         raise ValueError(f"{path}: unrecognized {kind} manifest")
     with manifest_keys(path):
         version = manifest["version"]

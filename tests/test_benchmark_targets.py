@@ -11,6 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+from riskfuse import autodiff as ad
+from riskfuse import pipeline
+from riskfuse.frozenlm import LMConfig, draw_designated, init_frozen
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -28,6 +32,29 @@ def test_every_traced_function_still_exists():
     missing += [f"riskfuse.pipeline.{attr}" for attr in spans.LOSS_BUILDERS
                 if not callable(getattr(spans.pipeline, attr, None))]
     assert not missing, f"perfbench/spans.py wraps names riskfuse no longer has: {missing}"
+
+
+def test_sequence_length_count_reads_a_real_backbone_call(monkeypatch):
+    # frozenlm.seq_len is the count spans.py takes from pipeline.lm_forward's
+    # arguments; evaluate it on the arguments of real readout calls
+    spans = _load_spans()
+    (count,) = [c for module, attr, _, c in spans.WRAPPED
+                if module is pipeline and attr == "lm_forward"]
+    calls = []
+    real = pipeline.lm_forward
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "lm_forward", spy)
+    lm = LMConfig(d_model=16, n_layers=1, n_heads=2, vocab=8, max_seq=4)
+    frozen, designated = init_frozen(lm), draw_designated(lm.vocab, 2, seed=0)
+    gen = np.random.default_rng(0)
+    for n_sources in (1, 3):
+        tokens = [ad.constant(gen.standard_normal((5, lm.d_model))) for _ in range(n_sources)]
+        pipeline._confidence_graph(tokens, frozen, designated)
+        assert count(*calls[-1]) == n_sources
 
 
 def test_reference_confidences_match_the_recorded_reference(tmp_path, monkeypatch):

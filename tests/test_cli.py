@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from riskfuse import storage
+from riskfuse import pipeline, storage
 from riskfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from riskfuse.metrics import metrics_for_run, read_metrics_csv, write_metrics_csv
 from riskfuse.storage import dump_json, load_dataset, read_json
@@ -297,6 +297,41 @@ def test_eval_rejects_a_manifest_of_format_version_1(workspace, tmp_path, capsys
                  "--protocol", "bss"]) == EXIT_CONFIG
     assert (f"{broken / 'manifest'}: unsupported {kind} format version 1"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("artifact, kind", [("data", "dataset"), ("iso", "checkpoint")])
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: "[]", "unrecognized {kind} manifest"),
+    (lambda text: text[:len(text) // 2], "not a JSON manifest"),
+], ids=["json-list", "truncated"])
+def test_eval_rejects_a_manifest_that_is_not_a_json_object(workspace, tmp_path, capsys,
+                                                           artifact, kind, damage, message):
+    broken = tmp_path / artifact
+    shutil.copytree(workspace[artifact], broken)
+    path = broken / "manifest"
+    path.write_text(damage(path.read_text()))
+    dirs = {"data": workspace["data"], "iso": workspace["iso"], artifact: broken}
+    assert main(["eval", "--data", str(dirs["data"]), "--ckpt", str(dirs["iso"]),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert f"error: {path}: {message.format(kind=kind)}" in capsys.readouterr().err
+
+
+def test_train_exits_numeric_naming_the_backbone_block(workspace, tmp_path, capsys,
+                                                       monkeypatch):
+    real = pipeline.init_frozen
+
+    def overflowing(config):
+        weights = real(config)
+        weights.layers[1]["ff1"].value[...] = 1e308
+        return weights
+
+    monkeypatch.setattr(pipeline, "init_frozen", overflowing)
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "ckpt"),
+                     "--config", str(workspace["config"]), "--mode", "isolated"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "'frozen_lm.layer1.ff'" in err
 
 
 def test_eval_rejects_a_source_spec_missing_a_field(workspace, raw_workspace, tmp_path,

@@ -1,7 +1,9 @@
 """Frozen backbone tests: causality, layer norm, positions, designated
-vocabulary, hashing, and gradient flow through to the inputs."""
+vocabulary, hashing, gradient flow through to the inputs, bit equality with
+the primitive-graph oracle, and named non-finite failures."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from riskfuse.frozenlm import (DesignatedVocab, LMConfig, _sinusoidal_table,
                                draw_designated, init_frozen, lm_forward)
 from riskfuse.pipeline import _confidence_graph
 from riskfuse.projector import ProjectorConfig, init_projector, project
+
+from backbone_oracle import lm_forward as graph_lm_forward
 
 SMALL = LMConfig(d_model=16, n_layers=2, n_heads=2, vocab=32, max_seq=6, seed=0)
 
@@ -158,6 +162,168 @@ def test_gradient_flows_through_backbone_to_inputs():
 
     report = ad.finite_diff_check(build, params, tol=1e-4)
     assert report.passed, report.format()
+
+
+def _logits_and_input_grad(forward, weights, x, mix):
+    """Logits, the gradient of sum(logits * mix) with respect to x, and the
+    logits again under no_graph()."""
+    p = ad.parameter(x.copy())
+    logits = forward(weights, p)
+    ad.backward((logits * ad.constant(mix)).sum())
+    with ad.no_graph():
+        forward_only = forward(weights, p).value
+    return logits.value, p.grad, forward_only
+
+
+@pytest.mark.parametrize("d_model", (16, 64))
+def test_backbone_node_equals_the_primitive_graph_bit_for_bit(d_model):
+    cfg = LMConfig(d_model=d_model, n_layers=2, n_heads=2, vocab=32, max_seq=8, seed=0)
+    w = init_frozen(cfg)
+    for seq_len in range(1, cfg.max_seq + 1):
+        for batch in (None, 1, 5, 32):
+            gen = np.random.default_rng(seq_len * 100 + (batch or 0))
+            lead = (seq_len,) if batch is None else (batch, seq_len)
+            x = gen.standard_normal(lead + (d_model,))
+            mix = gen.standard_normal(lead + (cfg.vocab,))
+            fused = _logits_and_input_grad(lm_forward, w, x, mix)
+            graph = _logits_and_input_grad(graph_lm_forward, w, x, mix)
+            for what, a, b in zip(("logits", "input gradient", "no_graph logits"), fused, graph):
+                assert np.array_equal(a, b), f"{what}, S={seq_len}, B={batch}"
+
+
+@pytest.mark.parametrize("seq_len", (1, SMALL.max_seq))
+def test_input_gradient_matches_finite_differences(seq_len):
+    w = init_frozen(SMALL)
+    gen = np.random.default_rng(seq_len)
+    params = ad.ParamSet()
+    params.add("x", gen.standard_normal((2, seq_len, SMALL.d_model)) * 0.5)
+    mix = ad.constant(gen.standard_normal((2, seq_len, SMALL.vocab)))
+    report = ad.finite_diff_check(lambda p: (lm_forward(w, p["x"]) * mix).sum(), params,
+                                  tol=1e-4)
+    assert report.passed, report.format()
+
+
+def test_backbone_is_one_node_and_parentless_without_a_graph():
+    w = init_frozen(SMALL)
+    x = ad.parameter(_tokens(np.random.default_rng(8), 2, 3, 16))
+    assert lm_forward(w, x)._parents == (x,)
+    with ad.no_graph():
+        out = lm_forward(w, x)
+    assert out._parents == () and not out.requires_grad
+
+
+@pytest.mark.parametrize("seq_len", (1, 8))
+def test_forward_only_peak_memory_is_no_more_than_the_graphs(seq_len):
+    # prediction runs the backbone on chunks of 512 records under no_graph();
+    # its temporaries must not outlive their block
+    w = init_frozen(LMConfig(d_model=64, n_layers=2, n_heads=2, vocab=256, max_seq=8))
+    x = ad.parameter(_tokens(np.random.default_rng(13), 512, seq_len, 64))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for forward in (lm_forward, graph_lm_forward):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with ad.no_graph():
+                forward(w, x)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+# block -> (layer-norm gain, layer-norm offset, the matrix that reads the norm)
+BLOCK_WEIGHTS = {
+    "frozen_lm.layer0.attention": lambda w: (w.layers[0]["ln1_g"], w.layers[0]["ln1_b"],
+                                             w.layers[0]["wv"]),
+    "frozen_lm.layer1.ff": lambda w: (w.layers[1]["ln2_g"], w.layers[1]["ln2_b"],
+                                      w.layers[1]["ff1"]),
+    "frozen_lm.head": lambda w: (w.ln_f_g, w.ln_f_b, w.head),
+}
+
+
+@pytest.mark.parametrize("seq_len", (1, 4))
+@pytest.mark.parametrize("block", BLOCK_WEIGHTS)
+def test_overflowing_weight_names_its_block_in_the_forward_pass(block, seq_len):
+    w = init_frozen(SMALL)
+    BLOCK_WEIGHTS[block](w)[2].value[...] = 1e308
+    x = _tokens(np.random.default_rng(9), 2, seq_len, 16)
+    with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as exc:
+        lm_forward(w, x)
+    assert exc.value.op == block
+
+
+def _overflowing_variance(w):
+    return np.random.default_rng(11).standard_normal((2, 16)) * 1e155
+
+
+def _overflowing_ff_variance(w):
+    # attention's output is finite but too large to square
+    w.layers[0]["wo"].value[...] *= 1e160
+    return np.random.default_rng(14).standard_normal((2, 16))
+
+
+def _overflowing_head_variance(w):
+    # the last feed-forward output is finite but too large to square
+    w.layers[1]["ff2"].value[...] *= 1e160
+    return np.random.default_rng(15).standard_normal((2, 16))
+
+
+def _hidden_score(w):
+    # position 0 normalizes to zeros and position 1 to a spike on feature 0,
+    # so only position 1's score with itself overflows (to -inf); the softmax
+    # gives it weight 0.0
+    layer = w.layers[0]
+    layer["wq"].value[...] = layer["wk"].value[...] = 0.0
+    layer["wq"].value[0, 0], layer["wk"].value[0, 0] = 1e154, -1e154
+    x = -w.positions.value[:2].copy()
+    x[1, 0] += 10.0
+    return x
+
+
+def _hidden_relu_input(w):
+    # feature 0 of ln2's output is near -10 everywhere, so the relu turns the
+    # overflowing pre-activation it feeds into 0.0
+    w.layers[1]["ln2_b"].value[0] = -10.0
+    w.layers[1]["ff1"].value[0, 0] = 1e308
+    return np.random.default_rng(12).standard_normal((2, 16))
+
+
+@pytest.mark.parametrize("setup, block", [
+    (_overflowing_variance, "frozen_lm.layer0.attention"),
+    (_overflowing_ff_variance, "frozen_lm.layer0.ff"),
+    (_overflowing_head_variance, "frozen_lm.head"),
+    (_hidden_score, "frozen_lm.layer0.attention"),
+    (_hidden_relu_input, "frozen_lm.layer1.ff"),
+], ids=["variance", "ff-variance", "head-variance", "score", "relu-input"])
+def test_overflow_hidden_from_the_logits_still_names_its_block(setup, block):
+    # each overflow vanishes before the logits; the primitive graph raised on
+    # it, so the backbone node must too
+    w = init_frozen(SMALL)
+    x = setup(w)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ad.NonFiniteError):
+            graph_lm_forward(w, x)
+        with pytest.raises(ad.NonFiniteError) as exc:
+            lm_forward(w, x)
+    assert exc.value.op == block
+
+
+@pytest.mark.parametrize("seq_len", (1, 4))
+@pytest.mark.parametrize("block", BLOCK_WEIGHTS)
+def test_overflowing_weight_names_its_block_in_the_backward_pass(block, seq_len):
+    # a zero gain and offset on feature 0 hide row 0 of the next matrix from
+    # the forward pass; the backward pass multiplies the gradient by that row
+    w = init_frozen(SMALL)
+    gain, offset, matrix = BLOCK_WEIGHTS[block](w)
+    gain.value[0] = offset.value[0] = 0.0
+    matrix.value[0] = 1e308
+    x = ad.parameter(_tokens(np.random.default_rng(10), 2, seq_len, 16))
+    loss = (lm_forward(w, x) * 1e100).sum()
+    with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as exc:
+        ad.backward(loss)
+    assert exc.value.op == block
+    assert "backward" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
