@@ -5,8 +5,9 @@ and saves a checkpoint, `eval` scores a protocol on the held-out split,
 `gradcheck` runs the finite-difference suite on the small pinned setup, and
 `report` merges metric CSVs into one comparison table.
 
-Exit codes: 0 success, 1 bad arguments / configuration / inputs, 2 numerical
-failure (non-finite values or a failed gradient check). Training settings can
+Exit codes: 0 success, 1 bad arguments / configuration / inputs (a file
+that cannot be read or written included), 2 numerical failure (non-finite
+values or a failed gradient check). Training settings can
 come from a JSON config file (--config); flags override it, and unknown keys
 are rejected rather than ignored. Each artifact-producing command drops a
 lock file with the fully resolved settings next to its output so a run can
@@ -187,12 +188,14 @@ def _cmd_report(args) -> int:
         name, path = _parse_run_spec(spec)
         runs.append((name, metrics.read_metrics_csv(path)))
     try:
-        _, aligned = metrics.render_report(runs)
+        if args.out:
+            aligned = metrics.write_report(args.out, runs)
+        else:
+            _, aligned = metrics.render_report(runs)
     except ValueError as err:
         raise CliError(str(err)) from err
     print(aligned)
     if args.out:
-        metrics.write_report(args.out, runs)
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ad.NonFiniteError as err:

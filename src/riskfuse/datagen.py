@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import seeding
-from .encoders import Screening, SourceSpec
+from .encoders import SourceSpec
 from .losses import UNKNOWN
 from .storage import Dataset, write_dataset
 
@@ -220,51 +220,51 @@ def _latent_payloads(cfg: GenConfig, z: np.ndarray, gen: np.random.Generator) ->
 
 
 def _raw_payloads(cfg: GenConfig, z: np.ndarray, gen: np.random.Generator) -> dict:
+    """Per source, the arrays of its payload file (see storage.payload_layout)."""
     n = z.shape[0]
-    timeseries: dict = {}
-    tokens: dict = {}
-    screenings: list | None = None
+    raw: dict = {}
     image_specs = [s for s in cfg.sources if s.modality == "image"]
     if image_specs:
         union = sorted({c for s in image_specs for c in cfg.observed[s.name]})
         raw_dim = image_specs[0].raw_dim
         proj = seeding.rng(cfg.seed, "screen-proj").normal(
             0.0, 1.0 / math.sqrt(len(union)), size=(raw_dim, len(union)))
-        screenings = []
+        counts, times, vectors = [], [], []
         for i in range(n):
             count = int(gen.integers(1, 5))
-            times = np.sort(gen.uniform(0.0, 72.0, size=count))
-            events = []
-            for t in times:
-                vec = proj @ z[i, union] + cfg.noise_std * gen.standard_normal(raw_dim)
-                events.append(Screening(time=float(t), vector=vec))
-            screenings.append(events)
+            counts.append(count)
+            times.append(np.sort(gen.uniform(0.0, 72.0, size=count)))
+            for _ in range(count):
+                vectors.append(proj @ z[i, union] + cfg.noise_std * gen.standard_normal(raw_dim))
+        screenings = (np.array(counts, np.int64), np.concatenate(times), np.stack(vectors))
+        raw.update((s.name, screenings) for s in image_specs)
     for s in cfg.sources:
         coords = list(cfg.observed[s.name])
         if s.modality == "time-series":
-            records = []
+            lengths, values = [], []
             for i in range(n):
-                rec = []
                 for j in range(s.n_series):
                     level = z[i, coords[j % len(coords)]]
                     drift = z[i, coords[(j + 1) % len(coords)]]
                     length = int(gen.integers(6, 17))
                     ts = np.linspace(0.0, 1.0, length)
-                    rec.append(level + drift * ts + cfg.noise_std * gen.standard_normal(length))
-                records.append(rec)
-            timeseries[s.name] = records
+                    lengths.append(length)
+                    values.append(level + drift * ts + cfg.noise_std * gen.standard_normal(length))
+            raw[s.name] = (np.array(lengths, np.int64).reshape(n, s.n_series),
+                           np.concatenate(values))
         elif s.modality == "text":
             mix = seeding.rng(cfg.seed, "token-map", s.source_id).normal(
                 0.0, 1.0, size=(s.token_vocab, len(coords)))
-            records = []
+            counts, ids = [], []
             for i in range(n):
                 logits = mix @ z[i, coords]
                 probs = np.exp(logits - logits.max())
                 probs /= probs.sum()
                 count = int(gen.integers(60, 200))
-                records.append(gen.choice(s.token_vocab, size=count, p=probs).astype(np.int64))
-            tokens[s.name] = records
-    return {"timeseries": timeseries, "tokens": tokens, "screenings": screenings}
+                counts.append(count)
+                ids.append(gen.choice(s.token_vocab, size=count, p=probs))
+            raw[s.name] = (np.array(counts, np.int64), np.concatenate(ids).astype(np.int64))
+    return raw
 
 
 def build(cfg: GenConfig) -> Dataset:
@@ -296,10 +296,7 @@ def build(cfg: GenConfig) -> Dataset:
     if cfg.mode == "latent":
         ds.embeddings = _latent_payloads(cfg, z, gen)
     else:
-        raw = _raw_payloads(cfg, z, gen)
-        ds.raw_timeseries = raw["timeseries"]
-        ds.raw_tokens = raw["tokens"]
-        ds.raw_screenings = raw["screenings"]
+        ds.raw = _raw_payloads(cfg, z, gen)
     ds.validate()
     return ds
 

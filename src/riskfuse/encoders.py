@@ -1,9 +1,9 @@
 """Frozen per-source featurizers and embedding helpers.
 
 Three modalities are supported. Clinical time series are summarized with a
-fixed 11-statistic vector per series; imaging screenings arrive as (time,
-vector) pairs reduced to one embedding by recency rules; free text arrives
-as token-id sequences averaged through a fixed embedding table. Nothing in
+fixed 11-statistic vector per series; a record's imaging screenings arrive
+as their times and vectors, reduced to one embedding by recency rules; free
+text arrives as token-id sequences averaged through a fixed embedding table. Nothing in
 this module trains: the stand-in image/text encoders are seeded random
 linear maps, deterministic given (source, seed).
 """
@@ -28,7 +28,6 @@ __all__ = [
     "apply_feature_stats",
     "ts_features",
     "timeseries_feature_matrix",
-    "Screening",
     "latest_image",
     "aggregate_images",
     "image_stub_matrix",
@@ -238,54 +237,36 @@ def timeseries_feature_matrix(records) -> np.ndarray:
 # imaging screenings
 
 
-@dataclass(frozen=True)
-class Screening:
-    """One imaging event: hours since admission plus its vector payload."""
-
-    time: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64))
-        if self.time < 0:
-            raise ValueError(f"screening time must be nonnegative, got {self.time}")
-
-
-def _check_screenings(screenings) -> list[Screening]:
-    if not screenings:
+def _check_times(times, vectors) -> np.ndarray:
+    times = np.asarray(times, dtype=np.float64)
+    if times.size == 0:
         raise ValueError("record has no screenings")
-    dim = screenings[0].vector.size
-    for s in screenings:
-        if s.vector.size != dim:
-            raise ValueError("screening vectors must share one dimension")
-    return list(screenings)
+    if times.shape != (len(vectors),):
+        raise ValueError(f"{times.size} screening times for {len(vectors)} vectors")
+    return times
 
 
-def latest_image(screenings) -> np.ndarray:
-    """Vector of the screening with the greatest timestamp (last wins ties)."""
-    items = _check_screenings(screenings)
-    best = items[0]
-    for s in items[1:]:
-        if s.time >= best.time:
-            best = s
-    return best.vector.copy()
+def latest_image(times, vectors) -> np.ndarray:
+    """Vector of the screening with the greatest time (the last one on ties),
+    from one record's screening times and vectors."""
+    times = _check_times(times, vectors).tolist()
+    return np.array(vectors[len(times) - 1 - times[::-1].index(max(times))], dtype=np.float64)
 
 
-def aggregate_images(screenings) -> np.ndarray:
+def aggregate_images(times, vectors) -> np.ndarray:
     """Recency-weighted average: w_j = (t_j - min t) / max t, divided by the
     weights' sum. When they sum to zero (single screening, equal times, or
     all times zero) the latest screening is returned instead.
     """
-    items = _check_screenings(screenings)
-    times = np.array([s.time for s in items], dtype=np.float64)
+    times = _check_times(times, vectors)
     t_max = times.max()
     if t_max == 0.0:
-        return latest_image(items)
+        return latest_image(times, vectors)
     w = (times - times.min()) / t_max
     total = w.sum()
     if total == 0.0:
-        return latest_image(items)
-    return (w / total) @ np.stack([s.vector for s in items])
+        return latest_image(times, vectors)
+    return (w / total) @ np.stack(vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .encoders import (FeatureStats, Screening, SourceSpec, aggregate_images,
+from .encoders import (FeatureStats, SourceSpec, aggregate_images,
                        apply_feature_stats, check_fields, fit_feature_stats, image_stub_matrix,
                        latest_image, encode_text_with_table, text_stub_table,
                        timeseries_feature_matrix)
@@ -37,8 +37,9 @@ from .losses import (ASLConfig, ClassWeights, class_weights,
 from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import (FORMAT_VERSION, MANIFEST, Dataset, dump_json, load_arrays,
-                      manifest_keys, read_manifest, read_source_specs, save_arrays)
+from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, dump_json, load_arrays,
+                      manifest_keys, read_manifest, read_source_specs, record_pieces,
+                      save_arrays)
 
 __all__ = [
     "SEQUENCE_ORDER",
@@ -155,20 +156,23 @@ def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
         s = dataset.spec(name)
         if dataset.mode == "latent":
             base[name] = dataset.embeddings[name][rows]
-        elif s.modality == "time-series":
-            series = dataset.raw_timeseries[name]
-            base[name] = timeseries_feature_matrix([series[i] for i in rows])
+            continue
+        lengths, *values = dataset.raw[name]
+        pieces = record_pieces(lengths, rows)
+        if s.modality == "time-series":
+            base[name] = timeseries_feature_matrix([[values[0][p] for p in rec]
+                                                    for rec in pieces])
         elif s.modality == "image":
             stub = image_stub_matrix(s, dataset.seed)
             pick = latest_image if s.image_rule == "latest" else aggregate_images
+            times, vectors = values
             base[name] = np.stack([
-                pick([Screening(sc.time, stub @ sc.vector)
-                      for sc in dataset.raw_screenings[i]])
-                for i in rows])
+                pick(times[p], [stub @ v for v in vectors[p]])
+                for [p] in pieces])
         else:
             table = text_stub_table(s, dataset.seed)
-            tokens = dataset.raw_tokens[name]
-            base[name] = np.stack([encode_text_with_table(table, tokens[i]) for i in rows])
+            base[name] = np.stack([encode_text_with_table(table, values[0][p])
+                                   for [p] in pieces])
     return base
 
 
@@ -515,24 +519,18 @@ def _designated_entry(designated: DesignatedVocab) -> dict:
 
 
 def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
-    """Projector parameters and stats go to float64 arrays, so a reloaded
-    checkpoint predicts exactly as the saved one."""
+    """One file per source holds its projector parameters, then its stats'
+    mean and std, as float64 arrays, so a reloaded checkpoint predicts
+    exactly as the saved one."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    param_files = {}
     for name, pp in ckpt.projectors.items():
-        for pname in PARAM_NAMES:
-            fname = f"param_{name}_{pname}.bin"
-            save_arrays(out / fname, pp.value(pname))
-            param_files[f"{name}.{pname}"] = fname
-    stats_files = {}
-    for name, st in ckpt.stats.items():
-        fname = f"stats_{name}.bin"
-        save_arrays(out / fname, st.mean, st.std)
-        stats_files[name] = fname
+        st = ckpt.stats[name]
+        save_arrays(out / f"src_{name}.bin", *(pp.value(p) for p in PARAM_NAMES),
+                    st.mean, st.std)
     manifest = {
         "format": "riskfuse-checkpoint",
-        "version": FORMAT_VERSION,
+        "version": FORMAT_VERSIONS["checkpoint"],
         "train_config": dataclasses.asdict(ckpt.config),
         "sources": [s.to_dict() for s in ckpt.source_specs],
         "task_names": list(ckpt.task_names),
@@ -541,8 +539,6 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
         "weights_hash": ckpt.frozen().weights_hash(),
         "designated": _designated_entry(ckpt.designated),
         "history": ckpt.history,
-        "params": param_files,
-        "stats": stats_files,
     }
     dump_json(out / MANIFEST, manifest)
     return out
@@ -574,12 +570,10 @@ def load_checkpoint(path) -> Checkpoint:
         stats = {}
         for s in specs:
             shapes = proj_cfgs[s.name].shapes()
-            loaded = {pname: load_arrays(root / manifest["params"][f"{s.name}.{pname}"],
-                                         ("<f8", shapes[pname]))[0]
-                      for pname in PARAM_NAMES}
-            projectors[s.name] = ProjectorParams(proj_cfgs[s.name], **loaded)
-            mean, std = load_arrays(root / manifest["stats"][s.name],
-                                    ("<f8", (s.dim,)), ("<f8", (s.dim,)))
+            *params, mean, std = load_arrays(
+                root / f"src_{s.name}.bin", *(("<f8", shapes[p]) for p in PARAM_NAMES),
+                ("<f8", (s.dim,)), ("<f8", (s.dim,)))
+            projectors[s.name] = ProjectorParams(proj_cfgs[s.name], *params)
             stats[s.name] = FeatureStats(mean=mean, std=std)
         return Checkpoint(
             config=cfg,

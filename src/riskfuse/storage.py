@@ -8,6 +8,9 @@ checks every array's dtype and shape against the manifest:
 
   labels.bin          (n_records, n_tasks) int8: -1 unknown, 0, 1
   patients.bin        (n_records,) u32 patient ids
+
+and one payload file per source, whose arrays `payload_layout` lists:
+
   src_<name>.bin      latent mode: (n_records, dim) float32 embeddings
   raw_<name>.bin      raw mode, time series: (n_records, n_series) u32
                       series lengths, then every value as one float32 array
@@ -17,9 +20,12 @@ checks every array's dtype and shape against the manifest:
                       u32 screening counts, the float32 screening times, and
                       their (total, raw_dim) float32 vectors
 
-Arrays are little-endian; values load as float64, ids as int64. Identical
+A raw payload is a length table and the values it cuts, record by record
+in row order. In memory a `Dataset` holds the same arrays, values as
+float64 and lengths and ids as int64. Arrays are little-endian. Identical
 generator seeds produce byte-identical directories. Checkpoints store their
-parameters and stats through the same two functions, as float64.
+parameters and stats through `save_arrays` and `load_arrays` too, as
+float64.
 """
 
 from __future__ import annotations
@@ -31,17 +37,49 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import Screening, SourceSpec
+from .encoders import SourceSpec
 
-__all__ = ["FORMAT_VERSION", "Dataset", "write_dataset", "load_dataset", "save_arrays",
-           "load_arrays"]
+__all__ = ["FORMAT_VERSIONS", "Dataset", "payload_layout", "record_pieces", "write_dataset",
+           "load_dataset", "save_arrays", "load_arrays"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSIONS = {"dataset": 2, "checkpoint": 3}
 
 MANIFEST = "manifest"
 LABELS = "labels.bin"
 PATIENTS = "patients.bin"
 SCREENINGS = "raw_screenings.bin"
+
+
+def payload_layout(spec: SourceSpec, n: int, mode: str) -> tuple[str, dict]:
+    """File name of a source's payload in a `mode` dataset of `n` records,
+    and the on-disk (dtype, shape) of each of its arrays by name; None in a
+    shape matches any length. The first array of a raw payload gives the
+    length of each record's pieces of the arrays after it."""
+    if mode == "latent":
+        return f"src_{spec.name}.bin", {"embeddings": ("<f4", (n, spec.dim))}
+    if spec.modality == "time-series":
+        return f"raw_{spec.name}.bin", {"series lengths": ("<u4", (n, spec.n_series)),
+                                        "series values": ("<f4", (None,))}
+    if spec.modality == "text":
+        return f"raw_{spec.name}.bin", {"token counts": ("<u4", (n,)),
+                                        "token ids": ("<u4", (None,))}
+    return SCREENINGS, {"screening counts": ("<u4", (n,)),
+                        "screening times": ("<f4", (None,)),
+                        "screening vectors": ("<f4", (None, spec.raw_dim))}
+
+
+def record_pieces(lengths: np.ndarray, rows) -> list[list[slice]]:
+    """For each of the record `rows`, the slices of its pieces of the values
+    that a payload's length table cuts."""
+    lengths = lengths.reshape(lengths.shape[0], -1)
+    ends = np.cumsum(lengths).reshape(lengths.shape)[rows]
+    starts = ends - lengths[rows]
+    return [[slice(a, b) for a, b in zip(*row)] for row in zip(starts.tolist(), ends.tolist())]
+
+
+def _fits(arr: np.ndarray, shape) -> bool:
+    return arr.ndim == len(shape) and all(want in (None, got)
+                                          for want, got in zip(shape, arr.shape))
 
 
 @dataclass
@@ -52,10 +90,8 @@ class Dataset:
     patients: np.ndarray              # (n,) int
     mode: str                         # "latent" | "raw"
     seed: int
-    embeddings: dict | None = None            # latent: name -> (n, dim)
-    raw_timeseries: dict | None = None        # raw: name -> [records][series] arrays
-    raw_screenings: list | None = None        # raw: [records] -> [Screening, ...]
-    raw_tokens: dict | None = None            # raw: name -> [records] id arrays
+    embeddings: dict | None = None    # latent: name -> (n, dim)
+    raw: dict | None = None           # raw: name -> the arrays of its payload_layout
     generator: dict = field(default_factory=dict)
 
     @property
@@ -72,7 +108,13 @@ class Dataset:
                 return s
         raise KeyError(f"no source named {name!r}")
 
-    def validate(self) -> None:
+    def payload(self, name: str) -> tuple:
+        """The arrays of the named source's payload file, in memory."""
+        return (self.embeddings[name],) if self.mode == "latent" else self.raw[name]
+
+    def validate(self, root="") -> None:
+        """Check labels, patients and every source's payload; a message
+        about a payload names its file, under the directory `root`."""
         if self.labels.ndim != 2 or self.labels.shape[0] != self.patients.shape[0]:
             raise ValueError("labels and patients disagree on the record count")
         if len(self.task_names) != self.n_tasks:
@@ -82,45 +124,37 @@ class Dataset:
         names = [s.name for s in self.source_specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate source names")
-        if self.mode == "latent":
-            if self.embeddings is None or set(self.embeddings) != set(names):
-                raise ValueError("latent dataset must carry embeddings for every source")
-            for s in self.source_specs:
-                e = self.embeddings[s.name]
-                if e.shape != (self.n_records, s.dim):
-                    raise ValueError(
-                        f"source {s.name!r}: embeddings shape {e.shape} does not match "
-                        f"({self.n_records}, {s.dim})")
-                if not np.all(np.isfinite(e)):
-                    raise ValueError(f"source {s.name!r}: embeddings contain non-finite values")
-        elif self.mode == "raw":
-            for s in self.source_specs:
-                if s.modality == "time-series":
-                    if self.raw_timeseries is None or s.name not in self.raw_timeseries:
-                        raise ValueError(f"missing raw series for source {s.name!r}")
-                    payload = self.raw_timeseries[s.name]
-                elif s.modality == "image":
-                    if self.raw_screenings is None:
-                        raise ValueError("missing raw screenings")
-                    payload = self.raw_screenings
-                else:
-                    if self.raw_tokens is None or s.name not in self.raw_tokens:
-                        raise ValueError(f"missing raw tokens for source {s.name!r}")
-                    payload = self.raw_tokens[s.name]
-                # payloads are indexed by record number when featurizing
-                if len(payload) != self.n_records:
-                    raise ValueError(
-                        f"source {s.name!r}: {len(payload)} raw {s.modality} records, "
-                        f"expected {self.n_records}")
-                if s.modality == "time-series" and any(len(r) != s.n_series for r in payload):
-                    raise ValueError(f"source {s.name!r}: every record must hold "
-                                     f"{s.n_series} series")
-                if s.modality == "image" and any(sc.vector.shape != (s.raw_dim,)
-                                                 for r in payload for sc in r):
-                    raise ValueError(f"source {s.name!r}: every screening vector must "
-                                     f"have length {s.raw_dim}")
-        else:
+        if self.mode not in ("latent", "raw"):
             raise ValueError(f"unknown dataset mode {self.mode!r}")
+        payloads = self.embeddings if self.mode == "latent" else self.raw
+        if payloads is None or set(payloads) != set(names):
+            raise ValueError(f"a {self.mode} dataset must carry a payload for every source")
+        for s in self.source_specs:
+            fname, layout = payload_layout(s, self.n_records, self.mode)
+            where = f"{Path(root) / fname}: source {s.name!r}"
+            arrays = self.payload(s.name)
+            if len(arrays) != len(layout):
+                raise ValueError(f"{where}: {len(arrays)} arrays, expected {len(layout)}")
+            for (what, (_, shape)), arr in zip(layout.items(), arrays):
+                if not _fits(arr, shape):
+                    raise ValueError(f"{where}: {what} of shape {arr.shape}, "
+                                     f"expected {shape}")
+                if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+                    raise ValueError(f"{where}: {what} contain non-finite values")
+            if self.mode == "raw":
+                lengths, *values = arrays
+                what, *cut = layout
+                if np.any(lengths < 1):
+                    raise ValueError(f"{where}: {what} must be positive")
+                for piece, arr in zip(cut, values):
+                    if lengths.sum() != len(arr):
+                        raise ValueError(f"{where}: {what} add up to {int(lengths.sum())}, "
+                                         f"not to the {len(arr)} {piece} stored")
+                if s.modality == "image" and np.any(values[0] < 0):
+                    raise ValueError(f"{where}: screening times must be nonnegative")
+                if s.modality == "text" and np.any((values[0] < 0)
+                                                   | (values[0] >= s.token_vocab)):
+                    raise ValueError(f"{where}: token ids out of range [0, {s.token_vocab})")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +202,7 @@ def read_manifest(root, kind: str) -> tuple[Path, dict]:
         raise ValueError(f"{path}: unrecognized {kind} manifest")
     with manifest_keys(path):
         version = manifest["version"]
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSIONS[kind]:
         raise ValueError(f"{path}: unsupported {kind} format version {version!r}")
     return path, manifest
 
@@ -194,28 +228,13 @@ def load_arrays(path, *expected) -> list[np.ndarray]:
                 arr = np.lib.format.read_array(fh, allow_pickle=False)
             except ValueError:
                 raise ValueError(f"{path}: truncated payload") from None
-            if arr.dtype != dtype or arr.ndim != len(shape) or any(
-                    want not in (None, got) for want, got in zip(shape, arr.shape)):
+            if arr.dtype != dtype or not _fits(arr, shape):
                 raise ValueError(f"{path}: expected a {np.dtype(dtype)} array of shape "
                                  f"{shape}, got {arr.dtype} {arr.shape}")
             arrays.append(arr)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after {len(expected)} arrays")
     return arrays
-
-
-def _concat(pieces, dtype) -> np.ndarray:
-    """The pieces end to end, as one `dtype` array."""
-    return np.concatenate([np.zeros(0, dtype), *pieces]).astype(dtype)
-
-
-def _split(path, lengths, values) -> list:
-    """`values` cut into consecutive pieces of the given `lengths`."""
-    if int(lengths.sum()) != len(values):
-        raise ValueError(f"{path}: lengths add up to {int(lengths.sum())}, "
-                         f"not to the {len(values)} values stored")
-    ends = np.cumsum(lengths.ravel()).tolist()
-    return [values[start:end] for start, end in zip([0] + ends, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +247,7 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": "riskfuse-dataset",
-        "version": FORMAT_VERSION,
+        "version": FORMAT_VERSIONS["dataset"],
         "n_records": ds.n_records,
         "n_tasks": ds.n_tasks,
         "task_names": list(ds.task_names),
@@ -240,25 +259,13 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
     dump_json(out / MANIFEST, manifest)
     save_arrays(out / LABELS, ds.labels.astype("i1"))
     save_arrays(out / PATIENTS, ds.patients.astype("<u4"))
+    written = set()
     for s in ds.source_specs:
-        if ds.mode == "latent":
-            save_arrays(out / f"src_{s.name}.bin", ds.embeddings[s.name].astype("<f4"))
-        elif s.modality == "time-series":
-            records = ds.raw_timeseries[s.name]
-            series = [x for rec in records for x in rec]
-            lengths = np.array([len(x) for x in series], "<u4").reshape(len(records), s.n_series)
-            save_arrays(out / f"raw_{s.name}.bin", lengths, _concat(series, "<f4"))
-        elif s.modality == "text":
-            tokens = ds.raw_tokens[s.name]
-            save_arrays(out / f"raw_{s.name}.bin", np.array([len(t) for t in tokens], "<u4"),
-                        _concat(tokens, "<u4"))
-    images = [s for s in ds.source_specs if s.modality == "image"]
-    if ds.mode == "raw" and images:
-        items = [sc for rec in ds.raw_screenings for sc in rec]
-        vectors = np.array([sc.vector for sc in items], "<f4")
-        save_arrays(out / SCREENINGS, np.array([len(rec) for rec in ds.raw_screenings], "<u4"),
-                    np.array([sc.time for sc in items], "<f4"),
-                    vectors.reshape(len(items), images[0].raw_dim))
+        fname, layout = payload_layout(s, ds.n_records, ds.mode)
+        if fname not in written:   # the image sources share one file
+            written.add(fname)
+            save_arrays(out / fname, *(arr.astype(dtype) for arr, (dtype, _)
+                                       in zip(ds.payload(s.name), layout.values())))
     return out
 
 
@@ -274,6 +281,13 @@ def load_dataset(path) -> Dataset:
         seed = int(manifest["seed"])
     labels = load_arrays(root / LABELS, ("i1", (n, k)))[0]
     patients = load_arrays(root / PATIENTS, ("<u4", (n,)))[0]
+    files, payloads = {}, {}
+    for s in specs:
+        fname, layout = payload_layout(s, n, mode)
+        if fname not in files:   # the image sources share one file
+            files[fname] = tuple(arr.astype(np.float64 if arr.dtype.kind == "f" else np.int64)
+                                 for arr in load_arrays(root / fname, *layout.values()))
+        payloads[s.name] = files[fname]
     ds = Dataset(
         source_specs=specs,
         task_names=task_names,
@@ -283,31 +297,9 @@ def load_dataset(path) -> Dataset:
         seed=seed,
         generator=manifest.get("generator", {}),
     )
-    if ds.mode == "latent":
-        ds.embeddings = {
-            s.name: load_arrays(root / f"src_{s.name}.bin", ("<f4", (n, s.dim)))[0]
-            .astype(np.float64) for s in specs}
+    if mode == "latent":
+        ds.embeddings = {name: arrays[0] for name, arrays in payloads.items()}
     else:
-        ds.raw_timeseries = {}
-        ds.raw_tokens = {}
-        for s in specs:
-            payload = root / f"raw_{s.name}.bin"
-            if s.modality == "time-series":
-                lengths, values = load_arrays(payload, ("<u4", (n, s.n_series)), ("<f4", (None,)))
-                series = _split(payload, lengths, values.astype(np.float64))
-                ds.raw_timeseries[s.name] = [series[i:i + s.n_series]
-                                             for i in range(0, len(series), s.n_series)]
-            elif s.modality == "text":
-                lengths, ids = load_arrays(payload, ("<u4", (n,)), ("<u4", (None,)))
-                ds.raw_tokens[s.name] = _split(payload, lengths, ids.astype(np.int64))
-        images = [s for s in specs if s.modality == "image"]
-        if images:
-            payload = root / SCREENINGS
-            counts, times, vectors = load_arrays(payload, ("<u4", (n,)), ("<f4", (None,)),
-                                                 ("<f4", (None, images[0].raw_dim)))
-            ds.raw_screenings = [
-                [Screening(time=float(t), vector=v) for t, v in zip(ts, vs)]
-                for ts, vs in zip(_split(payload, counts, times),
-                                  _split(payload, counts, vectors.astype(np.float64)))]
-    ds.validate()
+        ds.raw = payloads
+    ds.validate(root)
     return ds

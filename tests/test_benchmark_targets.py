@@ -13,6 +13,7 @@ import numpy as np
 
 from riskfuse import autodiff as ad
 from riskfuse import pipeline
+from riskfuse.datagen import build, planted_profile
 from riskfuse.frozenlm import LMConfig, draw_designated, init_frozen
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -55,6 +56,27 @@ def test_sequence_length_count_reads_a_real_backbone_call(monkeypatch):
         tokens = [ad.constant(gen.standard_normal((5, lm.d_model))) for _ in range(n_sources)]
         pipeline._confidence_graph(tokens, frozen, designated)
         assert count(*calls[-1]) == n_sources
+
+
+def test_series_count_reads_a_real_featurization_call(monkeypatch):
+    # encoders.series_featurized is the count spans.py takes from
+    # pipeline.timeseries_feature_matrix's arguments: rows x series
+    spans = _load_spans()
+    (count,) = [c for module, attr, _, c in spans.WRAPPED
+                if module is pipeline and attr == "timeseries_feature_matrix"]
+    calls = []
+    real = pipeline.timeseries_feature_matrix
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "timeseries_feature_matrix", spy)
+    ds = build(planted_profile(n_records=9, seed=0, mode="raw"))
+    rows = np.array([7, 1, 1, 4, 0])
+    pipeline._base_embeddings(ds, rows, ("proc", "lab", "chart"))
+    assert [count(*call) for call in calls] == [rows.size * ds.spec(name).n_series
+                                                for name in ("proc", "lab", "chart")]
 
 
 def test_reference_confidences_match_the_recorded_reference(tmp_path, monkeypatch):

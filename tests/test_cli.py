@@ -1,13 +1,14 @@
 """Command-line behavior: in-process main() calls against temp directories,
 covering the documented exit codes, lock files, and artifact formats."""
 
+import hashlib
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from riskfuse import pipeline, storage
+from riskfuse import metrics, pipeline, storage
 from riskfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from riskfuse.metrics import metrics_for_run, read_metrics_csv, write_metrics_csv
 from riskfuse.storage import dump_json, load_dataset, read_json
@@ -62,6 +63,44 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# sha256 of every file `gen --profile planted --n-records 30 --seed 2` writes, per
+# mode; a change to the generator's draws or to the file format shows here
+GEN_DIGESTS = {
+    "latent": {
+        "labels.bin": "60179503485567a2a883a6626d7178191bf5aae1cb36246a7956ecd5b2661350",
+        "manifest": "61a82fdfbff5546380185f9936d56757e50124cd81aa3941a1927bd0cd7c6113",
+        "patients.bin": "ba739d0d6981ce095bd5b0848e5a24aeaacb7ab6109bca7ab73a797f1fce3058",
+        "run.lock": "b3270699eb73db425ca0098c9f28b2a49b5ea6767d5066c2d4785e25fb205149",
+        "src_axr.bin": "a4028c8668cd58e045ae39854925f495d175df68758efa755bf48e0533755e89",
+        "src_chart.bin": "751dd08d069c1a48c1ac7fa59762e5c79dffe8a3e41e551edda8ecefdc20639d",
+        "src_lab.bin": "410fb8933cded1a917db688113c0715d577328466171d27c8d7012219602ebd3",
+        "src_proc.bin": "eaefec12434bfd53880dbbbc07ddd9f9f3023678ec22baf43198268ba97a06e7",
+        "src_txt.bin": "9d139394a259aadcb4a269c80e3ad0b05bbc0485d8194c21d970a73a81bfd656",
+        "src_xr.bin": "99e5a5f10a930215bfee9fc6d2a75c552395dee04352ac70097752655191c783",
+    },
+    "raw": {
+        "labels.bin": "60179503485567a2a883a6626d7178191bf5aae1cb36246a7956ecd5b2661350",
+        "manifest": "fe74e79d2d655226a338e2c1099a07025315cb174debcbd7db9dfcd2ae8becf1",
+        "patients.bin": "ba739d0d6981ce095bd5b0848e5a24aeaacb7ab6109bca7ab73a797f1fce3058",
+        "raw_chart.bin": "a22e5ef214d2be58eb4d2725f446ba0e25a7d63a7e38f566aaa94ebe61d61e32",
+        "raw_lab.bin": "fe286abdb19ae2f5f7146e8ab0241682bd649f6ec7623d9b6836a1469607d3fb",
+        "raw_proc.bin": "ba501801e031f117c12222a010d251a45bbb06fdfcae796ff948108bc5a84ffb",
+        "raw_screenings.bin": "d3a0119d28a4e6204a2eabd843a7a3db439d2b3147f19b81dea6b1f554f7485d",
+        "raw_txt.bin": "81dad12904f695ec4131309178a2516834c346a0bbdf27a7236d1993393d8bb0",
+        "run.lock": "46533cc0f1e81f35accbf76a429ca2fac2a474c77a7d797faf41c88c19b0d4c9",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["latent", "raw"])
+def test_gen_writes_the_pinned_bytes(tmp_path, mode):
+    out = tmp_path / mode
+    assert main(["gen", "--profile", "planted", "--n-records", "30", "--seed", "2",
+                 "--mode", mode, "--out", str(out)]) == EXIT_OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == GEN_DIGESTS[mode]
 
 
 def test_gen_profile_flag_mismatches(tmp_path, capsys):
@@ -390,14 +429,60 @@ def test_train_and_eval_reject_nonfinite_latent_embeddings(workspace, tmp_path, 
     assert all("source 'chart': embeddings contain non-finite values" in e for e in err)
 
 
+@pytest.fixture(scope="module")
+def raw_iso(workspace, raw_workspace):
+    ckpt = workspace["root"] / "raw_iso"
+    assert main(["train", "--data", str(raw_workspace), "--out", str(ckpt), "--config",
+                 str(workspace["config"]), "--mode", "isolated", "--seed", "1"]) == EXIT_OK
+    return ckpt
+
+
+# (source, array, entry, value, message): one entry of one array of the
+# source's payload file set to value
+RAW_DAMAGE = [
+    ("xr", 2, (0, 3), np.nan, "screening vectors contain non-finite values"),
+    ("xr", 1, (4,), np.inf, "screening times contain non-finite values"),
+    ("axr", 1, (4,), -2.0, "screening times must be nonnegative"),
+    ("xr", 0, (7,), 0, "screening counts must be positive"),
+    ("proc", 1, (11,), np.nan, "series values contain non-finite values"),
+    ("chart", 0, (2, 1), 0, "series lengths must be positive"),
+    ("lab", 0, (0, 0), 99, "series lengths add up to"),
+    ("txt", 0, (3,), 1, "token counts add up to"),
+]
+
+
+@pytest.mark.parametrize("source, position, entry, value, message", RAW_DAMAGE,
+                         ids=[f"{s}-{m}" for s, _, _, _, m in RAW_DAMAGE])
+def test_train_and_eval_reject_bad_raw_values_naming_source_and_file(
+        workspace, raw_workspace, raw_iso, tmp_path, capsys, source, position, entry, value,
+        message):
+    data = tmp_path / "raw"
+    shutil.copytree(raw_workspace, data)
+    fname = "raw_screenings.bin" if source in ("xr", "axr") else f"raw_{source}.bin"
+    with open(data / fname, "rb") as fh:
+        arrays = [np.lib.format.read_array(fh) for _ in range(3 if "screenings" in fname else 2)]
+    arrays[position][entry] = value
+    storage.save_arrays(data / fname, *arrays)
+    assert main(["eval", "--data", str(data), "--ckpt", str(raw_iso),
+                 "--protocol", f"single:{source}"]) == EXIT_CONFIG
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    # the image sources share one file; the first of them reports
+    reporter = "xr" if source == "axr" else source
+    assert len(err) == 2
+    assert all(e.startswith(f"error: {data / fname}: source {reporter!r}: {message}")
+               for e in err), err
+
+
 def test_train_rejects_a_raw_payload_of_the_wrong_length(workspace, tmp_path, capsys):
     data = tmp_path / "raw"
     assert main(["gen", "--profile", "planted", "--mode", "raw", "--n-records", "30",
                  "--seed", "2", "--out", str(data)]) == EXIT_OK
-    records = load_dataset(data).raw_timeseries["lab"][:-1]
-    storage.save_arrays(data / "raw_lab.bin",
-                        np.array([[len(x) for x in rec] for rec in records], "<u4"),
-                        np.concatenate([x for rec in records for x in rec]).astype("<f4"))
+    lengths, values = load_dataset(data).raw["lab"]
+    kept = lengths[:-1]    # the last record's series dropped
+    storage.save_arrays(data / "raw_lab.bin", kept.astype("<u4"),
+                        values[:kept.sum()].astype("<f4"))
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
                  "--config", str(workspace["config"])]) == EXIT_CONFIG
     assert (f"{data / 'raw_lab.bin'}: expected a uint32 array of shape (30, 4), "
@@ -454,6 +539,23 @@ def test_report_rejects_bad_specs(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n")
     assert main(["report", f"x={bad}"]) == EXIT_CONFIG
+
+
+def test_report_of_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["report", f"a={tmp_path}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+def test_report_renders_the_table_once(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.csv"
+    _fake_csv(a, "joint", 0)
+    calls = []
+    real = metrics.render_report
+    monkeypatch.setattr(metrics, "render_report", lambda runs: calls.append(1) or real(runs))
+    assert main(["report", f"joint={a}", "--out", str(tmp_path / "merged.csv")]) == EXIT_OK
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith((tmp_path / "merged.csv.txt").read_text())
 
 
 def test_report_rejects_mismatched_task_sets(tmp_path, capsys):

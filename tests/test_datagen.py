@@ -162,19 +162,20 @@ def test_raw_mode_payload_structure():
     )
     ds = build(cfg)
     assert ds.mode == "raw"
-    assert len(ds.raw_screenings) == 25
-    for events in ds.raw_screenings:
-        assert 1 <= len(events) <= 4
-        times = [s.time for s in events]
-        assert times == sorted(times)
-        assert all(0.0 <= t <= 72.0 for t in times)
-        assert all(s.vector.shape == (6,) for s in events)
-    for rec in ds.raw_timeseries["ts"]:
-        assert len(rec) == 2
-        assert all(6 <= len(series) <= 16 for series in rec)
-    for ids in ds.raw_tokens["txt"]:
-        assert 60 <= len(ids) <= 199
-        assert ids.min() >= 0 and ids.max() < 16
+    counts, times, vectors = ds.raw["xr"]
+    assert counts.shape == (25,) and counts.dtype == np.int64
+    assert np.all((1 <= counts) & (counts <= 4))
+    assert times.shape == (counts.sum(),) and vectors.shape == (counts.sum(), 6)
+    for record in np.split(times, np.cumsum(counts)[:-1]):
+        assert np.all(np.diff(record) >= 0)
+    assert np.all((0.0 <= times) & (times <= 72.0))
+    lengths, values = ds.raw["ts"]
+    assert lengths.shape == (25, 2) and values.shape == (lengths.sum(),)
+    assert np.all((6 <= lengths) & (lengths <= 16))
+    counts, ids = ds.raw["txt"]
+    assert counts.shape == (25,) and ids.shape == (counts.sum(),)
+    assert np.all((60 <= counts) & (counts <= 199))
+    assert ids.dtype == np.int64 and ids.min() >= 0 and ids.max() < 16
 
 
 def test_task_source_names_reads_direction_support():
@@ -266,8 +267,10 @@ def test_planted_profile_raw_mode():
     cfg = planted_profile(n_records=30, seed=1, mode="raw")
     ds = build(cfg)
     assert ds.mode == "raw"
-    assert set(ds.raw_timeseries) == {"proc", "lab", "chart"}
-    assert set(ds.raw_tokens) == {"txt"}
+    assert set(ds.raw) == {"xr", "axr", "proc", "lab", "chart", "txt"}
+    # one screening payload serves both image sources
+    assert ds.raw["xr"] is ds.raw["axr"]
+    assert [len(ds.raw[name]) for name in ("proc", "lab", "chart", "txt")] == [2, 2, 2, 2]
 
 
 def test_profile_argument_validation():

@@ -1,7 +1,7 @@
 """Feature extraction tests: the 11-statistic summary (frozen oracles),
 image screening selection/aggregation, text chunking, normalization."""
 
-import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskfuse.datagen import build, planted_profile
-from riskfuse.encoders import (N_TS_FEATURES, Screening, SourceSpec,
+from riskfuse.encoders import (N_TS_FEATURES, SourceSpec,
                                aggregate_images, apply_feature_stats,
                                default_source_specs, encode_text_with_table,
                                fit_feature_stats, image_stub_matrix, latest_image,
@@ -174,43 +174,54 @@ def test_apply_uses_fitted_not_own_stats():
 # image screenings
 
 
-def _scr(t, *v):
-    return Screening(time=t, vector=np.array(v, dtype=np.float64))
+def _scr(*screenings):
+    """(times, vectors) of one record from (time, *vector) screenings."""
+    return (np.array([t for t, *_ in screenings]),
+            np.array([v for _, *v in screenings], dtype=np.float64))
 
 
 def test_latest_image_picks_greatest_time_last_wins_ties():
-    picked = latest_image([_scr(1.0, 1.0), _scr(5.0, 2.0), _scr(3.0, 3.0)])
+    picked = latest_image(*_scr((1.0, 1.0), (5.0, 2.0), (3.0, 3.0)))
     np.testing.assert_array_equal(picked, [2.0])
-    tied = latest_image([_scr(4.0, 1.0), _scr(4.0, 2.0)])
+    tied = latest_image(*_scr((4.0, 1.0), (4.0, 2.0), (2.0, 3.0)))
     np.testing.assert_array_equal(tied, [2.0])
 
 
 def test_aggregate_images_weight_oracle():
     # times [0, 6, 12]: w = (t - 0)/12 = [0, .5, 1]; normalized [0, 1/3, 2/3]
-    out = aggregate_images([_scr(0.0, 3.0), _scr(6.0, 6.0), _scr(12.0, 9.0)])
+    out = aggregate_images(*_scr((0.0, 3.0), (6.0, 6.0), (12.0, 9.0)))
     assert out[0] == pytest.approx(6.0 * (1 / 3) + 9.0 * (2 / 3), abs=1e-12)
 
 
 def test_aggregate_single_screening_falls_back_to_latest():
-    out = aggregate_images([_scr(7.0, 4.0)])
+    out = aggregate_images(*_scr((7.0, 4.0)))
     np.testing.assert_array_equal(out, [4.0])
 
 
 def test_aggregate_all_zero_times_falls_back_to_latest():
-    out = aggregate_images([_scr(0.0, 1.0), _scr(0.0, 9.0)])
+    out = aggregate_images(*_scr((0.0, 1.0), (0.0, 9.0)))
     np.testing.assert_array_equal(out, [9.0])
 
 
 def test_screening_rejects_negative_time():
-    with pytest.raises(ValueError):
-        Screening(time=-1.0, vector=np.zeros(2))
+    # a dataset refuses a negative screening time, naming the shared file
+    ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
+    counts, times, vectors = ds.raw["xr"]
+    times = times.copy()
+    times[3] = -1.0
+    ds.raw["xr"] = ds.raw["axr"] = (counts, times, vectors)
+    with pytest.raises(ValueError, match=re.escape(
+            "raw_screenings.bin: source 'xr': screening times must be nonnegative")):
+        ds.validate()
 
 
 def test_empty_screening_list_rejected():
-    with pytest.raises(ValueError):
-        latest_image([])
-    with pytest.raises(ValueError):
-        aggregate_images([])
+    with pytest.raises(ValueError, match="no screenings"):
+        latest_image([], np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="no screenings"):
+        aggregate_images([], np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="2 screening times for 3 vectors"):
+        latest_image([1.0, 2.0], np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +288,11 @@ def test_encode_image_stub_is_linear_in_payload():
     # averages, so a record's image embedding is linear in its payloads
     ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
     rows = np.arange(ds.n_records)
+    counts, times, vectors = ds.raw["xr"]
 
     def scaled(c):
-        screenings = [[Screening(s.time, c * s.vector) for s in rec]
-                      for rec in ds.raw_screenings]
-        return _base_embeddings(dataclasses.replace(ds, raw_screenings=screenings),
-                                rows, ("xr", "axr"))
+        ds.raw["xr"] = ds.raw["axr"] = (counts, times, c * vectors)
+        return _base_embeddings(ds, rows, ("xr", "axr"))
 
     once, twice, zero = scaled(1.0), scaled(2.0), scaled(0.0)
     for name in ("xr", "axr"):
@@ -290,14 +300,42 @@ def test_encode_image_stub_is_linear_in_payload():
         np.testing.assert_array_equal(zero[name], 0.0)
 
 
+def test_encode_image_stub_embeds_each_screening_of_the_rows_read():
+    # one stub product per screening of each row read, picked by the
+    # source's rule from that row's own screenings
+    ds = build(planted_profile(n_records=7, seed=2, mode="raw"))
+    counts, times, vectors = ds.raw["xr"]
+    cuts = np.cumsum(counts)[:-1]
+    times, vectors = np.split(times, cuts), np.split(vectors, cuts)
+    rows = np.array([5, 0, 3, 3])
+    got = _base_embeddings(ds, rows, ("xr", "axr"))
+    for name, pick in (("xr", latest_image), ("axr", aggregate_images)):
+        stub = image_stub_matrix(ds.spec(name), ds.seed)
+        want = [pick(times[i], np.stack([stub @ v for v in vectors[i]])) for i in rows]
+        np.testing.assert_array_equal(got[name], np.stack(want))
+
+
+def test_encode_timeseries_reads_each_rows_series():
+    ds = build(planted_profile(n_records=7, seed=2, mode="raw"))
+    lengths, values = ds.raw["lab"]
+    series = np.split(values, np.cumsum(lengths)[:-1])
+    rows = np.array([6, 2, 2, 0])
+    want = timeseries_feature_matrix([series[i * 4:(i + 1) * 4] for i in rows])
+    np.testing.assert_array_equal(_base_embeddings(ds, rows, ("lab",))["lab"], want)
+
+
 def test_encode_text_stub_matches_table_route():
     # a raw dataset's text embedding is the table route through the stub
     # table seeded by the dataset seed and the source
     ds = build(planted_profile(n_records=4, seed=9, mode="raw"))
     table = text_stub_table(ds.spec("txt"), seed=9)
-    want = np.stack([encode_text_with_table(table, ids) for ids in ds.raw_tokens["txt"]])
+    counts, ids = ds.raw["txt"]
+    want = np.stack([encode_text_with_table(table, record)
+                     for record in np.split(ids, np.cumsum(counts)[:-1])])
     got = _base_embeddings(ds, np.arange(ds.n_records), ("txt",))["txt"]
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(_base_embeddings(ds, np.array([2, 0]), ("txt",))["txt"],
+                                  want[[2, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from riskfuse.pipeline import (TrainConfig, bss_select, evaluate_protocol,
                                save_checkpoint, split_by_patient, train)
 from riskfuse.projector import PARAM_NAMES, ProjectorConfig, init_projector
 from riskfuse.seeding import rng
+from riskfuse.storage import dump_json, read_json
 
 # d_model must exceed the widest source embedding (lab, 44)
 LM_SMALL = LMConfig(d_model=48, n_layers=2, n_heads=2, vocab=32, max_seq=8, seed=0)
@@ -519,6 +520,25 @@ def test_reloaded_checkpoints_predict_exactly_as_in_memory(dataset, joint_ckpt, 
             for mode in [fused] + [f"single:{n}" for n in ckpt.source_order()]:
                 assert np.array_equal(predict(back, ds, rows, mode)[0],
                                       predict(ckpt, ds, rows, mode)[0]), (ds.mode, mode)
+
+
+@pytest.mark.parametrize("target", ["another checkpoint", "."])
+def test_a_checkpoint_reads_its_weights_only_from_its_own_files(dataset, joint_ckpt, iso_ckpt,
+                                                                tmp_path, target):
+    # format 2 manifests named every parameter and stats file: an entry
+    # into another checkpoint's directory was followed, and "." crashed
+    save_checkpoint(joint_ckpt, tmp_path / "joint")
+    iso = save_checkpoint(iso_ckpt, tmp_path / "iso")
+    manifest = read_json(iso / "manifest")
+    names = iso_ckpt.source_order()
+    entry = (lambda fname: ".") if target == "." else (lambda fname: f"../joint/{fname}")
+    manifest["params"] = {f"{n}.{p}": entry(f"param_{n}_{p}.bin")
+                          for n in names for p in PARAM_NAMES}
+    manifest["stats"] = {n: entry(f"stats_{n}.bin") for n in names}
+    dump_json(iso / "manifest", manifest)
+    rows = np.arange(dataset.n_records)
+    np.testing.assert_array_equal(predict(load_checkpoint(iso), dataset, rows, "iso-joint")[0],
+                                  predict(iso_ckpt, dataset, rows, "iso-joint")[0])
 
 
 def test_checkpoint_load_rejects_garbage(tmp_path):

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from riskfuse.datagen import build, planted_profile
-from riskfuse.encoders import Screening, SourceSpec
+from riskfuse.encoders import SourceSpec
 from riskfuse.frozenlm import LMConfig
 from riskfuse.pipeline import TrainConfig, load_checkpoint, save_checkpoint, train
-from riskfuse.projector import PARAM_NAMES
 from riskfuse.storage import (Dataset, dump_json, load_arrays, load_dataset, read_json,
                               save_arrays, write_dataset)
 
@@ -43,20 +42,15 @@ def test_raw_roundtrip(tmp_path):
     write_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
     assert back.mode == "raw"
-    for name, records in ds.raw_timeseries.items():
-        assert len(back.raw_timeseries[name]) == len(records)
-        for got, want in zip(back.raw_timeseries[name], records):
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w.astype(np.float32).astype(np.float64))
-    for got, want in zip(back.raw_screenings, ds.raw_screenings):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.time == pytest.approx(w.time, rel=1e-6)
-            np.testing.assert_array_equal(g.vector,
-                                          w.vector.astype(np.float32).astype(np.float64))
-    for got, want in zip(back.raw_tokens["txt"], ds.raw_tokens["txt"]):
-        np.testing.assert_array_equal(got, want)
+    assert set(back.raw) == set(ds.raw) == {s.name for s in ds.source_specs}
+    # the image sources share one payload, in memory as on disk
+    assert back.raw["xr"] is back.raw["axr"]
+    for name, arrays in ds.raw.items():
+        assert len(back.raw[name]) == len(arrays)
+        for got, want in zip(back.raw[name], arrays):
+            # lengths, counts and ids stay int64; values go through float32
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want.astype(np.float32).astype(want.dtype))
 
 
 def test_source_specs_survive_roundtrip(tmp_path):
@@ -115,6 +109,18 @@ def _tiny_checkpoint():
     return train(ds, TrainConfig(epochs=1, batch_size=4, lm=lm))
 
 
+def test_checkpoint_holds_one_file_per_source(tmp_path):
+    out = save_checkpoint(_tiny_checkpoint(), tmp_path)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest", "src_a.bin", "src_b.bin"]
+    manifest = read_json(out / "manifest")
+    assert manifest["version"] == 3 and not {"params", "stats"} & set(manifest)
+    manifest["version"] = 2
+    dump_json(out / "manifest", manifest)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{out / 'manifest'}: unsupported checkpoint format version 2")):
+        load_checkpoint(out)
+
+
 SOURCES = ("xr", "axr", "proc", "lab", "chart", "txt")
 # (directory, file) for every binary file; the raw dataset's ids are bare
 # file names, the others are prefixed with their directory
@@ -123,9 +129,8 @@ BINARY_FILES = (
     + [pytest.param("raw", f"raw_{n}.bin", id=f"raw_{n}.bin") for n in SOURCES[2:]]
     + [pytest.param("latent", f, id=f"latent/{f}")
        for f in ["labels.bin", "patients.bin"] + [f"src_{n}.bin" for n in SOURCES]]
-    + [pytest.param("checkpoint", f, id=f"checkpoint/{f}")
-       for n in ("a", "b") for f in [f"param_{n}_{p}.bin" for p in PARAM_NAMES]
-       + [f"stats_{n}.bin"]])
+    + [pytest.param("checkpoint", f"src_{n}.bin", id=f"checkpoint/src_{n}.bin")
+       for n in ("a", "b")])
 
 
 @pytest.fixture(scope="module")
@@ -245,26 +250,70 @@ def test_validate_rejects_nonfinite_latent_embeddings():
 @pytest.mark.parametrize("source", ["proc", "xr", "txt"])
 def test_validate_rejects_raw_payloads_of_the_wrong_length(source):
     ds = _raw_ds()
-    if source == "proc":
-        ds.raw_timeseries["proc"] = ds.raw_timeseries["proc"][:-1]
-    elif source == "xr":    # screenings are shared; the first image source reports
-        ds.raw_screenings = ds.raw_screenings[:-1]
-    else:
-        ds.raw_tokens["txt"] = ds.raw_tokens["txt"] + [np.array([1, 2])]
-    with pytest.raises(ValueError, match=f"source '{source}': .* expected {ds.n_records}"):
+    lengths, *values = ds.raw[source]
+    ds.raw[source] = (lengths[:-1], *values)
+    # screenings are shared; the first image source reports
+    with pytest.raises(ValueError, match=f"source '{source}': .* of shape "
+                                         rf"\({ds.n_records - 1},.*expected \({ds.n_records},"):
         ds.validate()
 
 
 def test_validate_rejects_raw_payloads_of_the_wrong_geometry():
     ds = _raw_ds()
-    ds.raw_timeseries["lab"] = [rec[:-1] for rec in ds.raw_timeseries["lab"]]
-    with pytest.raises(ValueError, match="source 'lab': every record must hold 4 series"):
+    lengths, values = ds.raw["lab"]
+    ds.raw["lab"] = (lengths[:, :-1], values)
+    with pytest.raises(ValueError, match=re.escape("raw_lab.bin: source 'lab': series lengths "
+                                                   "of shape (20, 3), expected (20, 4)")):
         ds.validate()
     ds = _raw_ds()
-    rec = next(r for r in ds.raw_screenings if r)
-    rec[0] = Screening(time=rec[0].time, vector=rec[0].vector[:-1])
-    with pytest.raises(ValueError, match="source 'xr': every screening vector must have "
-                                         "length 16"):
+    counts, times, vectors = ds.raw["xr"]
+    ds.raw["xr"] = ds.raw["axr"] = (counts, times, vectors[:, :-1])
+    with pytest.raises(ValueError, match=re.escape(
+            f"raw_screenings.bin: source 'xr': screening vectors of shape "
+            f"({len(vectors)}, 15), expected (None, 16)")):
+        ds.validate()
+
+
+def _damage(ds, name, position, value):
+    """`ds` with entry 0 of array `position` of a source's payload set to `value`."""
+    arrays = [arr.copy() for arr in ds.raw[name]]
+    arrays[position].flat[0] = value
+    for s in ds.source_specs:
+        if ds.raw[s.name] is ds.raw[name]:
+            ds.raw[s.name] = tuple(arrays)
+    return ds
+
+
+RAW_VALUE_DAMAGE = [
+    ("proc", 1, np.nan, "raw_proc.bin: source 'proc': series values contain non-finite"),
+    ("xr", 1, np.inf, "raw_screenings.bin: source 'xr': screening times contain non-finite"),
+    ("xr", 2, np.nan, "raw_screenings.bin: source 'xr': screening vectors contain non-finite"),
+    ("txt", 1, 64, "raw_txt.bin: source 'txt': token ids out of range [0, 64)"),
+    ("lab", 0, 0, "raw_lab.bin: source 'lab': series lengths must be positive"),
+    ("xr", 0, 0, "raw_screenings.bin: source 'xr': screening counts must be positive"),
+]
+
+
+@pytest.mark.parametrize("name, position, value, message", RAW_VALUE_DAMAGE,
+                         ids=[m.split(": ", 1)[1] for *_, m in RAW_VALUE_DAMAGE])
+def test_validate_rejects_raw_values_naming_the_source_and_file(name, position, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _damage(_raw_ds(), name, position, value).validate()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("chart", "raw_chart.bin: source 'chart': series lengths add up to {}, not to the {} "
+              "series values stored"),
+    ("txt", "raw_txt.bin: source 'txt': token counts add up to {}, not to the {} token ids "
+            "stored"),
+    ("axr", "raw_screenings.bin: source 'xr': screening counts add up to {}, not to the {} "
+            "screening times stored"),
+], ids=["chart", "txt", "axr"])
+def test_validate_rejects_lengths_that_miss_the_stored_values(name, message):
+    ds = _raw_ds()
+    total = int(ds.raw[name][0].sum())
+    _damage(ds, name, 0, ds.raw[name][0].flat[0] + 1)
+    with pytest.raises(ValueError, match=re.escape(message.format(total + 1, total))):
         ds.validate()
 
 
