@@ -497,22 +497,30 @@ def backward(out: Tensor) -> float:
 
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.value)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
+        if id(node) not in grads:
             continue
         if not node._parents:
             # requires_grad leaf
             if node.grad is None:
                 node.grad = np.zeros_like(node.value)
-            node.grad += g
+            node.grad += grads.pop(id(node))
             continue
+        if len(node._parents) == 1:
+            # a recorded node's only parent needs a gradient; its VJP is handed
+            # the only reference to the node's gradient and may free it early
+            _accumulate(grads, node._parents[0], node._vjps[0](grads.pop(id(node))), node.op)
+            continue
+        g = grads.pop(id(node))
         for parent, vjp in zip(node._parents, node._vjps):
-            if not parent.requires_grad:
-                continue
-            pg = _check_finite(vjp(g), node.op, "backward")
-            prev = grads.get(id(parent))
-            grads[id(parent)] = pg if prev is None else prev + pg
+            if parent.requires_grad:
+                _accumulate(grads, parent, vjp(g), node.op)
     return float(out.value)
+
+
+def _accumulate(grads: dict, parent: Tensor, pg: np.ndarray, op: str) -> None:
+    _check_finite(pg, op, "backward")
+    prev = grads.get(id(parent))
+    grads[id(parent)] = pg if prev is None else prev + pg
 
 
 # ---------------------------------------------------------------------------

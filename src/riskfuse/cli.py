@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from . import datagen, metrics, pipeline
-from .storage import dump_json, load_dataset
+from .storage import check_replaceable, dump_json, load_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -98,6 +98,7 @@ def _cmd_gen(args) -> int:
             raise CliError(str(err)) from err
         resolved = {"profile": "planted", "n_records": n}
     resolved.update({"seed": args.seed, "mode": args.mode})
+    check_replaceable(args.out, "dataset")
     summary = datagen.generate(cfg, args.out)
     resolved.update({"records_written": summary.n_records,
                      "patients": summary.n_patients,
@@ -125,6 +126,7 @@ def _cmd_train(args) -> int:
     }
     cfg = resolve_train_config(file_cfg, overrides)
     dataset = load_dataset(args.data)
+    check_replaceable(args.out, "checkpoint")
     ckpt = pipeline.train(dataset, cfg)
     pipeline.save_checkpoint(ckpt, args.out)
     dump_json(Path(args.out) / "run.lock",

@@ -157,8 +157,11 @@ def _layer_norm_vjp(g, gain, saved):
     g = g * gain
     g_var = (g * centered).sum(axis=-1, keepdims=True) * (-0.5 * np.power(shifted_var, -1.5))
     square = (g_var / d) * centered
-    g_centered = (g * inv + square) + square
-    return g_centered, (-g_centered).sum(axis=-1, keepdims=True) / d
+    # (g * inv + square) + square, in place
+    g *= inv
+    g += square
+    g += square
+    return g, (-g).sum(axis=-1, keepdims=True) / d
 
 
 def _attention_probs(qh, kh, scale, mask, block):
@@ -230,10 +233,21 @@ def _ff_block(h, layer, tape, block):
     _finite(block, shifted_var, hidden)
     np.maximum(hidden, 0.0, out=hidden)
     if tape is not None:
-        tape.append(hidden)
+        # the VJP reads only where the relu passed its input: its output is
+        # positive exactly there
+        tape.append(hidden > 0)
     out = h + hidden @ layer["ff2"].value
     _finite(block, out)
     return out
+
+
+def _ff_vjp(g, layer, relu_mask):
+    """Gradient with respect to ln2's output, from the gradient of the ff
+    block's output."""
+    g_hidden = g @ layer["ff2"].value.T
+    # the mask is boolean: each entry is multiplied by exactly 1.0 or 0.0
+    g_hidden *= relu_mask
+    return g_hidden @ layer["ff1"].value.T
 
 
 def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
@@ -270,22 +284,21 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         return ad.Tensor(logits, op=HEAD_BLOCK)
 
     def vjp(g):
-        saved = reversed(tape)
-        g_centered, g_mean = _layer_norm_vjp(g @ weights.head.value.T, weights.ln_f_g.value,
-                                             next(saved))
+        # the tape is read back to front, and each block's activations are
+        # dropped as soon as its VJP has read them; so is the logits' gradient
+        g = g @ weights.head.value.T
+        g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g.value, tape.pop())
         g = g_centered + g_mean
         _finite(HEAD_BLOCK, g, context="backward")
         for i in reversed(range(cfg.n_layers)):
             layer = weights.layers[i]
-            # the relu's output is positive exactly where its input is
-            g_pre = (g @ layer["ff2"].value.T) * (next(saved) > 0).astype(np.float64)
-            g_centered, g_mean = _layer_norm_vjp(g_pre @ layer["ff1"].value.T,
-                                                 layer["ln2_g"].value, next(saved))
+            g_centered, g_mean = _layer_norm_vjp(_ff_vjp(g, layer, tape.pop()),
+                                                 layer["ln2_g"].value, tape.pop())
             g = (g + g_centered) + g_mean
             _finite(f"frozen_lm.layer{i}.ff", g, context="backward")
-            attention = next(saved) if seq_len > 1 else None
-            g_centered, g_mean = _layer_norm_vjp(_attention_vjp(g, layer, cfg.n_heads, attention),
-                                                 layer["ln1_g"].value, next(saved))
+            g_centered, g_mean = _layer_norm_vjp(
+                _attention_vjp(g, layer, cfg.n_heads, tape.pop() if seq_len > 1 else None),
+                layer["ln1_g"].value, tape.pop())
             g = (g + g_centered) + g_mean
             _finite(f"frozen_lm.layer{i}.attention", g, context="backward")
         return g.reshape(t.shape)

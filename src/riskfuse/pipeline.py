@@ -9,6 +9,11 @@ with a single classification term on the fused confidences. Isolated
 training runs each source alone, as a one-source group through the same
 objective and loop, on length-1 sequences (same backbone and vocabulary);
 single-source and best-single-source evaluation build on that regime.
+The groups train in lockstep: each step stacks every group's batch into
+one backbone call and backpropagates the sum of the group losses once.
+The backbone treats rows independently, bit for bit, and a group's loss
+reads only its own rows, so the gradients stay independent and each group
+trains exactly as it would alone.
 
 Splits are patient-grouped: a seeded shuffle of patient ids fills the
 training side with whole patients until it reaches the requested fraction
@@ -39,7 +44,7 @@ from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
 from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, dump_json, load_arrays,
                       manifest_keys, read_manifest, read_source_specs, record_pieces,
-                      save_arrays)
+                      replaced_directory, save_arrays)
 
 __all__ = [
     "SEQUENCE_ORDER",
@@ -204,35 +209,67 @@ def prepare_embeddings(dataset: Dataset, rows, stats: dict | None = None,
 
 def _confidence_graph(tokens: list[ad.Tensor], frozen: FrozenWeights,
                       designated: DesignatedVocab) -> ad.Tensor:
-    """(B, K) confidences from per-source (B, d_t) token batches: the
-    sigmoid of the position-mean logits at the designated indices."""
+    """(N, K) confidences from per-position (N, d_t) token batches: the
+    sigmoid of the position-mean logits at the designated indices.
+
+    The backbone treats rows independently, bit for bit, so rows stacked
+    from several groups share one call and each row gets the value and
+    input gradient it would get alone. At one position the mean is that
+    position's logits, so it is skipped.
+    """
     stacked = [t.reshape(t.shape[0], 1, t.shape[1]) for t in tokens]
     seq = stacked[0] if len(stacked) == 1 else ad.concat(stacked, axis=1)
     logits = lm_forward(frozen, seq)
+    if len(tokens) == 1:
+        return ad.sigmoid(logits[:, 0, list(designated.indices)])
     return ad.sigmoid(logits.mean(axis=-2)[:, list(designated.indices)])
 
 
-def build_joint_loss(projectors: dict, frozen: FrozenWeights, designated: DesignatedVocab,
+def build_joint_loss(groups, frozen: FrozenWeights, designated: DesignatedVocab,
                      emb_batch: dict, labels_batch, loss_kind: str,
                      beta: float, weights: ClassWeights | None = None,
-                     asl: ASLConfig | None = None):
-    """Batch-mean joint objective closure for eval_with_grads."""
-    order = list(projectors)
+                     asl: ASLConfig | None = None, group_losses: list | None = None):
+    """Closure for eval_with_grads: the sum over groups of each group's
+    batch-mean objective.
+
+    A group is a dict of projectors, source name -> params, whose tokens form
+    one sequence in dict order; `groups` is one group or a list of groups
+    with equally many sources. Their sequences are stacked on the batch axis
+    into one backbone call and one classification loss, and a group's loss
+    reads only its own rows, so each group's projectors get exactly the
+    gradient they would get alone. `emb_batch` maps every source to its
+    batch; `labels_batch` holds the groups' label rows, stacked in the same
+    order. Each evaluation appends the list of group loss values to
+    `group_losses`, if given.
+    """
+    groups = [groups] if isinstance(groups, dict) else list(groups)
 
     def computation(_params=None):
-        recon = None
-        tokens = []
-        for name in order:
-            pp = projectors[name]
-            e = ad.constant(emb_batch[name])
-            t = project(pp, e)
-            rec = reconstruction_loss_graph(e, reconstruct(pp, t))
-            recon = rec if recon is None else recon + rec
-            tokens.append(t)
-        phi = _confidence_graph(tokens, frozen, designated)
+        recon, sequences = [], []
+        for group in groups:
+            rec = None
+            tokens = []
+            for name, pp in group.items():
+                e = ad.constant(emb_batch[name])
+                t = project(pp, e)
+                r = reconstruction_loss_graph(e, reconstruct(pp, t))
+                rec = r if rec is None else rec + r
+                tokens.append(t)
+            recon.append(rec)
+            sequences.append(tokens)
+        positions = [p[0] if len(p) == 1 else ad.concat(p, axis=0) for p in zip(*sequences)]
+        phi = _confidence_graph(positions, frozen, designated)
         cls = classification_loss_graph(phi, labels_batch, loss_kind,
                                         weights=weights, asl=asl)
-        return (recon + beta * cls).mean()
+        losses = []
+        start = 0
+        for rec in recon:
+            rows = cls if len(recon) == 1 else cls[start:start + rec.shape[0]]
+            start += rec.shape[0]
+            losses.append((rec + beta * rows).mean())
+        if group_losses is not None:
+            group_losses.append([float(loss.value) for loss in losses])
+        return sum(losses[1:], losses[0])
 
     return computation
 
@@ -295,23 +332,63 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
         yield perm[start:start + batch_size]
 
 
-def _run_epochs(params: ad.ParamSet, make_batch_loss, rng, n_train: int, cfg: TrainConfig,
-                label: str) -> list[float]:
+@dataclass(frozen=True)
+class _Group:
+    """Sources trained together: their tokens form one sequence, their
+    batches come from one RNG stream, and their loss history is one list."""
+    key: str
+    projectors: dict
+    rng_key: tuple
+    label: str
+
+
+def _run_epochs(groups: list[_Group], emb: dict, labels: np.ndarray, frozen: FrozenWeights,
+                designated: DesignatedVocab, weights: ClassWeights | None,
+                cfg: TrainConfig) -> dict:
+    """Train every group in lockstep: each step stacks every group's batch
+    into one loss graph and one backward, and one AdamW step updates all
+    projectors. AdamW is per element and every group takes the same number
+    of steps, so each group trains exactly as it would alone."""
+    params = _param_set({name: pp for g in groups for name, pp in g.projectors.items()})
     state = init_adamw(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    history = []
+    rngs = [seeding.rng(cfg.seed, *g.rng_key) for g in groups]
+    history = {g.key: [] for g in groups}
+
+    def batch_loss(members, batches, group_losses=None):
+        emb_b = {name: emb[name][batch] for g, batch in zip(members, batches)
+                 for name in g.projectors}
+        return build_joint_loss([g.projectors for g in members], frozen, designated, emb_b,
+                                np.concatenate([labels[batch] for batch in batches]),
+                                cfg.loss_kind, cfg.beta, weights, cfg.asl, group_losses)
+
     for epoch in range(cfg.epochs):
         batch_losses = []
-        for b, batch in enumerate(_epoch_batches(rng, n_train, cfg.batch_size)):
-            computation = make_batch_loss(batch)
+        epoch_batches = [_epoch_batches(rng, labels.shape[0], cfg.batch_size) for rng in rngs]
+        for b, batches in enumerate(zip(*epoch_batches)):
             try:
-                loss = ad.eval_with_grads(computation, params)
+                ad.eval_with_grads(batch_loss(groups, batches, batch_losses), params)
             except ad.NonFiniteError as err:
+                label, op = _first_failing(groups, batches, batch_loss, cfg.mode, err)
                 raise ad.NonFiniteError(
-                    err.op, f"{label}: aborted at epoch {epoch}, batch {b}") from err
+                    op, f"{label}: aborted at epoch {epoch}, batch {b}") from err
             adamw_step(params, state)
-            batch_losses.append(loss)
-        history.append(float(np.mean(batch_losses)))
+        for g, losses in zip(groups, zip(*batch_losses)):
+            history[g.key].append(float(np.mean(losses)))
     return history
+
+
+def _first_failing(groups, batches, batch_loss, mode: str, err: ad.NonFiniteError):
+    """(label, primitive) of the first group, in feed order, whose batch
+    fails on its own; the shared step cannot tell which one did. Nothing is
+    updated."""
+    if len(groups) == 1:
+        return groups[0].label, err.op
+    for g, batch in zip(groups, batches):
+        try:
+            ad.eval_with_grads(batch_loss([g], [batch]), _param_set(g.projectors))
+        except ad.NonFiniteError as alone:
+            return g.label, alone.op
+    return f"{mode} training", err.op
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
@@ -330,19 +407,11 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     projectors = {name: init_projector(proj_cfgs[name], cfg.seed, name) for name in names}
 
     if cfg.mode == "joint":
-        groups = {"joint": (projectors, ("batches",), "joint training")}
+        groups = [_Group("joint", projectors, ("batches",), "joint training")]
     else:
-        groups = {name: ({name: pp}, ("batches", name), f"isolated training ({name})")
-                  for name, pp in projectors.items()}
-    history: dict = {}
-    for key, (group, rng_key, label) in groups.items():
-        def make_batch_loss(batch, group=group):
-            emb_b = {name: emb[name][batch] for name in group}
-            return build_joint_loss(group, frozen, designated, emb_b, labels[batch],
-                                    cfg.loss_kind, cfg.beta, weights, cfg.asl)
-
-        history[key] = _run_epochs(_param_set(group), make_batch_loss,
-                                   seeding.rng(cfg.seed, *rng_key), train_idx.size, cfg, label)
+        groups = [_Group(name, {name: pp}, ("batches", name), f"isolated training ({name})")
+                  for name, pp in projectors.items()]
+    history = _run_epochs(groups, emb, labels, frozen, designated, weights, cfg)
 
     return Checkpoint(
         config=cfg,
@@ -521,13 +590,8 @@ def _designated_entry(designated: DesignatedVocab) -> dict:
 def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
     """One file per source holds its projector parameters, then its stats'
     mean and std, as float64 arrays, so a reloaded checkpoint predicts
-    exactly as the saved one."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, pp in ckpt.projectors.items():
-        st = ckpt.stats[name]
-        save_arrays(out / f"src_{name}.bin", *(pp.value(p) for p in PARAM_NAMES),
-                    st.mean, st.std)
+    exactly as the saved one. The directory is written whole (see
+    `storage.replaced_directory`)."""
     manifest = {
         "format": "riskfuse-checkpoint",
         "version": FORMAT_VERSIONS["checkpoint"],
@@ -540,8 +604,13 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
         "designated": _designated_entry(ckpt.designated),
         "history": ckpt.history,
     }
-    dump_json(out / MANIFEST, manifest)
-    return out
+    with replaced_directory(out_dir, "checkpoint") as out:
+        for name, pp in ckpt.projectors.items():
+            st = ckpt.stats[name]
+            save_arrays(out / f"src_{name}.bin", *(pp.value(p) for p in PARAM_NAMES),
+                        st.mean, st.std)
+        dump_json(out / MANIFEST, manifest)
+    return Path(out_dir)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -31,6 +31,8 @@ float64.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +42,8 @@ import numpy as np
 from .encoders import SourceSpec
 
 __all__ = ["FORMAT_VERSIONS", "Dataset", "payload_layout", "record_pieces", "write_dataset",
-           "load_dataset", "save_arrays", "load_arrays"]
+           "load_dataset", "save_arrays", "load_arrays", "check_replaceable",
+           "replaced_directory"]
 
 FORMAT_VERSIONS = {"dataset": 2, "checkpoint": 3}
 
@@ -241,10 +244,51 @@ def load_arrays(path, *expected) -> list[np.ndarray]:
 # directory read/write
 
 
+def check_replaceable(out_dir, kind: str) -> None:
+    """`out_dir` may receive a `kind` ("dataset" or "checkpoint") directory:
+    it does not exist, or it is an empty directory, or it holds a `kind`
+    manifest of any format version. Anything else is a ValueError naming it,
+    since writing the directory replaces it whole."""
+    out = Path(out_dir)
+    if not out.exists():
+        return
+    if out.is_dir():
+        if not any(out.iterdir()):
+            return
+        try:
+            manifest = read_json(out / MANIFEST)
+        except (OSError, ValueError):
+            manifest = None
+        if isinstance(manifest, dict) and manifest.get("format") == f"riskfuse-{kind}":
+            return
+    raise ValueError(f"{out}: exists and is not a {kind} directory, so it is not replaced")
+
+
+@contextmanager
+def replaced_directory(out_dir, kind: str):
+    """Write the `kind` directory `out_dir` whole.
+
+    The `with` body writes every file into the new sibling directory it is
+    given, which then takes the place of `out_dir`: no file of an earlier
+    artifact survives, and a write that fails leaves `out_dir` as it was.
+    `out_dir` must pass `check_replaceable`.
+    """
+    check_replaceable(out_dir, kind)
+    target = Path(os.path.abspath(out_dir))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.partial")
+    tmp.mkdir(parents=True)
+    try:
+        yield tmp
+        if target.exists():
+            shutil.rmtree(target)
+        tmp.rename(target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
 def write_dataset(ds: Dataset, out_dir) -> Path:
     ds.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": "riskfuse-dataset",
         "version": FORMAT_VERSIONS["dataset"],
@@ -256,17 +300,18 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
         "sources": [s.to_dict() for s in ds.source_specs],
         "generator": ds.generator,
     }
-    dump_json(out / MANIFEST, manifest)
-    save_arrays(out / LABELS, ds.labels.astype("i1"))
-    save_arrays(out / PATIENTS, ds.patients.astype("<u4"))
-    written = set()
-    for s in ds.source_specs:
-        fname, layout = payload_layout(s, ds.n_records, ds.mode)
-        if fname not in written:   # the image sources share one file
-            written.add(fname)
-            save_arrays(out / fname, *(arr.astype(dtype) for arr, (dtype, _)
-                                       in zip(ds.payload(s.name), layout.values())))
-    return out
+    with replaced_directory(out_dir, "dataset") as out:
+        dump_json(out / MANIFEST, manifest)
+        save_arrays(out / LABELS, ds.labels.astype("i1"))
+        save_arrays(out / PATIENTS, ds.patients.astype("<u4"))
+        written = set()
+        for s in ds.source_specs:
+            fname, layout = payload_layout(s, ds.n_records, ds.mode)
+            if fname not in written:   # the image sources share one file
+                written.add(fname)
+                save_arrays(out / fname, *(arr.astype(dtype) for arr, (dtype, _)
+                                           in zip(ds.payload(s.name), layout.values())))
+    return Path(out_dir)
 
 
 def load_dataset(path) -> Dataset:

@@ -119,6 +119,20 @@ def test_gen_rejects_bad_scale(tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+def test_gen_over_another_dataset_leaves_only_its_own_files(tmp_path):
+    # a dataset directory is written whole: no raw payload of the dataset it
+    # replaces survives beside the latent files
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    gen = ["gen", "--profile", "planted", "--n-records", "30", "--seed", "2"]
+    assert main(gen + ["--mode", "raw", "--out", str(out)]) == EXIT_OK
+    assert any(p.name.startswith("raw_") for p in out.iterdir())
+    assert main(gen + ["--out", str(out)]) == EXIT_OK
+    assert main(gen + ["--out", str(fresh)]) == EXIT_OK
+    assert ({p.name: p.read_bytes() for p in out.iterdir()}
+            == {p.name: p.read_bytes() for p in fresh.iterdir()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -130,6 +144,43 @@ def test_train_leaves_checkpoint_and_lock(workspace, capsys):
     assert lock["settings"]["seed"] == 1
     assert lock["settings"]["lm"]["d_model"] == 48
     assert (workspace["joint"] / "manifest").exists()
+
+
+def test_train_over_an_old_checkpoint_leaves_only_its_own_files(workspace, tmp_path):
+    # format 2 kept one file per parameter and per stats vector; a checkpoint
+    # directory is written whole, so none of them survives
+    out = tmp_path / "ckpt"
+    shutil.copytree(workspace["iso"], out)
+    manifest = read_json(out / "manifest")
+    dump_json(out / "manifest", {**manifest, "version": 2})
+    for name in ("param_xr_enc_w.bin", "stats_xr.bin"):
+        (out / name).write_bytes(b"old")
+    assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                 "--config", str(workspace["config"]), "--seed", "1"]) == EXIT_OK
+    sources = [s["name"] for s in read_json(out / "manifest")["sources"]]
+    assert (sorted(p.name for p in out.iterdir())
+            == sorted(["manifest", "run.lock"] + [f"src_{n}.bin" for n in sources]))
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+@pytest.mark.parametrize("occupant", ["a notes file", "the other artifact"])
+def test_an_out_directory_of_something_else_is_left_alone(workspace, tmp_path, capsys,
+                                                          command, occupant):
+    out = tmp_path / "out"
+    if occupant == "a notes file":
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+    else:
+        shutil.copytree(workspace["iso" if command == "gen" else "data"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    args = {"gen": ["gen", "--profile", "planted", "--n-records", "30"],
+            "train": ["train", "--data", str(workspace["data"]),
+                      "--config", str(workspace["config"])]}[command]
+    assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+    kind = "dataset" if command == "gen" else "checkpoint"
+    assert f"{out}: exists and is not a {kind} directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_train_flag_overrides_config_file(workspace, tmp_path, capsys):

@@ -191,6 +191,27 @@ def test_backbone_node_equals_the_primitive_graph_bit_for_bit(d_model):
                 assert np.array_equal(a, b), f"{what}, S={seq_len}, B={batch}"
 
 
+def test_stacked_one_token_batches_equal_separate_calls_bit_for_bit():
+    # isolated training stacks the six sources' (B, 1, d) batches into one
+    # call: each batch's logits and input gradient must equal those of its
+    # own call, for every batch size up to the default 32 plus one, so short
+    # last batches included
+    cfg = LMConfig()
+    w = init_frozen(cfg)
+    for batch in range(1, 34):
+        gen = np.random.default_rng(batch)
+        xs = [gen.standard_normal((batch, 1, cfg.d_model)) for _ in range(6)]
+        mixes = [gen.standard_normal((batch, 1, cfg.vocab)) for _ in range(6)]
+        stacked = _logits_and_input_grad(lm_forward, w, np.concatenate(xs),
+                                         np.concatenate(mixes))
+        for g, (x, mix) in enumerate(zip(xs, mixes)):
+            alone = _logits_and_input_grad(lm_forward, w, x, mix)
+            rows = slice(g * batch, (g + 1) * batch)
+            for what, a, b in zip(("logits", "input gradient", "no_graph logits"),
+                                  stacked, alone):
+                assert np.array_equal(a[rows], b), f"{what}, B={batch}, batch {g}"
+
+
 @pytest.mark.parametrize("seq_len", (1, SMALL.max_seq))
 def test_input_gradient_matches_finite_differences(seq_len):
     w = init_frozen(SMALL)

@@ -3,6 +3,7 @@ plumbing, training in both modes, prediction protocols, source selection,
 and checkpoint persistence."""
 
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from riskfuse import pipeline
 from riskfuse import autodiff as ad
+from riskfuse.cli import EXIT_NUMERIC, main
 from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import apply_feature_stats
 from riskfuse.frozenlm import LMConfig, init_frozen
@@ -20,7 +22,7 @@ from riskfuse.pipeline import (TrainConfig, bss_select, evaluate_protocol,
                                save_checkpoint, split_by_patient, train)
 from riskfuse.projector import PARAM_NAMES, ProjectorConfig, init_projector
 from riskfuse.seeding import rng
-from riskfuse.storage import dump_json, read_json
+from riskfuse.storage import dump_json, read_json, write_dataset
 
 # d_model must exceed the widest source embedding (lab, 44)
 LM_SMALL = LMConfig(d_model=48, n_layers=2, n_heads=2, vocab=32, max_seq=8, seed=0)
@@ -233,6 +235,29 @@ def test_nonfinite_abort_names_epoch_and_batch(dataset, monkeypatch):
     monkeypatch.setattr(pipeline, "prepare_embeddings", poisoned)
     with pytest.raises(ad.NonFiniteError, match=r"aborted at epoch 0, batch 0"):
         pipeline.train(dataset, _cfg(epochs=1))
+
+
+def test_isolated_nonfinite_abort_names_the_source(dataset, monkeypatch, tmp_path, capsys):
+    # the sources share each backbone call, so the failing batch is re-run
+    # one source at a time to name the one that failed
+    third = pipeline.SEQUENCE_ORDER[2]
+    assert third in {s.name for s in dataset.source_specs}
+    real = pipeline.prepare_embeddings
+
+    def poisoned(ds, rows, stats=None, sources=None):
+        emb, st = real(ds, rows, stats=stats, sources=sources)
+        return {k: np.full_like(v, np.nan) if k == third else v for k, v in emb.items()}, st
+
+    monkeypatch.setattr(pipeline, "prepare_embeddings", poisoned)
+    message = rf"isolated training \({third}\): aborted at epoch 0, batch 0"
+    with pytest.raises(ad.NonFiniteError, match=message):
+        train(dataset, _cfg(mode="isolated", epochs=1))
+    data, out = tmp_path / "data", tmp_path / "ckpt"
+    write_dataset(dataset, data)
+    assert main(["train", "--mode", "isolated", "--epochs", "1", "--data", str(data),
+                 "--out", str(out)]) == EXIT_NUMERIC
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from riskfuse import storage
 from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import SourceSpec
 from riskfuse.frozenlm import LMConfig
@@ -69,6 +70,21 @@ def test_rewrite_is_byte_identical(tmp_path):
     write_dataset(load_dataset(first), second)
     for f in sorted(p.name for p in first.iterdir()):
         assert (first / f).read_bytes() == (second / f).read_bytes(), f
+
+
+def test_a_failed_write_leaves_the_old_directory_and_no_temporary(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    write_dataset(_latent_ds(n=3), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def full_disk(path, *arrays):
+        raise OSError(f"{path}: no space left on device")
+
+    monkeypatch.setattr(storage, "save_arrays", full_disk)
+    with pytest.raises(OSError, match="no space left"):
+        write_dataset(_raw_ds(n=3), out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
 
 def test_missing_manifest_rejected(tmp_path):
