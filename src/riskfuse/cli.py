@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from . import datagen, metrics, pipeline
-from .storage import check_replaceable, dump_json, load_dataset
+from .storage import check_replaceable, dump_json, load_dataset, write_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -99,11 +99,12 @@ def _cmd_gen(args) -> int:
         resolved = {"profile": "planted", "n_records": n}
     resolved.update({"seed": args.seed, "mode": args.mode})
     check_replaceable(args.out, "dataset")
-    summary = datagen.generate(cfg, args.out)
+    ds = datagen.build(cfg)
+    summary = datagen.summarize(ds)
     resolved.update({"records_written": summary.n_records,
                      "patients": summary.n_patients,
                      "version": __version__})
-    dump_json(Path(args.out) / "run.lock", resolved)
+    write_dataset(ds, args.out, lock=resolved)
     print(f"wrote {summary.n_records} records ({summary.n_patients} patients) to {args.out}")
     for task, c in summary.counts.items():
         print(f"  {task}: pos={c['pos']} neg={c['neg']} unknown={c['unknown']}")
@@ -128,9 +129,8 @@ def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     check_replaceable(args.out, "checkpoint")
     ckpt = pipeline.train(dataset, cfg)
-    pipeline.save_checkpoint(ckpt, args.out)
-    dump_json(Path(args.out) / "run.lock",
-              _config_lock(cfg, {"command": "train", "data": str(args.data)}))
+    lock = _config_lock(cfg, {"command": "train", "data": str(args.data)})
+    pipeline.save_checkpoint(ckpt, args.out, lock=lock)
     for name, losses in ckpt.history.items():
         print(f"{name}: epoch losses {losses[0]:.4f} -> {losses[-1]:.4f} ({len(losses)} epochs)")
     print(f"checkpoint saved to {args.out}")

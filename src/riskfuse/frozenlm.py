@@ -12,10 +12,19 @@ input only: gradients flow through the weights into the inputs but never
 into them. It keeps activations only when that product can run (the graph
 is recording and the input needs a gradient). At sequence length 1 it skips
 the query and key projections and the softmax; this is exact, since the
-softmax of one score is 1.0 and sends exact zeros back to q and k. Values
-and input gradients equal, bit for bit, those of the same transformer built
-from generic autodiff primitives (kept in the tests as the oracle). A NaN
-or Inf in either pass raises NonFiniteError naming the block:
+softmax of one score is 1.0 and sends exact zeros back to q and k.
+
+Every product with a weight is one 2-D GEMM over all B*S rows, of at least
+two rows and with a C-contiguous right operand (the VJP multiplies by
+contiguous copies of the transposed weights). The BLAS rounds each row of
+such a product the same way whatever the row count, so a record's logits
+and input gradient do not depend on which records share the call, bit for
+bit. Against the same transformer built from generic autodiff primitives
+(kept in the tests as the oracle), which multiplies one record at a time,
+logits agree bit for bit from two positions on; logits at one position and
+input gradients agree to rounding.
+
+A NaN or Inf in either pass raises NonFiniteError naming the block:
 `frozen_lm.layer<i>.attention`, `frozen_lm.layer<i>.ff` or `frozen_lm.head`.
 
 Task confidences come from K designated vocabulary indices: logits are
@@ -131,13 +140,21 @@ def _finite(block: str, *arrays, context: str = "") -> None:
             raise ad.NonFiniteError(block, context)
 
 
-# Each block below copies the arithmetic of the autodiff primitives it
-# replaces, operation for operation on the same array views, so values and
-# input gradients equal the primitive graph's bit for bit. Where a value's
-# gradient has three or more contributions, they are summed in the order
-# `ad.backward` sums them. One function per block frees its temporaries on
-# return; `tape` is None unless a backward will run, and otherwise receives
-# what that block's VJP reads.
+# The residual stream is one (rows, d_model) matrix, so every product with a
+# weight is one 2-D GEMM over all rows, in both passes; attention views the
+# rows as (batch, seq_len, .) for its scores only. The elementwise arithmetic
+# is that of the autodiff primitives each block replaces, on the same rows;
+# where a value's gradient has three or more contributions, they are summed
+# in the order `ad.backward` sums them. One function per block frees its
+# temporaries on return; `tape` is None unless a backward will run, and
+# otherwise receives what that block's VJP reads.
+
+
+def _transposed(weight: ad.Tensor) -> np.ndarray:
+    """A C-contiguous copy of the weight's transpose, taken from its current
+    value: a GEMM reading a transposed view rounds some row counts
+    differently, which would tie a row's gradient to its neighbours."""
+    return np.ascontiguousarray(weight.value.T)
 
 
 def _layer_norm(x, gain, offset, tape):
@@ -172,19 +189,21 @@ def _attention_probs(qh, kh, scale, mask, block):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention_block(h, layer, n_heads, tape, block):
-    """h + attention(ln1(h)) under the causal mask."""
+def _attention_block(h, layer, seq_len, n_heads, tape, block):
+    """h + attention(ln1(h)) under the causal mask, for rows that hold
+    consecutive sequences of `seq_len` positions."""
     a, shifted_var = _layer_norm(h, layer["ln1_g"].value, layer["ln1_b"].value, tape)
     v = a @ layer["wv"].value
-    seq_len = h.shape[-2]
     if seq_len == 1:
         # the softmax of one score is exactly 1.0, so every head passes its
         # values through unchanged and sends exact zeros back to q and k
         attended = v
     else:
         mask = np.triu(np.full((seq_len, seq_len), MASK_NEG), k=1)
-        q = a @ layer["wq"].value
-        k = a @ layer["wk"].value
+        by_sequence = (-1, seq_len, h.shape[-1])
+        q = (a @ layer["wq"].value).reshape(by_sequence)
+        k = (a @ layer["wk"].value).reshape(by_sequence)
+        v = v.reshape(by_sequence)
         dh = h.shape[-1] // n_heads
         scale = 1.0 / np.sqrt(dh)
         heads, probs = [], []
@@ -196,22 +215,23 @@ def _attention_block(h, layer, n_heads, tape, block):
                 probs.append(p)
         if tape is not None:
             tape.append((q, k, v, probs))
-        attended = np.concatenate(heads, axis=-1)
+        attended = np.concatenate(heads, axis=-1).reshape(h.shape)
     out = h + attended @ layer["wo"].value
     # an overflowing variance vanishes in the layer norm
     _finite(block, shifted_var, out)
     return out
 
 
-def _attention_vjp(g, layer, n_heads, saved):
+def _attention_vjp(g, layer, saved):
     """Gradient with respect to ln1's output, from the gradient of the
     attention block's output."""
-    g_cat = g @ layer["wo"].value.T
+    g_cat = g @ _transposed(layer["wo"])
     if saved is None:
-        return g_cat @ layer["wv"].value.T
+        return g_cat @ _transposed(layer["wv"])
     q, k, v, probs = saved
-    dh = q.shape[-1] // n_heads
+    dh = q.shape[-1] // len(probs)
     scale = 1.0 / np.sqrt(dh)
+    g_cat = g_cat.reshape(q.shape)
     g_q, g_k, g_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     for i, p in enumerate(probs):
         sl = (..., slice(i * dh, (i + 1) * dh))
@@ -221,8 +241,10 @@ def _attention_vjp(g, layer, n_heads, saved):
         g_scores = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p * scale
         g_q[sl] = g_scores @ k[sl]
         g_k[sl] = np.swapaxes(np.swapaxes(q[sl], -1, -2) @ g_scores, -1, -2)
-    return ((g_q @ layer["wq"].value.T + g_k @ layer["wk"].value.T)
-            + g_v @ layer["wv"].value.T)
+    by_row = g.shape
+    return ((g_q.reshape(by_row) @ _transposed(layer["wq"])
+             + g_k.reshape(by_row) @ _transposed(layer["wk"]))
+            + g_v.reshape(by_row) @ _transposed(layer["wv"]))
 
 
 def _ff_block(h, layer, tape, block):
@@ -244,10 +266,18 @@ def _ff_block(h, layer, tape, block):
 def _ff_vjp(g, layer, relu_mask):
     """Gradient with respect to ln2's output, from the gradient of the ff
     block's output."""
-    g_hidden = g @ layer["ff2"].value.T
+    g_hidden = g @ _transposed(layer["ff2"])
     # the mask is boolean: each entry is multiplied by exactly 1.0 or 0.0
     g_hidden *= relu_mask
-    return g_hidden @ layer["ff1"].value.T
+    return g_hidden @ _transposed(layer["ff1"])
+
+
+def _as_gemm_rows(a: np.ndarray, rows: int) -> np.ndarray:
+    """`a` as a (rows, width) matrix of at least two rows. numpy sends a
+    one-row product to gemv, whose bits differ from those of the same row in
+    a GEMM, so a single row travels with a copy of itself."""
+    a = a.reshape(rows, a.shape[-1])
+    return np.concatenate((a, a)) if rows == 1 else a
 
 
 def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
@@ -257,7 +287,8 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
     position i blind to positions j > i exactly (masked scores underflow to
     zero attention weight, not merely something small). The weights are
     constants, so the node's one VJP maps the logits' gradient to the
-    input's. Activations are kept only when that VJP can run.
+    input's. Activations are kept only when that VJP can run. Each record's
+    logits and input gradient are those it gets alone, bit for bit.
     """
     t = x if isinstance(x, ad.Tensor) else ad.constant(x)
     if t.ndim not in (2, 3):
@@ -270,23 +301,25 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         raise ValueError("empty sequence")
     if seq_len > cfg.max_seq:
         raise ValueError(f"sequence length {seq_len} exceeds max_seq {cfg.max_seq}")
+    rows = t.size // cfg.d_model
     recorded = ad.records(t)
     tape = [] if recorded else None
-    h = t.value + weights.positions.value[:seq_len]
+    h = _as_gemm_rows(t.value + weights.positions.value[:seq_len], rows)
     for i, layer in enumerate(weights.layers):
-        h = _attention_block(h, layer, cfg.n_heads, tape, f"frozen_lm.layer{i}.attention")
+        h = _attention_block(h, layer, seq_len, cfg.n_heads, tape,
+                             f"frozen_lm.layer{i}.attention")
         h = _ff_block(h, layer, tape, f"frozen_lm.layer{i}.ff")
     h, shifted_var = _layer_norm(h, weights.ln_f_g.value, weights.ln_f_b.value, tape)
     _finite(HEAD_BLOCK, shifted_var)
     # the Tensor built below checks the logits under the same name
-    logits = h @ weights.head.value
+    logits = (h @ weights.head.value)[:rows].reshape(t.shape[:-1] + (cfg.vocab,))
     if not recorded:
         return ad.Tensor(logits, op=HEAD_BLOCK)
 
     def vjp(g):
         # the tape is read back to front, and each block's activations are
         # dropped as soon as its VJP has read them; so is the logits' gradient
-        g = g @ weights.head.value.T
+        g = _as_gemm_rows(g, rows) @ _transposed(weights.head)
         g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g.value, tape.pop())
         g = g_centered + g_mean
         _finite(HEAD_BLOCK, g, context="backward")
@@ -297,11 +330,11 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
             g = (g + g_centered) + g_mean
             _finite(f"frozen_lm.layer{i}.ff", g, context="backward")
             g_centered, g_mean = _layer_norm_vjp(
-                _attention_vjp(g, layer, cfg.n_heads, tape.pop() if seq_len > 1 else None),
+                _attention_vjp(g, layer, tape.pop() if seq_len > 1 else None),
                 layer["ln1_g"].value, tape.pop())
             g = (g + g_centered) + g_mean
             _finite(f"frozen_lm.layer{i}.attention", g, context="backward")
-        return g.reshape(t.shape)
+        return g[:rows].reshape(t.shape)
 
     return ad.Tensor(logits, requires_grad=True, op=HEAD_BLOCK, parents=(t,), vjps=(vjp,))
 

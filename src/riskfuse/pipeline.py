@@ -214,8 +214,10 @@ def _confidence_graph(tokens: list[ad.Tensor], frozen: FrozenWeights,
 
     The backbone treats rows independently, bit for bit, so rows stacked
     from several groups share one call and each row gets the value and
-    input gradient it would get alone. At one position the mean is that
-    position's logits, so it is skipped.
+    input gradient it would get alone. That rests on `lm_forward` running
+    every weight product as one GEMM of at least two rows against a
+    contiguous weight, whose rows the BLAS rounds alike at any row count.
+    At one position the mean is that position's logits, so it is skipped.
     """
     stacked = [t.reshape(t.shape[0], 1, t.shape[1]) for t in tokens]
     seq = stacked[0] if len(stacked) == 1 else ad.concat(stacked, axis=1)
@@ -587,11 +589,11 @@ def _designated_entry(designated: DesignatedVocab) -> dict:
     return {"indices": list(designated.indices), "seed": designated.seed}
 
 
-def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
+def save_checkpoint(ckpt: Checkpoint, out_dir, lock: dict | None = None) -> Path:
     """One file per source holds its projector parameters, then its stats'
     mean and std, as float64 arrays, so a reloaded checkpoint predicts
-    exactly as the saved one. The directory is written whole (see
-    `storage.replaced_directory`)."""
+    exactly as the saved one. The directory is written whole, with `lock`
+    as its `run.lock` if given (see `storage.replaced_directory`)."""
     manifest = {
         "format": "riskfuse-checkpoint",
         "version": FORMAT_VERSIONS["checkpoint"],
@@ -604,7 +606,7 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> Path:
         "designated": _designated_entry(ckpt.designated),
         "history": ckpt.history,
     }
-    with replaced_directory(out_dir, "checkpoint") as out:
+    with replaced_directory(out_dir, "checkpoint", lock) as out:
         for name, pp in ckpt.projectors.items():
             st = ckpt.stats[name]
             save_arrays(out / f"src_{name}.bin", *(pp.value(p) for p in PARAM_NAMES),

@@ -50,6 +50,7 @@ FORMAT_VERSIONS = {"dataset": 2, "checkpoint": 3}
 MANIFEST = "manifest"
 LABELS = "labels.bin"
 PATIENTS = "patients.bin"
+LOCK = "run.lock"
 SCREENINGS = "raw_screenings.bin"
 
 
@@ -265,11 +266,12 @@ def check_replaceable(out_dir, kind: str) -> None:
 
 
 @contextmanager
-def replaced_directory(out_dir, kind: str):
+def replaced_directory(out_dir, kind: str, lock: dict | None = None):
     """Write the `kind` directory `out_dir` whole.
 
     The `with` body writes every file into the new sibling directory it is
-    given, which then takes the place of `out_dir`: no file of an earlier
+    given, and `lock`, if given, is written beside them as `run.lock`; the
+    directory then takes the place of `out_dir`: no file of an earlier
     artifact survives, and a write that fails leaves `out_dir` as it was.
     `out_dir` must pass `check_replaceable`.
     """
@@ -279,6 +281,8 @@ def replaced_directory(out_dir, kind: str):
     tmp.mkdir(parents=True)
     try:
         yield tmp
+        if lock is not None:
+            dump_json(tmp / LOCK, lock)
         if target.exists():
             shutil.rmtree(target)
         tmp.rename(target)
@@ -287,7 +291,9 @@ def replaced_directory(out_dir, kind: str):
         raise
 
 
-def write_dataset(ds: Dataset, out_dir) -> Path:
+def write_dataset(ds: Dataset, out_dir, lock: dict | None = None) -> Path:
+    """Write `ds` whole (see `replaced_directory`), with `lock` as its
+    `run.lock` if given."""
     ds.validate()
     manifest = {
         "format": "riskfuse-dataset",
@@ -300,7 +306,7 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
         "sources": [s.to_dict() for s in ds.source_specs],
         "generator": ds.generator,
     }
-    with replaced_directory(out_dir, "dataset") as out:
+    with replaced_directory(out_dir, "dataset", lock) as out:
         dump_json(out / MANIFEST, manifest)
         save_arrays(out / LABELS, ds.labels.astype("i1"))
         save_arrays(out / PATIENTS, ds.patients.astype("<u4"))

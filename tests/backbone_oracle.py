@@ -3,7 +3,8 @@
 `riskfuse.frozenlm.lm_forward` runs the same transformer in plain numpy as
 one autodiff node with a hand-written input-only VJP. This module keeps the
 primitive-by-primitive form it replaced; tests require the two to agree bit
-for bit in logits and input gradients.
+for bit in logits from two positions on, and to rounding in logits at one
+position and in input gradients.
 """
 
 import numpy as np

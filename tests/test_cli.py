@@ -183,6 +183,31 @@ def test_an_out_directory_of_something_else_is_left_alone(workspace, tmp_path, c
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_a_failed_lock_write_leaves_out_as_it_was(workspace, tmp_path, capsys, monkeypatch,
+                                                  command):
+    # the lock is written inside the rename that puts the artifact in place,
+    # so no artifact lands without its lock
+    out = tmp_path / "out"
+    shutil.copytree(workspace["data" if command == "gen" else "joint"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_dump_json = storage.dump_json
+
+    def dump_json(path, payload):
+        if path.name == "run.lock":
+            raise OSError("no space left on device")
+        real_dump_json(path, payload)
+
+    monkeypatch.setattr(storage, "dump_json", dump_json)
+    args = {"gen": ["gen", "--profile", "planted", "--n-records", "30"],
+            "train": ["train", "--data", str(workspace["data"]),
+                      "--config", str(workspace["config"]), "--epochs", "1"]}[command]
+    assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+    assert "no space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_train_flag_overrides_config_file(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lm": SMALL_LM, "epochs": 2, "batch_size": 64}))
