@@ -140,12 +140,11 @@ def _finite(block: str, *arrays, context: str = "") -> None:
             raise ad.NonFiniteError(block, context)
 
 
-# The residual stream is one (rows, d_model) matrix, so every product with a
-# weight is one 2-D GEMM over all rows, in both passes; attention views the
-# rows as (batch, seq_len, .) for its scores only. The elementwise arithmetic
-# is that of the autodiff primitives each block replaces, on the same rows;
-# where a value's gradient has three or more contributions, they are summed
-# in the order `ad.backward` sums them. One function per block frees its
+# Each block takes and returns the (rows, d_model) residual stream; attention
+# views it as (batch, seq_len, .) for its scores only. The elementwise
+# arithmetic is that of the autodiff primitives each block replaces; where a
+# value's gradient has three or more contributions, they are summed in the
+# order `ad.backward` sums them. One function per block frees its
 # temporaries on return; `tape` is None unless a backward will run, and
 # otherwise receives what that block's VJP reads.
 
