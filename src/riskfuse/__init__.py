@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .autodiff import (GradCheckReport, NonFiniteError, ParamSet, Tensor,
                        eval_with_grads, finite_diff_check)
 from .datagen import GenConfig, TaskSpec, build, generate, planted_profile, table1_profile
-from .encoders import FeatureStats, SourceSpec, default_source_specs
+from .encoders import FeatureStats, SourceSpec
 from .frozenlm import DesignatedVocab, FrozenWeights, LMConfig, init_frozen
 from .losses import ASLConfig, ClassWeights, UNKNOWN, class_weights
 from .metrics import TaskMetrics, f1_score, metrics_for_run
@@ -28,7 +28,7 @@ __all__ = [
     "NonFiniteError", "ParamSet", "ProjectorConfig", "ProjectorParams",
     "SourceSpec", "TaskMetrics", "TaskSpec", "Tensor",
     "TrainConfig", "UNKNOWN",
-    "build", "class_weights", "default_source_specs", "evaluate_protocol",
+    "build", "class_weights", "evaluate_protocol",
     "eval_with_grads", "f1_score", "finite_diff_check", "generate",
     "gradcheck_suite", "init_frozen", "init_projector", "load_checkpoint",
     "load_dataset", "metrics_for_run", "planted_profile", "predict",

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from . import datagen, metrics, pipeline
-from .storage import check_replaceable, dump_json, load_dataset, write_dataset
+from .storage import MODES, check_replaceable, dump_json, load_dataset, write_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(datagen.PROFILES), required=True)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("latent", "raw"), default="latent")
+    p.add_argument("--mode", choices=MODES, default="latent")
     p.add_argument("--scale", type=float, default=None,
                    help="shrink the table1 cohort proportionally")
     p.add_argument("--n-records", type=int, default=None,

@@ -1,12 +1,15 @@
 """Synthetic cohort generator with planted, recoverable label structure.
 
-Each stay draws a latent state z ~ N(0, I). Task k is positive when
-a_k . z exceeds tau_k = ||a_k|| * Phi^-1(1 - p_k), which pins the marginal
-positive rate at p_k exactly. Sources observe (noisy linear views of)
-disjoint subsets of the latent coordinates, and task directions span
-coordinates seen by two or more sources, so recovering a task fully
-requires combining sources. Patients contribute a geometric number of
-stays with correlated latents.
+The cohort geometry is fixed: each stay draws a latent state z ~ N(0, I)
+of LATENT_DIM coordinates, and each of the six SOURCES observes its own
+two of them (OBSERVED). Task k is positive when a_k . z exceeds
+tau_k = ||a_k|| * Phi^-1(1 - p_k), which pins the marginal positive rate
+at p_k exactly. Task directions span coordinates seen by two or more
+sources, so recovering a task fully requires combining sources. Patients
+contribute a geometric number of stays whose latents correlate by
+PATIENT_CORR; every payload value carries noise of std NOISE_STD. A
+`GenConfig` sets only what the profiles vary: the tasks, the record
+count, the mode, the seed and the stays per patient.
 
 Two output modes share the label machinery: `latent` stores per-source
 embeddings directly; `raw` synthesizes time series (drift and level tied
@@ -21,7 +24,7 @@ and the middle band unknown, reproducing a requested label profile exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -29,12 +32,17 @@ import numpy as np
 from . import seeding
 from .encoders import SourceSpec
 from .losses import UNKNOWN
-from .storage import Dataset, write_dataset
+from .storage import MODES, Dataset, write_dataset
 
 __all__ = [
     "TaskSpec",
     "GenConfig",
     "GenSummary",
+    "LATENT_DIM",
+    "SOURCES",
+    "OBSERVED",
+    "PATIENT_CORR",
+    "NOISE_STD",
     "threshold_for",
     "task_source_names",
     "build",
@@ -47,6 +55,22 @@ __all__ = [
 ]
 
 _NORMAL = NormalDist()
+
+LATENT_DIM = 12
+SOURCES = (
+    SourceSpec(0, "xr", "image", 8, raw_dim=16, image_rule="latest"),
+    SourceSpec(1, "axr", "image", 8, raw_dim=16, image_rule="aggregate"),
+    SourceSpec(2, "proc", "time-series", 33, n_series=3),
+    SourceSpec(3, "lab", "time-series", 44, n_series=4),
+    SourceSpec(4, "chart", "time-series", 22, n_series=2),
+    SourceSpec(5, "txt", "text", 8, token_vocab=64),
+)
+OBSERVED = {  # source name -> the latent coordinates it observes
+    "xr": (0, 1), "axr": (2, 3), "proc": (4, 5),
+    "lab": (6, 7), "chart": (8, 9), "txt": (10, 11),
+}
+PATIENT_CORR = 0.3   # correlation of latents across one patient's stays
+NOISE_STD = 0.05
 
 
 @dataclass(frozen=True)
@@ -72,80 +96,41 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class GenConfig:
-    latent_dim: int
-    sources: tuple[SourceSpec, ...]
-    observed: dict = field(default_factory=dict)  # source name -> latent coords
-    tasks: tuple[TaskSpec, ...] = ()
+    tasks: tuple[TaskSpec, ...]
+    n_records: int
     mode: str = "latent"
     seed: int = 0
-    n_patients: int = 0
-    n_records: int | None = None   # set to force the total record count
     stay_p: float = 0.5            # geometric(stay_p) stays per patient
-    patient_corr: float = 0.3      # correlation of latents across one patient's stays
-    noise_std: float = 0.05
 
     def validate(self) -> None:
-        if self.latent_dim <= 0:
-            raise ValueError("latent_dim must be positive")
-        if not self.sources:
-            raise ValueError("need at least one source")
-        names = [s.name for s in self.sources]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate source names")
-        if set(self.observed) != set(names):
-            raise ValueError("observed coordinate map must cover exactly the sources")
-        for name, coords in self.observed.items():
-            if not coords:
-                raise ValueError(f"source {name!r} observes no coordinates")
-            if any(c < 0 or c >= self.latent_dim for c in coords):
-                raise ValueError(f"source {name!r}: observed coordinate out of range")
         if not self.tasks:
             raise ValueError("need at least one task")
         tnames = [t.name for t in self.tasks]
         if len(set(tnames)) != len(tnames):
             raise ValueError("duplicate task names")
-        if self.mode not in ("latent", "raw"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.stay_p <= 1.0:
             raise ValueError("stay_p must lie in (0, 1]")
-        if not 0.0 <= self.patient_corr <= 1.0:
-            raise ValueError("patient_corr must lie in [0, 1]")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
-        exact = [t for t in self.tasks if t.exact_counts is not None]
-        if exact and self.n_records is None:
-            raise ValueError("exact-count tasks require n_records")
-        if self.n_records is not None:
-            if self.n_records <= 0:
-                raise ValueError("n_records must be positive")
-            for t in exact:
-                pos, neg = t.exact_counts
-                if pos + neg > self.n_records:
-                    raise ValueError(
-                        f"task {t.name!r}: exact counts {pos}+{neg} exceed "
-                        f"record count {self.n_records}")
-        elif self.n_patients <= 0:
-            raise ValueError("need n_patients (or n_records) to size the cohort")
+        if self.n_records <= 0:
+            raise ValueError("n_records must be positive")
         for t in self.tasks:
-            if len(t.direction) != self.latent_dim:
-                raise ValueError(f"task {t.name!r}: direction length must be {self.latent_dim}")
-            if len(task_source_names(self, t)) < 2:
+            if t.exact_counts is not None and sum(t.exact_counts) > self.n_records:
+                pos, neg = t.exact_counts
+                raise ValueError(f"task {t.name!r}: exact counts {pos}+{neg} exceed "
+                                 f"record count {self.n_records}")
+            if len(t.direction) != LATENT_DIM:
+                raise ValueError(f"task {t.name!r}: direction length must be {LATENT_DIM}")
+            if len(task_source_names(t)) < 2:
                 raise ValueError(
                     f"task {t.name!r}: signal direction must touch coordinates observed "
                     f"by at least two sources")
-        image_specs = [s for s in self.sources if s.modality == "image"]
-        if self.mode == "raw" and len({s.raw_dim for s in image_specs}) > 1:
-            raise ValueError("image sources must share raw_dim (screenings are shared)")
 
 
-def task_source_names(cfg: GenConfig, task: TaskSpec) -> tuple[str, ...]:
+def task_source_names(task: TaskSpec) -> tuple[str, ...]:
     """Sources whose observed coordinates carry nonzero weight in the task."""
     support = {i for i, w in enumerate(task.direction) if w != 0.0}
-    touched = []
-    for s in cfg.sources:
-        if support & set(cfg.observed[s.name]):
-            touched.append(s.name)
-    return tuple(touched)
+    return tuple(s.name for s in SOURCES if support & set(OBSERVED[s.name]))
 
 
 def threshold_for(direction, pos_rate: float) -> float:
@@ -164,28 +149,23 @@ class GenSummary:
 
 
 def _draw_cohort(cfg: GenConfig, gen: np.random.Generator) -> np.ndarray:
-    """Patient id per record; geometric stays, optionally truncated to n_records."""
-    if cfg.n_records is not None:
-        ids = []
-        patient = 0
-        remaining = cfg.n_records
-        while remaining > 0:
-            stays = min(int(gen.geometric(cfg.stay_p)), remaining)
-            ids.extend([patient] * stays)
-            patient += 1
-            remaining -= stays
-        return np.asarray(ids, dtype=np.int64)
-    stays = gen.geometric(cfg.stay_p, size=cfg.n_patients)
-    return np.repeat(np.arange(cfg.n_patients, dtype=np.int64), stays)
+    """Patient id per record; geometric stays, the last truncated to n_records."""
+    ids = []
+    patient = 0
+    remaining = cfg.n_records
+    while remaining > 0:
+        stays = min(int(gen.geometric(cfg.stay_p)), remaining)
+        ids.extend([patient] * stays)
+        patient += 1
+        remaining -= stays
+    return np.asarray(ids, dtype=np.int64)
 
 
-def _draw_latents(cfg: GenConfig, patients: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    n = patients.size
+def _draw_latents(patients: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     n_patients = int(patients.max()) + 1
-    base = gen.standard_normal((n_patients, cfg.latent_dim))
-    fresh = gen.standard_normal((n, cfg.latent_dim))
-    rho = cfg.patient_corr
-    return math.sqrt(rho) * base[patients] + math.sqrt(1.0 - rho) * fresh
+    base = gen.standard_normal((n_patients, LATENT_DIM))
+    fresh = gen.standard_normal((patients.size, LATENT_DIM))
+    return math.sqrt(PATIENT_CORR) * base[patients] + math.sqrt(1.0 - PATIENT_CORR) * fresh
 
 
 def _assign_labels(cfg: GenConfig, scores: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -209,13 +189,14 @@ def _assign_labels(cfg: GenConfig, scores: np.ndarray, gen: np.random.Generator)
 
 
 def _latent_payloads(cfg: GenConfig, z: np.ndarray, gen: np.random.Generator) -> dict:
+    """Per source, its one payload array: the embeddings."""
     out = {}
-    for s in cfg.sources:
-        coords = list(cfg.observed[s.name])
+    for s in SOURCES:
+        coords = list(OBSERVED[s.name])
         mix = seeding.rng(cfg.seed, "mixmap", s.source_id).normal(
             0.0, 1.0 / math.sqrt(len(coords)), size=(s.dim, len(coords)))
         noise = gen.standard_normal((z.shape[0], s.dim))
-        out[s.name] = z[:, coords] @ mix.T + cfg.noise_std * noise
+        out[s.name] = (z[:, coords] @ mix.T + NOISE_STD * noise,)
     return out
 
 
@@ -223,23 +204,22 @@ def _raw_payloads(cfg: GenConfig, z: np.ndarray, gen: np.random.Generator) -> di
     """Per source, the arrays of its payload file (see storage.payload_layout)."""
     n = z.shape[0]
     raw: dict = {}
-    image_specs = [s for s in cfg.sources if s.modality == "image"]
-    if image_specs:
-        union = sorted({c for s in image_specs for c in cfg.observed[s.name]})
-        raw_dim = image_specs[0].raw_dim
-        proj = seeding.rng(cfg.seed, "screen-proj").normal(
-            0.0, 1.0 / math.sqrt(len(union)), size=(raw_dim, len(union)))
-        counts, times, vectors = [], [], []
-        for i in range(n):
-            count = int(gen.integers(1, 5))
-            counts.append(count)
-            times.append(np.sort(gen.uniform(0.0, 72.0, size=count)))
-            for _ in range(count):
-                vectors.append(proj @ z[i, union] + cfg.noise_std * gen.standard_normal(raw_dim))
-        screenings = (np.array(counts, np.int64), np.concatenate(times), np.stack(vectors))
-        raw.update((s.name, screenings) for s in image_specs)
-    for s in cfg.sources:
-        coords = list(cfg.observed[s.name])
+    image_specs = [s for s in SOURCES if s.modality == "image"]
+    union = sorted({c for s in image_specs for c in OBSERVED[s.name]})
+    raw_dim = image_specs[0].raw_dim   # the image sources share their screenings
+    proj = seeding.rng(cfg.seed, "screen-proj").normal(
+        0.0, 1.0 / math.sqrt(len(union)), size=(raw_dim, len(union)))
+    counts, times, vectors = [], [], []
+    for i in range(n):
+        count = int(gen.integers(1, 5))
+        counts.append(count)
+        times.append(np.sort(gen.uniform(0.0, 72.0, size=count)))
+        for _ in range(count):
+            vectors.append(proj @ z[i, union] + NOISE_STD * gen.standard_normal(raw_dim))
+    screenings = (np.array(counts, np.int64), np.concatenate(times), np.stack(vectors))
+    raw.update((s.name, screenings) for s in image_specs)
+    for s in SOURCES:
+        coords = list(OBSERVED[s.name])
         if s.modality == "time-series":
             lengths, values = [], []
             for i in range(n):
@@ -249,7 +229,7 @@ def _raw_payloads(cfg: GenConfig, z: np.ndarray, gen: np.random.Generator) -> di
                     length = int(gen.integers(6, 17))
                     ts = np.linspace(0.0, 1.0, length)
                     lengths.append(length)
-                    values.append(level + drift * ts + cfg.noise_std * gen.standard_normal(length))
+                    values.append(level + drift * ts + NOISE_STD * gen.standard_normal(length))
             raw[s.name] = (np.array(lengths, np.int64).reshape(n, s.n_series),
                            np.concatenate(values))
         elif s.modality == "text":
@@ -272,31 +252,29 @@ def build(cfg: GenConfig) -> Dataset:
     cfg.validate()
     gen = seeding.rng(cfg.seed, "generate")
     patients = _draw_cohort(cfg, gen)
-    z = _draw_latents(cfg, patients, gen)
+    z = _draw_latents(patients, gen)
     directions = np.asarray([t.direction for t in cfg.tasks], dtype=np.float64)
     scores = z @ directions.T
     labels = _assign_labels(cfg, scores, gen)
+    payloads = (_latent_payloads if cfg.mode == "latent" else _raw_payloads)(cfg, z, gen)
     ds = Dataset(
-        source_specs=cfg.sources,
+        source_specs=SOURCES,
         task_names=tuple(t.name for t in cfg.tasks),
         labels=labels,
         patients=patients,
         mode=cfg.mode,
         seed=cfg.seed,
+        payloads=payloads,
         generator={
-            "latent_dim": cfg.latent_dim,
-            "observed": {k: list(v) for k, v in cfg.observed.items()},
+            "latent_dim": LATENT_DIM,
+            "observed": {k: list(v) for k, v in OBSERVED.items()},
             "tasks": [{"name": t.name, "pos_rate": t.pos_rate,
                        "missing_rate": t.missing_rate} for t in cfg.tasks],
             "stay_p": cfg.stay_p,
-            "patient_corr": cfg.patient_corr,
-            "noise_std": cfg.noise_std,
+            "patient_corr": PATIENT_CORR,
+            "noise_std": NOISE_STD,
         },
     )
-    if cfg.mode == "latent":
-        ds.embeddings = _latent_payloads(cfg, z, gen)
-    else:
-        ds.raw = _raw_payloads(cfg, z, gen)
     ds.validate()
     return ds
 
@@ -343,34 +321,16 @@ TABLE1_COUNTS = (
 TABLE1_TOTAL = 90811
 
 
-def _desk_sources() -> tuple[SourceSpec, ...]:
-    return (
-        SourceSpec(0, "xr", "image", 8, raw_dim=16, image_rule="latest"),
-        SourceSpec(1, "axr", "image", 8, raw_dim=16, image_rule="aggregate"),
-        SourceSpec(2, "proc", "time-series", 33, n_series=3),
-        SourceSpec(3, "lab", "time-series", 44, n_series=4),
-        SourceSpec(4, "chart", "time-series", 22, n_series=2),
-        SourceSpec(5, "txt", "text", 8, token_vocab=64),
-    )
-
-
-_DESK_OBSERVED = {
-    "xr": (0, 1), "axr": (2, 3), "proc": (4, 5),
-    "lab": (6, 7), "chart": (8, 9), "txt": (10, 11),
-}
-
-_SOURCE_RING = ("xr", "axr", "proc", "lab", "chart", "txt")
-
 _WEIGHTS = (1.0, -0.7, 0.8, 1.2, -0.9, 0.6)
 
 
-def _ring_direction(latent_dim: int, start: int, span: int) -> tuple[float, ...]:
-    """Direction touching `span` consecutive sources of the observation ring."""
-    direction = [0.0] * latent_dim
+def _ring_direction(start: int, span: int) -> tuple[float, ...]:
+    """Direction touching `span` consecutive sources of the ring of SOURCES."""
+    direction = [0.0] * LATENT_DIM
     w = 0
     for step in range(span):
-        name = _SOURCE_RING[(start + step) % len(_SOURCE_RING)]
-        for coord in _DESK_OBSERVED[name]:
+        name = SOURCES[(start + step) % len(SOURCES)].name
+        for coord in OBSERVED[name]:
             direction[coord] = _WEIGHTS[w % len(_WEIGHTS)]
             w += 1
     return tuple(direction)
@@ -391,22 +351,17 @@ def table1_profile(scale: float = 1.0, seed: int = 0, mode: str = "latent") -> G
         neg_s = max(1, round(neg * scale))
         tasks.append(TaskSpec(
             name=name,
-            direction=_ring_direction(12, start=k % 6, span=2),
+            direction=_ring_direction(start=k % 6, span=2),
             pos_rate=min(max(pos / TABLE1_TOTAL, 1e-6), 1.0 - 1e-6),
             missing_rate=max(0.0, 1.0 - (pos + neg) / TABLE1_TOTAL),
             exact_counts=(pos_s, neg_s),
         ))
     return GenConfig(
-        latent_dim=12,
-        sources=_desk_sources(),
-        observed=dict(_DESK_OBSERVED),
         tasks=tuple(tasks),
+        n_records=total,
         mode=mode,
         seed=seed,
-        n_records=total,
         stay_p=0.1636,  # about 6.1 stays per patient
-        patient_corr=0.3,
-        noise_std=0.05,
     )
 
 
@@ -420,21 +375,16 @@ def planted_profile(n_records: int = 2000, seed: int = 0, mode: str = "latent") 
         span = 2 if k < 6 else 3
         tasks.append(TaskSpec(
             name=f"task{k}",
-            direction=_ring_direction(12, start=k % 6, span=span),
+            direction=_ring_direction(start=k % 6, span=span),
             pos_rate=rates[k],
             missing_rate=0.10,
         ))
     return GenConfig(
-        latent_dim=12,
-        sources=_desk_sources(),
-        observed=dict(_DESK_OBSERVED),
         tasks=tuple(tasks),
+        n_records=n_records,
         mode=mode,
         seed=seed,
-        n_records=n_records,
         stay_p=0.5,
-        patient_corr=0.3,
-        noise_std=0.05,
     )
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "TEXT_CHUNK_TOKENS",
     "check_fields",
     "SourceSpec",
-    "default_source_specs",
     "FeatureStats",
     "fit_feature_stats",
     "apply_feature_stats",
@@ -97,18 +96,6 @@ class SourceSpec:
         """Inverse of `to_dict`; every field must be present."""
         check_fields(cls, d, "source", complete=True)
         return cls(**d)
-
-
-def default_source_specs() -> tuple[SourceSpec, ...]:
-    """The six clinical sources at their reference dimensions."""
-    return (
-        SourceSpec(0, "xr", "image", 1024, raw_dim=256, image_rule="latest"),
-        SourceSpec(1, "axr", "image", 1024, raw_dim=256, image_rule="aggregate"),
-        SourceSpec(2, "proc", "time-series", 110, n_series=10),
-        SourceSpec(3, "lab", "time-series", 242, n_series=22),
-        SourceSpec(4, "chart", "time-series", 99, n_series=9),
-        SourceSpec(5, "txt", "text", 768, token_vocab=512),
-    )
 
 
 # ---------------------------------------------------------------------------

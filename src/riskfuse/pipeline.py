@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
 from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, dump_json, load_arrays,
-                      manifest_keys, read_manifest, read_source_specs, record_pieces,
+                      manifest_value, read_manifest, read_source_specs, record_pieces,
                       replaced_directory, save_arrays)
 
 __all__ = [
@@ -159,10 +160,11 @@ def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
     base = {}
     for name in names:
         s = dataset.spec(name)
+        payload = dataset.payloads[name]
         if dataset.mode == "latent":
-            base[name] = dataset.embeddings[name][rows]
+            base[name] = payload[0][rows]
             continue
-        lengths, *values = dataset.raw[name]
+        lengths, *values = payload
         pieces = record_pieces(lengths, rows)
         if s.modality == "time-series":
             base[name] = timeseries_feature_matrix([[values[0][p] for p in rec]
@@ -618,46 +620,47 @@ def save_checkpoint(ckpt: Checkpoint, out_dir, lock: dict | None = None) -> Path
 def load_checkpoint(path) -> Checkpoint:
     root = Path(path)
     manifest_path, manifest = read_manifest(root, "checkpoint")
-    with manifest_keys(manifest_path):
-        try:
-            cfg = TrainConfig.from_dict(manifest["train_config"], complete=True)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
-        # the backbone and the designated indices are rebuilt from their
-        # seeds, not stored: check they are the ones training used
-        frozen = init_frozen(cfg.lm)
-        rebuilt, stored = frozen.weights_hash(), manifest["weights_hash"]
-        if rebuilt != stored:
-            raise ValueError(f"{manifest_path}: backbone weights hash {rebuilt} rebuilt "
-                             f"from train_config.lm does not match the stored {stored}")
-        task_names = tuple(manifest["task_names"])
-        designated = draw_designated(cfg.lm.vocab, len(task_names), cfg.seed)
-        if manifest["designated"] != _designated_entry(designated):
-            raise ValueError(f"{manifest_path}: designated {manifest['designated']} does not "
-                             f"match {_designated_entry(designated)} drawn from train_config")
-        specs = read_source_specs(manifest_path, manifest["sources"])
-        proj_cfgs = _projector_configs(specs, cfg.lm)
-        projectors = {}
-        stats = {}
-        for s in specs:
-            shapes = proj_cfgs[s.name].shapes()
-            *params, mean, std = load_arrays(
-                root / f"src_{s.name}.bin", *(("<f8", shapes[p]) for p in PARAM_NAMES),
-                ("<f8", (s.dim,)), ("<f8", (s.dim,)))
-            projectors[s.name] = ProjectorParams(proj_cfgs[s.name], *params)
-            stats[s.name] = FeatureStats(mean=mean, std=std)
-        return Checkpoint(
-            config=cfg,
-            source_specs=specs,
-            task_names=task_names,
-            dataset_mode=manifest["dataset_mode"],
-            dataset_seed=int(manifest["dataset_seed"]),
-            designated=designated,
-            projectors=projectors,
-            stats=stats,
-            history=manifest.get("history", {}),
-            _frozen=frozen,
-        )
+    value = partial(manifest_value, manifest_path, manifest)
+    train_config = value("train_config", "an object")
+    try:
+        cfg = TrainConfig.from_dict(train_config, complete=True)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
+    # the backbone and the designated indices are rebuilt from their seeds,
+    # not stored: check they are the ones training used
+    frozen = init_frozen(cfg.lm)
+    rebuilt, stored = frozen.weights_hash(), value("weights_hash", "a string")
+    if rebuilt != stored:
+        raise ValueError(f"{manifest_path}: backbone weights hash {rebuilt} rebuilt "
+                         f"from train_config.lm does not match the stored {stored}")
+    task_names = tuple(value("task_names", "a list of names"))
+    designated = draw_designated(cfg.lm.vocab, len(task_names), cfg.seed)
+    entry = value("designated", "an object")
+    if entry != _designated_entry(designated):
+        raise ValueError(f"{manifest_path}: designated {entry} does not "
+                         f"match {_designated_entry(designated)} drawn from train_config")
+    specs = read_source_specs(manifest_path, value("sources", "a list"))
+    checkpoint = Checkpoint(
+        config=cfg,
+        source_specs=specs,
+        task_names=task_names,
+        dataset_mode=value("dataset_mode", "latent or raw"),
+        dataset_seed=value("dataset_seed", "an integer"),
+        designated=designated,
+        projectors={},
+        stats={},
+        history=value("history", "an object"),
+        _frozen=frozen,
+    )
+    proj_cfgs = _projector_configs(specs, cfg.lm)
+    for s in specs:
+        shapes = proj_cfgs[s.name].shapes()
+        *params, mean, std = load_arrays(
+            root / f"src_{s.name}.bin", *(("<f8", shapes[p]) for p in PARAM_NAMES),
+            ("<f8", (s.dim,)), ("<f8", (s.dim,)))
+        checkpoint.projectors[s.name] = ProjectorParams(proj_cfgs[s.name], *params)
+        checkpoint.stats[s.name] = FeatureStats(mean=mean, std=std)
+    return checkpoint
 
 
 # ---------------------------------------------------------------------------

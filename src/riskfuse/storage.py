@@ -1,10 +1,11 @@
 """Dataset directory format and in-memory dataset container.
 
 A dataset directory holds a JSON `manifest` (format version, record and
-task counts, task names, source specs, mode, seed and a generator echo)
-and binary files. Each binary file is one or more consecutive numpy .npy
-arrays, written by `save_arrays` and read back by `load_arrays`, which
-checks every array's dtype and shape against the manifest:
+task counts, task names, source specs, mode, seed and a generator echo,
+each checked for its type on load by `manifest_value`) and binary files.
+Each binary file is one or more consecutive numpy .npy arrays, written by
+`save_arrays` and read back by `load_arrays`, which checks every array's
+dtype and shape against the manifest:
 
   labels.bin          (n_records, n_tasks) int8: -1 unknown, 0, 1
   patients.bin        (n_records,) u32 patient ids
@@ -21,8 +22,9 @@ and one payload file per source, whose arrays `payload_layout` lists:
                       their (total, raw_dim) float32 vectors
 
 A raw payload is a length table and the values it cuts, record by record
-in row order. In memory a `Dataset` holds the same arrays, values as
-float64 and lengths and ids as int64. Arrays are little-endian. Identical
+in row order. In memory a `Dataset` maps each source name to the same
+arrays (the image sources to one shared tuple), values as float64 and
+lengths and ids as int64. Arrays are little-endian. Identical
 generator seeds produce byte-identical directories. Checkpoints store their
 parameters and stats through `save_arrays` and `load_arrays` too, as
 float64.
@@ -35,17 +37,20 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
 from .encoders import SourceSpec
 
-__all__ = ["FORMAT_VERSIONS", "Dataset", "payload_layout", "record_pieces", "write_dataset",
-           "load_dataset", "save_arrays", "load_arrays", "check_replaceable",
+__all__ = ["FORMAT_VERSIONS", "MODES", "Dataset", "payload_layout", "record_pieces",
+           "write_dataset", "load_dataset", "save_arrays", "load_arrays", "check_replaceable",
            "replaced_directory"]
 
 FORMAT_VERSIONS = {"dataset": 2, "checkpoint": 3}
+MODES = ("latent", "raw")
 
 MANIFEST = "manifest"
 LABELS = "labels.bin"
@@ -94,8 +99,7 @@ class Dataset:
     patients: np.ndarray              # (n,) int
     mode: str                         # "latent" | "raw"
     seed: int
-    embeddings: dict | None = None    # latent: name -> (n, dim)
-    raw: dict | None = None           # raw: name -> the arrays of its payload_layout
+    payloads: dict                    # name -> the arrays of its payload_layout
     generator: dict = field(default_factory=dict)
 
     @property
@@ -112,10 +116,6 @@ class Dataset:
                 return s
         raise KeyError(f"no source named {name!r}")
 
-    def payload(self, name: str) -> tuple:
-        """The arrays of the named source's payload file, in memory."""
-        return (self.embeddings[name],) if self.mode == "latent" else self.raw[name]
-
     def validate(self, root="") -> None:
         """Check labels, patients and every source's payload; a message
         about a payload names its file, under the directory `root`."""
@@ -128,15 +128,14 @@ class Dataset:
         names = [s.name for s in self.source_specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate source names")
-        if self.mode not in ("latent", "raw"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown dataset mode {self.mode!r}")
-        payloads = self.embeddings if self.mode == "latent" else self.raw
-        if payloads is None or set(payloads) != set(names):
-            raise ValueError(f"a {self.mode} dataset must carry a payload for every source")
+        if set(self.payloads) != set(names):
+            raise ValueError("a dataset must carry a payload for every source, and no other")
         for s in self.source_specs:
             fname, layout = payload_layout(s, self.n_records, self.mode)
             where = f"{Path(root) / fname}: source {s.name!r}"
-            arrays = self.payload(s.name)
+            arrays = self.payloads[s.name]
             if len(arrays) != len(layout):
                 raise ValueError(f"{where}: {len(arrays)} arrays, expected {len(layout)}")
             for (what, (_, shape)), arr in zip(layout.items(), arrays):
@@ -145,20 +144,18 @@ class Dataset:
                                      f"expected {shape}")
                 if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
                     raise ValueError(f"{where}: {what} contain non-finite values")
-            if self.mode == "raw":
-                lengths, *values = arrays
-                what, *cut = layout
-                if np.any(lengths < 1):
-                    raise ValueError(f"{where}: {what} must be positive")
-                for piece, arr in zip(cut, values):
-                    if lengths.sum() != len(arr):
-                        raise ValueError(f"{where}: {what} add up to {int(lengths.sum())}, "
-                                         f"not to the {len(arr)} {piece} stored")
-                if s.modality == "image" and np.any(values[0] < 0):
+                if what == "screening times" and np.any(arr < 0):
                     raise ValueError(f"{where}: screening times must be nonnegative")
-                if s.modality == "text" and np.any((values[0] < 0)
-                                                   | (values[0] >= s.token_vocab)):
+                if what == "token ids" and np.any((arr < 0) | (arr >= s.token_vocab)):
                     raise ValueError(f"{where}: token ids out of range [0, {s.token_vocab})")
+            lengths, *values = arrays
+            what, *cut = layout
+            if cut and np.any(lengths < 1):   # a length table cuts the arrays after it
+                raise ValueError(f"{where}: {what} must be positive")
+            for piece, arr in zip(cut, values):
+                if lengths.sum() != len(arr):
+                    raise ValueError(f"{where}: {what} add up to {int(lengths.sum())}, "
+                                     f"not to the {len(arr)} {piece} stored")
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +170,28 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-@contextmanager
-def manifest_keys(path):
-    """Report a key missing from the manifest at `path` as a ValueError."""
-    try:
-        yield
-    except KeyError as err:
-        raise ValueError(f"{path}: missing key {err.args[0]!r}") from None
+# what a manifest value must be, under the name its error message gives it
+MANIFEST_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a count": lambda v: type(v) is int and v >= 0,
+    "a string": lambda v: type(v) is str,
+    "a list": lambda v: type(v) is list,
+    "a list of names": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "an object": lambda v: type(v) is dict,
+    "latent or raw": lambda v: v in MODES,
+}
+
+
+def manifest_value(path, manifest: dict, key: str, kind: str):
+    """`manifest[key]`, which must be `kind` (see MANIFEST_KINDS); a missing
+    key or a value of another kind is a ValueError naming the manifest at
+    `path`."""
+    if key not in manifest:
+        raise ValueError(f"{path}: missing key {key!r}")
+    value = manifest[key]
+    if not MANIFEST_KINDS[kind](value):
+        raise ValueError(f"{path}: {key} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
@@ -204,8 +216,7 @@ def read_manifest(root, kind: str) -> tuple[Path, dict]:
         raise ValueError(f"{path}: not a JSON manifest: {err}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != f"riskfuse-{kind}":
         raise ValueError(f"{path}: unrecognized {kind} manifest")
-    with manifest_keys(path):
-        version = manifest["version"]
+    version = manifest_value(path, manifest, "version", "an integer")
     if version != FORMAT_VERSIONS[kind]:
         raise ValueError(f"{path}: unsupported {kind} format version {version!r}")
     return path, manifest
@@ -220,18 +231,19 @@ def save_arrays(path, *arrays) -> None:
 
 def load_arrays(path, *expected) -> list[np.ndarray]:
     """Read the arrays `save_arrays` wrote to `path`, one per (dtype, shape)
-    in `expected`; None in a shape matches any length. A short or malformed
-    file, trailing bytes, or an array of another dtype or shape is a
-    ValueError naming the file."""
+    in `expected`; None in a shape matches any length. A short file, an
+    array header that does not parse, trailing bytes, or an array of another
+    dtype or shape is a ValueError naming the file."""
     arrays = []
     with open(path, "rb") as fh:
         for dtype, shape in expected:
             try:
                 # not np.load, which opens a file starting with zip's magic
-                # as an .npz archive
+                # as an .npz archive; a header is Python literal syntax,
+                # whose parser raises more than ValueError
                 arr = np.lib.format.read_array(fh, allow_pickle=False)
-            except ValueError:
-                raise ValueError(f"{path}: truncated payload") from None
+            except (ValueError, SyntaxError, TokenError):
+                raise ValueError(f"{path}: truncated or malformed payload") from None
             if arr.dtype != dtype or not _fits(arr, shape):
                 raise ValueError(f"{path}: expected a {np.dtype(dtype)} array of shape "
                                  f"{shape}, got {arr.dtype} {arr.shape}")
@@ -316,20 +328,19 @@ def write_dataset(ds: Dataset, out_dir, lock: dict | None = None) -> Path:
             if fname not in written:   # the image sources share one file
                 written.add(fname)
                 save_arrays(out / fname, *(arr.astype(dtype) for arr, (dtype, _)
-                                           in zip(ds.payload(s.name), layout.values())))
+                                           in zip(ds.payloads[s.name], layout.values())))
     return Path(out_dir)
 
 
 def load_dataset(path) -> Dataset:
     root = Path(path)
     manifest_path, manifest = read_manifest(root, "dataset")
-    with manifest_keys(manifest_path):
-        specs = read_source_specs(manifest_path, manifest["sources"])
-        n = int(manifest["n_records"])
-        k = int(manifest["n_tasks"])
-        task_names = tuple(manifest["task_names"])
-        mode = manifest["mode"]
-        seed = int(manifest["seed"])
+    value = partial(manifest_value, manifest_path, manifest)
+    specs = read_source_specs(manifest_path, value("sources", "a list"))
+    n, k = value("n_records", "a count"), value("n_tasks", "a count")
+    task_names = tuple(value("task_names", "a list of names"))
+    mode, seed = value("mode", "latent or raw"), value("seed", "an integer")
+    generator = value("generator", "an object")
     labels = load_arrays(root / LABELS, ("i1", (n, k)))[0]
     patients = load_arrays(root / PATIENTS, ("<u4", (n,)))[0]
     files, payloads = {}, {}
@@ -346,11 +357,8 @@ def load_dataset(path) -> Dataset:
         patients=patients.astype(np.int64),
         mode=mode,
         seed=seed,
-        generator=manifest.get("generator", {}),
+        payloads=payloads,
+        generator=generator,
     )
-    if mode == "latent":
-        ds.embeddings = {name: arrays[0] for name, arrays in payloads.items()}
-    else:
-        ds.raw = payloads
     ds.validate(root)
     return ds

@@ -248,7 +248,7 @@ def _recall_wins(ds, ck_j, ck_i) -> tuple[int, int]:
     cfg = planted_profile(n_records=ds.n_records, seed=ds.seed)
     wins = n_multi = 0
     for k, task in enumerate(cfg.tasks):
-        if len(task_source_names(cfg, task)) < 2:
+        if len(task_source_names(task)) < 2:
             continue
         n_multi += 1
         best = max(per_source[nm][k].recall for nm in names)

@@ -302,17 +302,54 @@ def test_eval_protocol_checkpoint_mismatch(workspace, capsys):
         == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("artifact, key", [("iso", "designated"), ("data", "task_names")])
-def test_eval_rejects_a_manifest_missing_a_key(workspace, tmp_path, capsys, artifact, key):
+def _edit_manifest(workspace, tmp_path, artifact, key, value):
+    """A copy of a workspace artifact whose manifest has `key` deleted (value
+    None) or set to the first item of the tuple `value`."""
     broken = tmp_path / artifact
     shutil.copytree(workspace[artifact], broken)
     manifest = read_json(broken / "manifest")
-    del manifest[key]
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value[0]
     dump_json(broken / "manifest", manifest)
-    dirs = {"data": workspace["data"], "iso": workspace["iso"], artifact: broken}
-    assert main(["eval", "--data", str(dirs["data"]), "--ckpt", str(dirs["iso"]),
+    return broken
+
+
+def _manifest_error(broken, key, value) -> str:
+    message = f"missing key {key!r}" if value is None else f"{key} must be "
+    return f"error: {broken / 'manifest'}: {message}"
+
+
+# every key a loader reads from its manifest (besides "format"), with a value
+# of the wrong type for it
+DATASET_KEYS = {"version": "2", "sources": {}, "n_records": None, "n_tasks": -1,
+                "task_names": 5, "mode": 5, "seed": "x", "generator": 5}
+CHECKPOINT_KEYS = {"version": 3.0, "train_config": 5, "weights_hash": 5, "task_names": 5,
+                   "designated": [], "sources": 5, "dataset_mode": "pixels",
+                   "dataset_seed": None, "history": 5}
+
+
+@pytest.mark.parametrize("key", DATASET_KEYS)
+@pytest.mark.parametrize("edit", ["deleted", "wrong-type"])
+def test_a_dataset_manifest_key_missing_or_of_the_wrong_type_names_the_manifest(
+        workspace, tmp_path, capsys, key, edit):
+    value = None if edit == "deleted" else (DATASET_KEYS[key],)
+    broken = _edit_manifest(workspace, tmp_path, "data", key, value)
+    assert main(["train", "--data", str(broken), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    assert _manifest_error(broken, key, value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", CHECKPOINT_KEYS)
+@pytest.mark.parametrize("edit", ["deleted", "wrong-type"])
+def test_a_checkpoint_manifest_key_missing_or_of_the_wrong_type_names_the_manifest(
+        workspace, tmp_path, capsys, key, edit):
+    value = None if edit == "deleted" else (CHECKPOINT_KEYS[key],)
+    broken = _edit_manifest(workspace, tmp_path, "iso", key, value)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
                  "--protocol", "bss"]) == EXIT_CONFIG
-    assert f"{broken / 'manifest'}: missing key '{key}'" in capsys.readouterr().err
+    assert _manifest_error(broken, key, value) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", [(), ("lm",), ("asl",)])
@@ -370,7 +407,7 @@ def test_eval_rejects_a_truncated_raw_payload(workspace, raw_workspace, tmp_path
     (data / fname).write_bytes((data / fname).read_bytes()[:keep])
     assert main(["eval", "--data", str(data), "--ckpt", str(workspace["iso"]),
                  "--protocol", "bss"]) == EXIT_CONFIG
-    assert f"{data / fname}: truncated payload" in capsys.readouterr().err
+    assert f"{data / fname}: truncated or malformed payload" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_designated_index_outside_the_vocabulary(workspace, tmp_path, capsys):
@@ -555,7 +592,7 @@ def test_train_rejects_a_raw_payload_of_the_wrong_length(workspace, tmp_path, ca
     data = tmp_path / "raw"
     assert main(["gen", "--profile", "planted", "--mode", "raw", "--n-records", "30",
                  "--seed", "2", "--out", str(data)]) == EXIT_OK
-    lengths, values = load_dataset(data).raw["lab"]
+    lengths, values = load_dataset(data).payloads["lab"]
     kept = lengths[:-1]    # the last record's series dropped
     storage.save_arrays(data / "raw_lab.bin", kept.astype("<u4"),
                         values[:kept.sum()].astype("<f4"))

@@ -1,34 +1,45 @@
 """Generator tests: threshold calibration, exact-count assignment, patient
 correlation, payload structure, determinism, and profile invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskfuse.datagen import (GenConfig, TABLE1_COUNTS, TABLE1_TOTAL, TaskSpec,
-                              _assign_labels, build, planted_profile, summarize,
-                              table1_profile, task_source_names, threshold_for)
-from riskfuse.encoders import SourceSpec
+from riskfuse import seeding
+from riskfuse.datagen import (LATENT_DIM, NOISE_STD, OBSERVED, SOURCES, GenConfig,
+                              TABLE1_COUNTS, TABLE1_TOTAL, TaskSpec, _assign_labels, build,
+                              planted_profile, summarize, table1_profile, task_source_names,
+                              threshold_for)
 from riskfuse.losses import UNKNOWN
 
 
+def _direction(*coords):
+    """Unit weights on the given latent coordinates."""
+    return tuple(1.0 if c in coords else 0.0 for c in range(LATENT_DIM))
+
+
+XR_AXR = _direction(0, 2)   # one coordinate seen by xr, one by axr
+
+
 def _tiny_cfg(**kw):
-    sources = (
-        SourceSpec(0, "a", "time-series", 11, n_series=1),
-        SourceSpec(1, "b", "time-series", 11, n_series=1),
-    )
-    defaults = dict(
-        latent_dim=4,
-        sources=sources,
-        observed={"a": (0, 1), "b": (2, 3)},
-        tasks=(TaskSpec("t0", (1.0, 0.0, 1.0, 0.0), 0.3),),
-        mode="latent",
-        seed=0,
-        n_patients=30,
-    )
+    defaults = dict(tasks=(TaskSpec("t0", XR_AXR, 0.3),), n_records=60, mode="latent", seed=0)
     defaults.update(kw)
     return GenConfig(**defaults)
+
+
+def _observed_latents(ds, name):
+    """Least-squares estimate of the latent coordinates a latent source
+    observes, from its payload and its mixing map."""
+    spec = ds.spec(name)
+    k = len(OBSERVED[name])
+    mix = seeding.rng(ds.seed, "mixmap", spec.source_id).normal(
+        0.0, 1.0 / np.sqrt(k), size=(spec.dim, k))
+    (embeddings,) = ds.payloads[name]
+    latents = np.linalg.lstsq(mix, embeddings.T, rcond=None)[0].T
+    return latents, embeddings - latents @ mix.T
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +69,9 @@ def test_threshold_scales_with_direction_norm():
 
 def test_planted_labels_oracle():
     # a task is positive exactly where its score a . z exceeds tau
-    cfg = _tiny_cfg(tasks=(TaskSpec("t0", (1.0, 0.0, 1.0, 0.0), 0.5),
-                           TaskSpec("t1", (0.0, 1.0, 0.0, 1.0), 0.3)))
-    tau1 = threshold_for((0.0, 1.0, 0.0, 1.0), 0.3)
+    cfg = _tiny_cfg(tasks=(TaskSpec("t0", XR_AXR, 0.5),
+                           TaskSpec("t1", _direction(1, 3), 0.3)))
+    tau1 = threshold_for(_direction(1, 3), 0.3)
     scores = np.array([[0.1, tau1 + 1e-9], [-0.1, tau1], [-0.5, tau1 - 1.0]])
     got = _assign_labels(cfg, scores, np.random.default_rng(0))
     np.testing.assert_array_equal(got, [[1, 1], [0, 0], [0, 0]])
@@ -76,12 +87,12 @@ def test_build_is_deterministic_per_seed():
     c = build(_tiny_cfg(seed=6))
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.patients, b.patients)
-    np.testing.assert_array_equal(a.embeddings["a"], b.embeddings["a"])
-    assert not np.array_equal(a.embeddings["a"], c.embeddings["a"])
+    np.testing.assert_array_equal(a.payloads["xr"][0], b.payloads["xr"][0])
+    assert not np.array_equal(a.payloads["xr"][0], c.payloads["xr"][0])
 
 
 def test_n_records_mode_hits_exact_total():
-    ds = build(_tiny_cfg(n_patients=0, n_records=57))
+    ds = build(_tiny_cfg(n_records=57))
     assert ds.n_records == 57
     assert ds.labels.shape == (57, 1)
 
@@ -94,21 +105,21 @@ def test_patients_are_contiguous_blocks():
 
 
 def test_latent_payload_is_linear_view_plus_noise():
-    cfg = _tiny_cfg(noise_std=0.0, seed=3)
-    ds = build(cfg)
-    from riskfuse import seeding
-    mix = seeding.rng(cfg.seed, "mixmap", 0).normal(0.0, 1.0 / np.sqrt(2), size=(11, 2))
-    # noiseless payload must be an exact linear function of the observed
-    # coords; verify rank <= 2
-    e = ds.embeddings["a"]
-    rank = np.linalg.matrix_rank(e - e.mean(axis=0), tol=1e-8)
-    assert rank <= 2
-    assert mix.shape == (11, 2)
+    # each payload is its mixing map applied to the coordinates the source
+    # observes, plus noise of std NOISE_STD: the residual of a least-squares
+    # fit through the mixing map is that noise, less the k fitted directions
+    ds = build(_tiny_cfg(n_records=400, seed=3))
+    for s in SOURCES:
+        latents, residual = _observed_latents(ds, s.name)
+        k = len(OBSERVED[s.name])
+        assert latents.std() == pytest.approx(1.0, abs=0.15), s.name
+        assert residual.std() == pytest.approx(NOISE_STD * np.sqrt((s.dim - k) / s.dim),
+                                               rel=0.1), s.name
 
 
 def test_exact_count_assignment_respects_ranks():
-    tasks = (TaskSpec("t0", (1.0, 0.0, 1.0, 0.0), 0.3, exact_counts=(5, 10)),)
-    ds = build(_tiny_cfg(tasks=tasks, n_patients=0, n_records=40))
+    tasks = (TaskSpec("t0", XR_AXR, 0.3, exact_counts=(5, 10)),)
+    ds = build(_tiny_cfg(tasks=tasks, n_records=40))
     col = ds.labels[:, 0]
     assert int(np.sum(col == 1)) == 5
     assert int(np.sum(col == 0)) == 10
@@ -116,30 +127,28 @@ def test_exact_count_assignment_respects_ranks():
 
 
 def test_exact_count_positives_are_top_scores():
-    tasks = (TaskSpec("t0", (1.0, 0.0, 1.0, 0.0), 0.3, exact_counts=(6, 8)),)
-    cfg = _tiny_cfg(tasks=tasks, n_patients=0, n_records=30, noise_std=0.0, seed=9)
-    ds = build(cfg)
-    direction = np.array(cfg.tasks[0].direction)
-    # reconstruct scores from the generator echo is not possible without z;
-    # instead assert the label bands are separated by score via the latent
-    # payloads' linear structure: positives' mean embedding differs strongly
-    pos = ds.embeddings["a"][ds.labels[:, 0] == 1].mean(axis=0)
-    neg = ds.embeddings["a"][ds.labels[:, 0] == 0].mean(axis=0)
-    assert np.linalg.norm(pos - neg) > 0.1
-    assert direction.shape == (4,)
+    tasks = (TaskSpec("t0", XR_AXR, 0.3, exact_counts=(6, 8)),)
+    ds = build(_tiny_cfg(tasks=tasks, n_records=30, seed=9))
+    # the score a . z = z0 + z2, read back from the xr and axr payloads up to
+    # their noise; the 16 unknowns between the bands keep them well apart
+    scores = _observed_latents(ds, "xr")[0][:, 0] + _observed_latents(ds, "axr")[0][:, 0]
+    col = ds.labels[:, 0]
+    assert scores[col == 1].min() > scores[col == UNKNOWN].max() - 0.1
+    assert scores[col == UNKNOWN].min() > scores[col == 0].max() - 0.1
+    assert scores[col == 1].min() > scores[col == 0].max() + 0.5
 
 
 def test_missing_rate_masks_roughly_that_fraction():
-    tasks = (TaskSpec("t0", (1.0, 0.0, 1.0, 0.0), 0.3, missing_rate=0.25),)
-    ds = build(_tiny_cfg(tasks=tasks, n_patients=0, n_records=4000, seed=1))
+    tasks = (TaskSpec("t0", XR_AXR, 0.3, missing_rate=0.25),)
+    ds = build(_tiny_cfg(tasks=tasks, n_records=4000, seed=1))
     frac = float(np.mean(ds.labels[:, 0] == UNKNOWN))
     assert frac == pytest.approx(0.25, abs=0.03)
 
 
 def test_patient_correlation_is_positive():
-    cfg = _tiny_cfg(n_patients=0, n_records=6000, stay_p=0.4, patient_corr=0.6, seed=4)
-    ds = build(cfg)
-    e = ds.embeddings["a"]
+    # latents correlate by PATIENT_CORR across one patient's stays
+    ds = build(_tiny_cfg(n_records=6000, stay_p=0.4, seed=4))
+    (e,) = ds.payloads["xr"]
     # adjacent same-patient rows should correlate; adjacent cross-patient not
     same, diff = [], []
     for i in range(ds.n_records - 1):
@@ -149,58 +158,55 @@ def test_patient_correlation_is_positive():
 
 
 def test_raw_mode_payload_structure():
-    sources = (
-        SourceSpec(0, "xr", "image", 8, raw_dim=6, image_rule="latest"),
-        SourceSpec(1, "ts", "time-series", 22, n_series=2),
-        SourceSpec(2, "txt", "text", 8, token_vocab=16),
-    )
-    cfg = GenConfig(
-        latent_dim=4, sources=sources,
-        observed={"xr": (0, 1), "ts": (1, 2), "txt": (2, 3)},
-        tasks=(TaskSpec("t0", (1.0, 1.0, 0.0, 0.0), 0.3),),
-        mode="raw", seed=0, n_patients=0, n_records=25,
-    )
-    ds = build(cfg)
+    ds = build(_tiny_cfg(mode="raw", n_records=25))
     assert ds.mode == "raw"
-    counts, times, vectors = ds.raw["xr"]
+    counts, times, vectors = ds.payloads["xr"]
     assert counts.shape == (25,) and counts.dtype == np.int64
     assert np.all((1 <= counts) & (counts <= 4))
-    assert times.shape == (counts.sum(),) and vectors.shape == (counts.sum(), 6)
+    assert times.shape == (counts.sum(),) and vectors.shape == (counts.sum(), 16)
     for record in np.split(times, np.cumsum(counts)[:-1]):
         assert np.all(np.diff(record) >= 0)
     assert np.all((0.0 <= times) & (times <= 72.0))
-    lengths, values = ds.raw["ts"]
-    assert lengths.shape == (25, 2) and values.shape == (lengths.sum(),)
+    lengths, values = ds.payloads["lab"]
+    assert lengths.shape == (25, 4) and values.shape == (lengths.sum(),)
     assert np.all((6 <= lengths) & (lengths <= 16))
-    counts, ids = ds.raw["txt"]
+    counts, ids = ds.payloads["txt"]
     assert counts.shape == (25,) and ids.shape == (counts.sum(),)
     assert np.all((60 <= counts) & (counts <= 199))
-    assert ids.dtype == np.int64 and ids.min() >= 0 and ids.max() < 16
+    assert ids.dtype == np.int64 and ids.min() >= 0 and ids.max() < 64
 
 
 def test_task_source_names_reads_direction_support():
-    cfg = _tiny_cfg()
-    only_a = TaskSpec("x", (1.0, 1.0, 0.0, 0.0), 0.3)
-    both = TaskSpec("y", (0.0, 1.0, 1.0, 0.0), 0.3)
-    assert task_source_names(cfg, only_a) == ("a",)
-    assert task_source_names(cfg, both) == ("a", "b")
+    assert task_source_names(TaskSpec("x", _direction(0, 1), 0.3)) == ("xr",)
+    assert task_source_names(TaskSpec("y", _direction(1, 2), 0.3)) == ("xr", "axr")
+    assert task_source_names(TaskSpec("z", _direction(11, 4), 0.3)) == ("proc", "txt")
 
 
 def test_cross_modal_enforcement():
-    single_source_task = (TaskSpec("t0", (1.0, 1.0, 0.0, 0.0), 0.3),)
+    single_source_task = (TaskSpec("t0", _direction(0, 1), 0.3),)
     with pytest.raises(ValueError, match="two sources"):
         build(_tiny_cfg(tasks=single_source_task))
-    assert build(_tiny_cfg()).n_records > 0  # its task spans sources a and b
+    assert build(_tiny_cfg()).n_records > 0  # its task spans sources xr and axr
 
 
-def test_config_validation_errors():
-    with pytest.raises(ValueError):
-        build(_tiny_cfg(observed={"a": (0, 1)}))  # missing source b
-    with pytest.raises(ValueError):
-        build(_tiny_cfg(observed={"a": (0, 9), "b": (2, 3)}))  # out of range
-    with pytest.raises(ValueError):
-        _tiny_cfg(tasks=(TaskSpec("t", (1.0, 0, 1.0, 0), 0.3, exact_counts=(50, 60)),),
-                  n_patients=0, n_records=40).validate()
+@pytest.mark.parametrize("kw, message", [
+    ({"tasks": ()}, "need at least one task"),
+    ({"tasks": (TaskSpec("t", XR_AXR, 0.3), TaskSpec("t", XR_AXR, 0.4))},
+     "duplicate task names"),
+    ({"tasks": (TaskSpec("t", XR_AXR, 0.3, exact_counts=(30, 31)),)},
+     "exact counts 30+31 exceed record count 60"),
+    ({"tasks": (TaskSpec("t", (1.0, 0.0, 1.0), 0.3),)}, "direction length must be 12"),
+    ({"mode": "images"}, "unknown mode 'images'"),
+    ({"stay_p": 0.0}, "stay_p must lie in (0, 1]"),
+    ({"stay_p": 1.5}, "stay_p must lie in (0, 1]"),
+    ({"n_records": 0}, "n_records must be positive"),
+])
+def test_config_validation_errors(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(_tiny_cfg(**kw))
+
+
+def test_task_spec_validation_errors():
     with pytest.raises(ValueError):
         TaskSpec("t", (0.0, 0.0), 0.3)  # zero direction
     with pytest.raises(ValueError):
@@ -208,10 +214,14 @@ def test_config_validation_errors():
 
 
 def test_generator_echo_lands_in_manifest():
-    ds = build(_tiny_cfg(seed=11))
+    ds = build(_tiny_cfg(seed=11, stay_p=0.25))
     assert ds.seed == 11
-    assert ds.generator.get("latent_dim") == 4
-    assert ds.generator.get("observed") == {"a": [0, 1], "b": [2, 3]}
+    assert ds.generator == {
+        "latent_dim": 12,
+        "observed": {name: list(coords) for name, coords in OBSERVED.items()},
+        "tasks": [{"name": "t0", "pos_rate": 0.3, "missing_rate": 0.0}],
+        "stay_p": 0.25, "patient_corr": 0.3, "noise_std": 0.05,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +270,17 @@ def test_planted_profile_builds_and_validates():
     assert ds.n_records == 200
     # every task must span at least two sources
     for task in cfg.tasks:
-        assert len(task_source_names(cfg, task)) >= 2
+        assert len(task_source_names(task)) >= 2
 
 
 def test_planted_profile_raw_mode():
     cfg = planted_profile(n_records=30, seed=1, mode="raw")
     ds = build(cfg)
     assert ds.mode == "raw"
-    assert set(ds.raw) == {"xr", "axr", "proc", "lab", "chart", "txt"}
+    assert set(ds.payloads) == {"xr", "axr", "proc", "lab", "chart", "txt"}
     # one screening payload serves both image sources
-    assert ds.raw["xr"] is ds.raw["axr"]
-    assert [len(ds.raw[name]) for name in ("proc", "lab", "chart", "txt")] == [2, 2, 2, 2]
+    assert ds.payloads["xr"] is ds.payloads["axr"]
+    assert [len(ds.payloads[name]) for name in ("proc", "lab", "chart", "txt")] == [2, 2, 2, 2]
 
 
 def test_profile_argument_validation():
@@ -283,9 +293,8 @@ def test_profile_argument_validation():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_summary_counts_partition_records(seed):
-    ds = build(_tiny_cfg(seed=seed, n_patients=0, n_records=50,
-                         tasks=(TaskSpec("t0", (1.0, 0.0, 1.0, 0.0), 0.3,
-                                         missing_rate=0.2),)))
+    ds = build(_tiny_cfg(seed=seed, n_records=50,
+                         tasks=(TaskSpec("t0", XR_AXR, 0.3, missing_rate=0.2),)))
     summary = summarize(ds)
     c = summary.counts["t0"]
     assert c["pos"] + c["neg"] + c["unknown"] == 50

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskfuse.datagen import build, planted_profile
-from riskfuse.encoders import (N_TS_FEATURES, SourceSpec,
-                               aggregate_images, apply_feature_stats,
-                               default_source_specs, encode_text_with_table,
+from riskfuse.encoders import (N_TS_FEATURES, SourceSpec, aggregate_images,
+                               apply_feature_stats, encode_text_with_table,
                                fit_feature_stats, image_stub_matrix, latest_image,
                                text_stub_table, timeseries_feature_matrix, ts_features)
 from riskfuse.pipeline import _base_embeddings
@@ -206,10 +205,10 @@ def test_aggregate_all_zero_times_falls_back_to_latest():
 def test_screening_rejects_negative_time():
     # a dataset refuses a negative screening time, naming the shared file
     ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
-    counts, times, vectors = ds.raw["xr"]
+    counts, times, vectors = ds.payloads["xr"]
     times = times.copy()
     times[3] = -1.0
-    ds.raw["xr"] = ds.raw["axr"] = (counts, times, vectors)
+    ds.payloads["xr"] = ds.payloads["axr"] = (counts, times, vectors)
     with pytest.raises(ValueError, match=re.escape(
             "raw_screenings.bin: source 'xr': screening times must be nonnegative")):
         ds.validate()
@@ -288,10 +287,10 @@ def test_encode_image_stub_is_linear_in_payload():
     # averages, so a record's image embedding is linear in its payloads
     ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
     rows = np.arange(ds.n_records)
-    counts, times, vectors = ds.raw["xr"]
+    counts, times, vectors = ds.payloads["xr"]
 
     def scaled(c):
-        ds.raw["xr"] = ds.raw["axr"] = (counts, times, c * vectors)
+        ds.payloads["xr"] = ds.payloads["axr"] = (counts, times, c * vectors)
         return _base_embeddings(ds, rows, ("xr", "axr"))
 
     once, twice, zero = scaled(1.0), scaled(2.0), scaled(0.0)
@@ -304,7 +303,7 @@ def test_encode_image_stub_embeds_each_screening_of_the_rows_read():
     # one stub product per screening of each row read, picked by the
     # source's rule from that row's own screenings
     ds = build(planted_profile(n_records=7, seed=2, mode="raw"))
-    counts, times, vectors = ds.raw["xr"]
+    counts, times, vectors = ds.payloads["xr"]
     cuts = np.cumsum(counts)[:-1]
     times, vectors = np.split(times, cuts), np.split(vectors, cuts)
     rows = np.array([5, 0, 3, 3])
@@ -317,7 +316,7 @@ def test_encode_image_stub_embeds_each_screening_of_the_rows_read():
 
 def test_encode_timeseries_reads_each_rows_series():
     ds = build(planted_profile(n_records=7, seed=2, mode="raw"))
-    lengths, values = ds.raw["lab"]
+    lengths, values = ds.payloads["lab"]
     series = np.split(values, np.cumsum(lengths)[:-1])
     rows = np.array([6, 2, 2, 0])
     want = timeseries_feature_matrix([series[i * 4:(i + 1) * 4] for i in rows])
@@ -329,7 +328,7 @@ def test_encode_text_stub_matches_table_route():
     # table seeded by the dataset seed and the source
     ds = build(planted_profile(n_records=4, seed=9, mode="raw"))
     table = text_stub_table(ds.spec("txt"), seed=9)
-    counts, ids = ds.raw["txt"]
+    counts, ids = ds.payloads["txt"]
     want = np.stack([encode_text_with_table(table, record)
                      for record in np.split(ids, np.cumsum(counts)[:-1])])
     got = _base_embeddings(ds, np.arange(ds.n_records), ("txt",))["txt"]
@@ -340,17 +339,6 @@ def test_encode_text_stub_matches_table_route():
 
 # ---------------------------------------------------------------------------
 # SourceSpec validation
-
-
-def test_default_sources_have_documented_shapes():
-    specs = {s.name: s for s in default_source_specs()}
-    assert set(specs) == {"xr", "axr", "proc", "lab", "chart", "txt"}
-    assert specs["xr"].dim == 1024 and specs["xr"].image_rule == "latest"
-    assert specs["axr"].image_rule == "aggregate"
-    assert specs["proc"].dim == 110 and specs["proc"].n_series == 10
-    assert specs["lab"].dim == 242 and specs["lab"].n_series == 22
-    assert specs["chart"].dim == 99 and specs["chart"].n_series == 9
-    assert specs["txt"].dim == 768
 
 
 def test_timeseries_dim_must_match_series_count():

@@ -111,7 +111,7 @@ def test_stats_are_fitted_on_the_training_rows_only(dataset):
     tr, te = split_by_patient(dataset.patients, 0.75, seed=0)
     emb, stats = prepare_embeddings(dataset, tr)
     name = dataset.source_specs[0].name
-    base = dataset.embeddings[name]
+    (base,) = dataset.payloads[name]
     np.testing.assert_allclose(stats[name].mean, base[tr].mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(stats[name].std, base[tr].std(axis=0), atol=1e-12)
     # full-cohort stats would differ
@@ -170,7 +170,7 @@ def test_isolated_training_tracks_every_source(iso_ckpt, dataset):
 def test_isolated_training_of_a_source_ignores_the_other_sources(iso_ckpt, dataset):
     name = iso_ckpt.source_order()[-1]
     alone = dataclasses.replace(dataset, source_specs=(dataset.spec(name),),
-                                embeddings={name: dataset.embeddings[name]})
+                                payloads={name: dataset.payloads[name]})
     ckpt = train(alone, iso_ckpt.config)
     assert ckpt.history == {name: iso_ckpt.history[name]}
     for pname in PARAM_NAMES:

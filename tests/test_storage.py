@@ -12,6 +12,7 @@ from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import SourceSpec
 from riskfuse.frozenlm import LMConfig
 from riskfuse.pipeline import TrainConfig, load_checkpoint, save_checkpoint, train
+from riskfuse.projector import PARAM_NAMES
 from riskfuse.storage import (Dataset, dump_json, load_arrays, load_dataset, read_json,
                               save_arrays, write_dataset)
 
@@ -24,31 +25,22 @@ def _raw_ds(seed=0, n=20):
     return build(planted_profile(n_records=n, seed=seed, mode="raw"))
 
 
-def test_latent_roundtrip(tmp_path):
-    ds = _latent_ds()
+@pytest.mark.parametrize("make", [_latent_ds, _raw_ds], ids=["latent", "raw"])
+def test_roundtrip(tmp_path, make):
+    ds = make()
     write_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
-    assert back.mode == "latent" and back.n_records == ds.n_records
+    assert back.mode == ds.mode and back.n_records == ds.n_records
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.patients, ds.patients)
     assert tuple(back.task_names) == tuple(ds.task_names)
-    for s in ds.source_specs:
-        stored = back.embeddings[s.name]
-        np.testing.assert_array_equal(
-            stored, ds.embeddings[s.name].astype(np.float32).astype(np.float64))
-
-
-def test_raw_roundtrip(tmp_path):
-    ds = _raw_ds()
-    write_dataset(ds, tmp_path)
-    back = load_dataset(tmp_path)
-    assert back.mode == "raw"
-    assert set(back.raw) == set(ds.raw) == {s.name for s in ds.source_specs}
-    # the image sources share one payload, in memory as on disk
-    assert back.raw["xr"] is back.raw["axr"]
-    for name, arrays in ds.raw.items():
-        assert len(back.raw[name]) == len(arrays)
-        for got, want in zip(back.raw[name], arrays):
+    assert set(back.payloads) == set(ds.payloads) == {s.name for s in ds.source_specs}
+    if ds.mode == "raw":
+        # the image sources share one payload, in memory as on disk
+        assert back.payloads["xr"] is back.payloads["axr"]
+    for name, arrays in ds.payloads.items():
+        assert len(back.payloads[name]) == len(arrays)
+        for got, want in zip(back.payloads[name], arrays):
             # lengths, counts and ids stay int64; values go through float32
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want.astype(np.float32).astype(want.dtype))
@@ -120,7 +112,7 @@ def _tiny_checkpoint():
     ds = Dataset(source_specs=specs, task_names=("t0", "t1"),
                  labels=gen.integers(-1, 2, size=(12, 2)), patients=np.arange(12),
                  mode="latent", seed=0,
-                 embeddings={s.name: gen.standard_normal((12, s.dim)) for s in specs})
+                 payloads={s.name: (gen.standard_normal((12, s.dim)),) for s in specs})
     lm = LMConfig(d_model=4, n_layers=1, n_heads=1, vocab=8, max_seq=4)
     return train(ds, TrainConfig(epochs=1, batch_size=4, lm=lm))
 
@@ -138,6 +130,7 @@ def test_checkpoint_holds_one_file_per_source(tmp_path):
 
 
 SOURCES = ("xr", "axr", "proc", "lab", "chart", "txt")
+MALFORMED = "truncated or malformed payload"
 # (directory, file) for every binary file; the raw dataset's ids are bare
 # file names, the others are prefixed with their directory
 BINARY_FILES = (
@@ -167,7 +160,7 @@ def test_every_truncation_of_a_raw_payload_names_the_file(artifacts, directory, 
         # every cut: inside a magic string, a header or an array's data
         for keep in range(len(blob)):
             path.write_bytes(blob[:keep])
-            with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {MALFORMED}")):
                 load(path.parent)
         path.write_bytes(blob + b"\0")
         with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes")):
@@ -175,6 +168,54 @@ def test_every_truncation_of_a_raw_payload_names_the_file(artifacts, directory, 
     finally:
         path.write_bytes(blob)
     load(path.parent)
+
+
+def _header_offsets(path):
+    """Offsets of every byte of every array header (its magic string
+    included) in a file that `save_arrays` wrote."""
+    offsets = []
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        while fh.tell() < size:
+            start = fh.tell()
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+            offsets.extend(range(start, fh.tell() - arr.nbytes))
+    return offsets
+
+
+def _arrays(artifact):
+    """Every array a loaded dataset or checkpoint holds."""
+    if isinstance(artifact, Dataset):
+        return [artifact.labels, artifact.patients,
+                *(arr for arrays in artifact.payloads.values() for arr in arrays)]
+    return [arr for name, pp in artifact.projectors.items()
+            for arr in (*(pp.value(p) for p in PARAM_NAMES), artifact.stats[name].mean,
+                        artifact.stats[name].std)]
+
+
+@pytest.mark.parametrize("directory, fname", BINARY_FILES)
+def test_every_flipped_header_bit_loads_the_same_or_names_the_file(artifacts, directory,
+                                                                  fname):
+    load = load_checkpoint if directory == "checkpoint" else load_dataset
+    path = artifacts / directory / fname
+    blob = path.read_bytes()
+    want = _arrays(load(path.parent))
+    try:
+        for offset in _header_offsets(path):
+            for mask in (0x01, 0x10, 0x80):
+                flipped = bytearray(blob)
+                flipped[offset] ^= mask
+                path.write_bytes(flipped)
+                try:
+                    got = _arrays(load(path.parent))
+                except ValueError as err:
+                    assert str(err).startswith(f"{path}: "), (offset, mask, err)
+                    continue
+                assert len(got) == len(want), (offset, mask)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (offset, mask)
+    finally:
+        path.write_bytes(blob)
 
 
 def test_load_arrays_checks_each_dtype_and_shape(tmp_path):
@@ -196,7 +237,7 @@ def test_load_arrays_reads_no_zip_archive(tmp_path):
     path = tmp_path / "a.bin"
     save_arrays(path, np.zeros(3, "<f4"))
     path.write_bytes(b"PK\x03\x04" + path.read_bytes()[4:])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {MALFORMED}")):
         load_arrays(path, ("<f4", (3,)))
 
 
@@ -229,7 +270,7 @@ def test_validate_catches_shape_mismatches():
         patients=ds.patients,
         mode="latent",
         seed=0,
-        embeddings=ds.embeddings,
+        payloads=ds.payloads,
     )
     with pytest.raises(ValueError):
         broken.validate()
@@ -241,24 +282,37 @@ def test_validate_catches_bad_label_values():
     labels[0, 0] = 7
     broken = Dataset(source_specs=ds.source_specs, task_names=ds.task_names,
                      labels=labels, patients=ds.patients, mode="latent",
-                     seed=0, embeddings=ds.embeddings)
+                     seed=0, payloads=ds.payloads)
     with pytest.raises(ValueError):
         broken.validate()
 
 
-def test_latent_mode_requires_embeddings():
-    ds = _latent_ds()
-    broken = Dataset(source_specs=ds.source_specs, task_names=ds.task_names,
-                     labels=ds.labels, patients=ds.patients, mode="latent",
-                     seed=0, embeddings=None)
-    with pytest.raises(ValueError):
-        broken.validate()
+@pytest.mark.parametrize("make", [_latent_ds, _raw_ds], ids=["latent", "raw"])
+def test_validate_requires_a_payload_for_every_source_and_no_other(make):
+    ds = make()
+    payloads = dict(ds.payloads)
+    del ds.payloads["lab"]
+    with pytest.raises(ValueError, match="a payload for every source"):
+        ds.validate()
+    ds.payloads = dict(payloads, ghost=payloads["lab"])
+    with pytest.raises(ValueError, match="a payload for every source"):
+        ds.validate()
+
+
+def test_validate_rejects_a_payload_with_a_missing_array():
+    ds = _raw_ds()
+    ds.payloads["txt"] = ds.payloads["txt"][:1]
+    with pytest.raises(ValueError, match=re.escape("raw_txt.bin: source 'txt': 1 arrays, "
+                                                   "expected 2")):
+        ds.validate()
 
 
 def test_validate_rejects_nonfinite_latent_embeddings():
     ds = _latent_ds()
-    ds.embeddings["lab"] = ds.embeddings["lab"].copy()
-    ds.embeddings["lab"][3, 1] = np.inf
+    (embeddings,) = ds.payloads["lab"]
+    embeddings = embeddings.copy()
+    embeddings[3, 1] = np.inf
+    ds.payloads["lab"] = (embeddings,)
     with pytest.raises(ValueError, match="source 'lab': embeddings contain non-finite"):
         ds.validate()
 
@@ -266,8 +320,8 @@ def test_validate_rejects_nonfinite_latent_embeddings():
 @pytest.mark.parametrize("source", ["proc", "xr", "txt"])
 def test_validate_rejects_raw_payloads_of_the_wrong_length(source):
     ds = _raw_ds()
-    lengths, *values = ds.raw[source]
-    ds.raw[source] = (lengths[:-1], *values)
+    lengths, *values = ds.payloads[source]
+    ds.payloads[source] = (lengths[:-1], *values)
     # screenings are shared; the first image source reports
     with pytest.raises(ValueError, match=f"source '{source}': .* of shape "
                                          rf"\({ds.n_records - 1},.*expected \({ds.n_records},"):
@@ -276,14 +330,14 @@ def test_validate_rejects_raw_payloads_of_the_wrong_length(source):
 
 def test_validate_rejects_raw_payloads_of_the_wrong_geometry():
     ds = _raw_ds()
-    lengths, values = ds.raw["lab"]
-    ds.raw["lab"] = (lengths[:, :-1], values)
+    lengths, values = ds.payloads["lab"]
+    ds.payloads["lab"] = (lengths[:, :-1], values)
     with pytest.raises(ValueError, match=re.escape("raw_lab.bin: source 'lab': series lengths "
                                                    "of shape (20, 3), expected (20, 4)")):
         ds.validate()
     ds = _raw_ds()
-    counts, times, vectors = ds.raw["xr"]
-    ds.raw["xr"] = ds.raw["axr"] = (counts, times, vectors[:, :-1])
+    counts, times, vectors = ds.payloads["xr"]
+    ds.payloads["xr"] = ds.payloads["axr"] = (counts, times, vectors[:, :-1])
     with pytest.raises(ValueError, match=re.escape(
             f"raw_screenings.bin: source 'xr': screening vectors of shape "
             f"({len(vectors)}, 15), expected (None, 16)")):
@@ -292,11 +346,11 @@ def test_validate_rejects_raw_payloads_of_the_wrong_geometry():
 
 def _damage(ds, name, position, value):
     """`ds` with entry 0 of array `position` of a source's payload set to `value`."""
-    arrays = [arr.copy() for arr in ds.raw[name]]
+    arrays = [arr.copy() for arr in ds.payloads[name]]
     arrays[position].flat[0] = value
     for s in ds.source_specs:
-        if ds.raw[s.name] is ds.raw[name]:
-            ds.raw[s.name] = tuple(arrays)
+        if ds.payloads[s.name] is ds.payloads[name]:
+            ds.payloads[s.name] = tuple(arrays)
     return ds
 
 
@@ -327,8 +381,8 @@ def test_validate_rejects_raw_values_naming_the_source_and_file(name, position, 
 ], ids=["chart", "txt", "axr"])
 def test_validate_rejects_lengths_that_miss_the_stored_values(name, message):
     ds = _raw_ds()
-    total = int(ds.raw[name][0].sum())
-    _damage(ds, name, 0, ds.raw[name][0].flat[0] + 1)
+    total = int(ds.payloads[name][0].sum())
+    _damage(ds, name, 0, ds.payloads[name][0].flat[0] + 1)
     with pytest.raises(ValueError, match=re.escape(message.format(total + 1, total))):
         ds.validate()
 
