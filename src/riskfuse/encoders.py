@@ -2,10 +2,16 @@
 
 Three modalities are supported. Clinical time series are summarized with a
 fixed 11-statistic vector per series; a record's imaging screenings arrive
-as their times and vectors, reduced to one embedding by recency rules; free
-text arrives as token-id sequences averaged through a fixed embedding table. Nothing in
-this module trains: the stand-in image/text encoders are seeded random
-linear maps, deterministic given (source, seed).
+as their times and vectors, reduced to one vector by recency rules; free
+text arrives as token-id sequences averaged through a fixed embedding table.
+Nothing in this module trains: the stand-in image/text encoders are seeded
+random linear maps, deterministic given (source, seed).
+
+A featurizer takes a batch of records as their lengths and the flat arrays
+those cut, and makes one numpy pass of segmented reductions (`reduceat` at
+the piece offsets, one `lexsort` for the series medians), with no Python
+loop per record, series or screening. Each reduction reads one piece only,
+so a record's features are bit for bit the same in any batch.
 """
 
 from __future__ import annotations
@@ -113,53 +119,12 @@ def ts_features(values) -> np.ndarray:
     A peak is an interior sample strictly greater than both neighbors and
     strictly greater than the series median. Length-1 series get zeros for
     every difference-based feature, the variance, the peak count, and the
-    slope.
+    slope. This is the one-series case of `timeseries_feature_matrix`.
     """
-    return _ts_feature_rows(_as_series(values)[np.newaxis])[0]
-
-
-def _as_series(values) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"series must be a nonempty 1-D array, got shape {x.shape}")
-    return x
-
-
-def _ts_feature_rows(x: np.ndarray) -> np.ndarray:
-    """`ts_features` of each row of an (m, L) matrix of equal-length series.
-
-    Every reduction runs along the contiguous row axis, so each row sums in
-    the same order as it would alone; the slope stays a per-row dot product
-    because a matrix-vector product may accumulate in another order.
-    """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    m, length = x.shape
-    out = np.zeros((m, N_TS_FEATURES))
-    mean = x.mean(axis=1)
-    out[:, 0] = mean
-    out[:, 2] = x.min(axis=1)
-    out[:, 3] = x.max(axis=1)
-    if length == 1:
-        return out
-    out[:, 1] = x.var(axis=1)  # population variance
-    d = np.diff(x, axis=1)
-    abs_d = np.abs(d)
-    out[:, 4] = d.mean(axis=1)
-    out[:, 5] = abs_d.mean(axis=1)
-    out[:, 6] = d.max(axis=1)
-    out[:, 7] = abs_d.sum(axis=1)
-    out[:, 8] = x[:, -1] - x[:, 0]
-    if length >= 3:
-        med = np.median(x, axis=1, keepdims=True)
-        interior = x[:, 1:-1]
-        peaks = (interior > x[:, :-2]) & (interior > x[:, 2:]) & (interior > med)
-        out[:, 9] = np.count_nonzero(peaks, axis=1)
-    idx = np.arange(length, dtype=np.float64)
-    ic = idx - idx.mean()
-    centered = x - mean[:, np.newaxis]
-    out[:, 10] = np.array([ic @ row for row in centered]) / (ic @ ic)
-    return out
+    return timeseries_feature_matrix(np.array([[x.size]]), x)[0]
 
 
 @dataclass
@@ -198,62 +163,107 @@ def apply_feature_stats(matrix, stats: FeatureStats) -> np.ndarray:
     return np.where(stats.std < STD_FLOOR, 0.0, z)
 
 
-def timeseries_feature_matrix(records) -> np.ndarray:
+def _piece_starts(lengths: np.ndarray, values, piece: str, empty: str) -> np.ndarray:
+    """Offset of each `piece` that `lengths` cut from the flat `values`. No
+    pieces, a piece of length 0 (a ValueError saying `empty`), or lengths
+    that do not add up to the values are refused."""
+    if lengths.size == 0:
+        raise ValueError("no records to featurize")
+    if np.any(lengths < 1):
+        raise ValueError(empty)
+    if len(values) != lengths.sum():
+        raise ValueError(f"{piece} lengths add up to {lengths.sum()}, "
+                         f"not to the {len(values)} given")
+    return np.cumsum(lengths) - lengths
+
+
+def timeseries_feature_matrix(lengths, values) -> np.ndarray:
     """(records, 11 * n_series) raw feature matrix for one source.
 
-    `records` is a list of records, each a list of per-series 1-D arrays in
-    a fixed series order shared by every record. Series of equal length are
-    featurized together, one numpy pass per length.
+    `lengths` is the (records, n_series) table of series lengths and `values`
+    every series' values, record by record in series order. Each feature of
+    `ts_features` is a segmented reduction over the flat values, one pass for
+    all series; a series' features read only its own values.
     """
-    if not records:
-        raise ValueError("no records to featurize")
-    n_series = len(records[0])
-    for i, rec in enumerate(records):
-        if len(rec) != n_series:
-            raise ValueError(f"record {i} has {len(rec)} series, expected {n_series}")
-    series = [_as_series(x) for rec in records for x in rec]
-    lengths = np.array([x.size for x in series])
-    feats = np.empty((len(series), N_TS_FEATURES))
-    for length in np.unique(lengths):
-        pos = np.flatnonzero(lengths == length)
-        feats[pos] = _ts_feature_rows(np.stack([series[p] for p in pos]))
-    return feats.reshape(len(records), n_series * N_TS_FEATURES)
+    lengths = np.asarray(lengths)
+    values = np.asarray(values, dtype=np.float64)
+    if lengths.ndim != 2 or values.ndim != 1:
+        raise ValueError(f"need a (records, n_series) length table and 1-D values, "
+                         f"got shapes {lengths.shape} and {values.shape}")
+    n = lengths.reshape(-1)
+    starts = _piece_starts(n, values, "series", "series must be nonempty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("series contains non-finite values")
+    last = starts + n - 1
+    out = np.empty((n.size, N_TS_FEATURES))
+    mean = np.add.reduceat(values, starts) / n
+    centered = values - np.repeat(mean, n)
+    out[:, 0] = mean
+    out[:, 1] = np.add.reduceat(centered * centered, starts) / n  # population variance
+    out[:, 2] = np.minimum.reduceat(values, starts)
+    out[:, 3] = np.maximum.reduceat(values, starts)
+    # d[i] = values[i + 1] - values[i] inside a series; the slot at a series'
+    # last value holds 0 for the sums and the peaks, then -inf for the max
+    d = np.diff(values, append=0.0)
+    d[last] = 0.0
+    steps = np.maximum(n - 1, 1)
+    abs_sum = np.add.reduceat(np.abs(d), starts)
+    out[:, 4] = np.add.reduceat(d, starts) / steps
+    out[:, 5] = abs_sum / steps
+    out[:, 7] = abs_sum
+    out[:, 8] = values[last] - values[starts]
+    # the median is (lo + hi) / 2 of each series' middle values once sorted;
+    # a peak rises from the value before it and falls to the one after (the
+    # sign of a difference of finite floats is that of their comparison)
+    ranked = values[np.lexsort((values, np.repeat(np.arange(n.size), n)))]
+    median = (ranked[starts + (n - 1) // 2] + ranked[starts + n // 2]) / 2
+    rises = np.zeros(values.size, dtype=bool)
+    rises[1:] = d[:-1] > 0
+    out[:, 9] = np.add.reduceat(rises & (d < 0) & (values > np.repeat(median, n)), starts)
+    d[last] = -np.inf
+    out[:, 6] = np.where(n > 1, np.maximum.reduceat(d, starts), 0.0)
+    # slope: centered indices i - (L - 1) / 2 are exact, and so is their sum of squares
+    ic = (np.arange(values.size) - np.repeat(starts, n)) - np.repeat((n - 1) / 2, n)
+    out[:, 10] = (np.add.reduceat(ic * centered, starts)
+                  / np.where(n > 1, np.add.reduceat(ic * ic, starts), 1.0))
+    return out.reshape(lengths.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
 # imaging screenings
 
 
-def _check_times(times, vectors) -> np.ndarray:
-    times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
-        raise ValueError("record has no screenings")
+def _screenings(counts, times, vectors) -> tuple:
+    counts, times = np.asarray(counts), np.asarray(times, dtype=np.float64)
+    starts = _piece_starts(counts, times, "screening", "record has no screenings")
     if times.shape != (len(vectors),):
         raise ValueError(f"{times.size} screening times for {len(vectors)} vectors")
-    return times
+    return counts, times, np.asarray(vectors, dtype=np.float64), starts
 
 
-def latest_image(times, vectors) -> np.ndarray:
-    """Vector of the screening with the greatest time (the last one on ties),
-    from one record's screening times and vectors."""
-    times = _check_times(times, vectors).tolist()
-    return np.array(vectors[len(times) - 1 - times[::-1].index(max(times))], dtype=np.float64)
+def latest_image(counts, times, vectors) -> np.ndarray:
+    """(records, raw_dim): each record's screening vector with the greatest
+    time (the last one on ties). Record i holds the next `counts[i]`
+    screenings of `times` and the rows of `vectors`."""
+    counts, times, vectors, starts = _screenings(counts, times, vectors)
+    newest = times == np.repeat(np.maximum.reduceat(times, starts), counts)
+    return vectors[np.maximum.reduceat(np.where(newest, np.arange(times.size), -1), starts)]
 
 
-def aggregate_images(times, vectors) -> np.ndarray:
-    """Recency-weighted average: w_j = (t_j - min t) / max t, divided by the
+def aggregate_images(counts, times, vectors) -> np.ndarray:
+    """(records, raw_dim) recency-weighted averages, cut as in `latest_image`:
+    w_j = (t_j - min t) / max t over a record's screenings, divided by the
     weights' sum. When they sum to zero (single screening, equal times, or
-    all times zero) the latest screening is returned instead.
+    all times zero) the record's latest screening is returned instead.
     """
-    times = _check_times(times, vectors)
-    t_max = times.max()
-    if t_max == 0.0:
-        return latest_image(times, vectors)
-    w = (times - times.min()) / t_max
-    total = w.sum()
-    if total == 0.0:
-        return latest_image(times, vectors)
-    return (w / total) @ np.stack(vectors)
+    counts, times, vectors, starts = _screenings(counts, times, vectors)
+    t_max = np.maximum.reduceat(times, starts)
+    w = ((times - np.repeat(np.minimum.reduceat(times, starts), counts))
+         / np.repeat(np.where(t_max == 0.0, 1.0, t_max), counts))
+    total = np.add.reduceat(w, starts)
+    w /= np.repeat(np.where(total == 0.0, 1.0, total), counts)
+    mean = np.add.reduceat(w[:, np.newaxis] * vectors, starts, axis=0)
+    return np.where((total == 0.0)[:, np.newaxis], latest_image(counts, times, vectors), mean)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +284,17 @@ def text_stub_table(spec: SourceSpec, seed: int) -> np.ndarray:
     return gen.normal(0.0, 1.0, size=(spec.token_vocab, spec.dim))
 
 
-def encode_text_with_table(table: np.ndarray, token_ids) -> np.ndarray:
-    """Chunk a token sequence, average token embeddings per chunk, then
-    average the chunks. 600 tokens become chunks of 512 and 88."""
-    ids = np.asarray(token_ids)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("token sequence must be a nonempty 1-D array")
+def encode_text_with_table(table: np.ndarray, counts, token_ids) -> np.ndarray:
+    """(records, dim) text embeddings: record i is the next `counts[i]` ids
+    of `token_ids`, cut into chunks of 512; each chunk's token embeddings are
+    averaged, then the chunk means. 600 tokens become chunks of 512 and 88."""
+    counts, ids = np.asarray(counts), np.asarray(token_ids)
+    starts = _piece_starts(counts, ids, "token", "token sequence must be nonempty")
     if np.any(ids < 0) or np.any(ids >= table.shape[0]):
         raise ValueError(f"token ids out of range [0, {table.shape[0]})")
-    chunks = [table[ids[i:i + TEXT_CHUNK_TOKENS]].mean(axis=0)
-              for i in range(0, ids.size, TEXT_CHUNK_TOKENS)]
-    return np.stack(chunks).mean(axis=0)
+    n_chunks = -(-counts // TEXT_CHUNK_TOKENS)
+    first = np.cumsum(n_chunks) - n_chunks
+    into = TEXT_CHUNK_TOKENS * (np.arange(n_chunks.sum()) - np.repeat(first, n_chunks))
+    size = np.minimum(np.repeat(counts, n_chunks) - into, TEXT_CHUNK_TOKENS)
+    chunks = np.add.reduceat(table[ids], np.repeat(starts, n_chunks) + into, axis=0)
+    return np.add.reduceat(chunks / size[:, np.newaxis], first, axis=0) / n_chunks[:, np.newaxis]

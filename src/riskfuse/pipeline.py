@@ -43,8 +43,8 @@ from .losses import (ASLConfig, ClassWeights, class_weights,
 from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, dump_json, load_arrays,
-                      manifest_value, read_manifest, read_source_specs, record_pieces,
+from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, dump_json, gather_records,
+                      load_arrays, manifest_value, read_manifest, read_source_specs,
                       replaced_directory, save_arrays)
 
 __all__ = [
@@ -164,22 +164,19 @@ def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
         if dataset.mode == "latent":
             base[name] = payload[0][rows]
             continue
-        lengths, *values = payload
-        pieces = record_pieces(lengths, rows)
+        lengths, index = gather_records(payload[0], rows)
+        values = [arr[index] for arr in payload[1:]]
         if s.modality == "time-series":
-            base[name] = timeseries_feature_matrix([[values[0][p] for p in rec]
-                                                    for rec in pieces])
+            base[name] = timeseries_feature_matrix(lengths, *values)
         elif s.modality == "image":
             stub = image_stub_matrix(s, dataset.seed)
             pick = latest_image if s.image_rule == "latest" else aggregate_images
-            times, vectors = values
-            base[name] = np.stack([
-                pick(times[p], [stub @ v for v in vectors[p]])
-                for [p] in pieces])
+            # products summed per row, not a BLAS call, whose kernel may
+            # change with the row count: a row's embedding is its own
+            base[name] = (pick(lengths, *values)[:, np.newaxis, :] * stub).sum(axis=-1)
         else:
             table = text_stub_table(s, dataset.seed)
-            base[name] = np.stack([encode_text_with_table(table, values[0][p])
-                                   for [p] in pieces])
+            base[name] = encode_text_with_table(table, lengths, *values)
     return base
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,7 +46,7 @@ import numpy as np
 
 from .encoders import SourceSpec
 
-__all__ = ["FORMAT_VERSIONS", "MODES", "Dataset", "payload_layout", "record_pieces",
+__all__ = ["FORMAT_VERSIONS", "MODES", "Dataset", "payload_layout", "gather_records",
            "write_dataset", "load_dataset", "save_arrays", "load_arrays", "check_replaceable",
            "replaced_directory"]
 
@@ -77,13 +78,14 @@ def payload_layout(spec: SourceSpec, n: int, mode: str) -> tuple[str, dict]:
                         "screening vectors": ("<f4", (None, spec.raw_dim))}
 
 
-def record_pieces(lengths: np.ndarray, rows) -> list[list[slice]]:
-    """For each of the record `rows`, the slices of its pieces of the values
-    that a payload's length table cuts."""
-    lengths = lengths.reshape(lengths.shape[0], -1)
-    ends = np.cumsum(lengths).reshape(lengths.shape)[rows]
-    starts = ends - lengths[rows]
-    return [[slice(a, b) for a, b in zip(*row)] for row in zip(starts.tolist(), ends.tolist())]
+def gather_records(lengths: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The length-table rows of the records `rows`, and one index into the
+    values that the table cuts, which picks those records' pieces in order."""
+    per_record = lengths.reshape(lengths.shape[0], -1).sum(axis=1)
+    picked = per_record[rows]
+    # record k's pieces are the picked[k] values from its offset in the table
+    shift = (np.cumsum(per_record) - per_record)[rows] - (np.cumsum(picked) - picked)
+    return lengths[rows], np.arange(picked.sum()) + np.repeat(shift, picked)
 
 
 def _fits(arr: np.ndarray, shape) -> bool:
@@ -117,12 +119,18 @@ class Dataset:
         raise KeyError(f"no source named {name!r}")
 
     def validate(self, root="") -> None:
-        """Check labels, patients and every source's payload; a message
-        about a payload names its file, under the directory `root`."""
+        """Check labels, patients, task names and every source's payload; a
+        message about the task names names the manifest, and one about a
+        payload its file, under the directory `root`."""
         if self.labels.ndim != 2 or self.labels.shape[0] != self.patients.shape[0]:
             raise ValueError("labels and patients disagree on the record count")
         if len(self.task_names) != self.n_tasks:
-            raise ValueError("task name count does not match the label width")
+            raise ValueError(f"{Path(root) / MANIFEST}: {len(self.task_names)} task names "
+                             f"for {self.n_tasks} label columns")
+        repeated = sorted({t for t in self.task_names if self.task_names.count(t) > 1})
+        if repeated:
+            raise ValueError(f"{Path(root) / MANIFEST}: duplicate task names: "
+                             f"{', '.join(repeated)}")
         if not np.all(np.isin(self.labels, (-1, 0, 1))):
             raise ValueError("labels must be -1, 0, or 1")
         names = [s.name for s in self.source_specs]
@@ -232,8 +240,9 @@ def save_arrays(path, *arrays) -> None:
 def load_arrays(path, *expected) -> list[np.ndarray]:
     """Read the arrays `save_arrays` wrote to `path`, one per (dtype, shape)
     in `expected`; None in a shape matches any length. A short file, an
-    array header that does not parse, trailing bytes, or an array of another
-    dtype or shape is a ValueError naming the file."""
+    array header that does not parse (or parses only through numpy's
+    Python-2 header filter, which warns), trailing bytes, or an array of
+    another dtype or shape is a ValueError naming the file."""
     arrays = []
     with open(path, "rb") as fh:
         for dtype, shape in expected:
@@ -241,8 +250,10 @@ def load_arrays(path, *expected) -> list[np.ndarray]:
                 # not np.load, which opens a file starting with zip's magic
                 # as an .npz archive; a header is Python literal syntax,
                 # whose parser raises more than ValueError
-                arr = np.lib.format.read_array(fh, allow_pickle=False)
-            except (ValueError, SyntaxError, TokenError):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    arr = np.lib.format.read_array(fh, allow_pickle=False)
+            except (ValueError, SyntaxError, TokenError, UserWarning):
                 raise ValueError(f"{path}: truncated or malformed payload") from None
             if arr.dtype != dtype or not _fits(arr, shape):
                 raise ValueError(f"{path}: expected a {np.dtype(dtype)} array of shape "

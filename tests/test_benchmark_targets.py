@@ -79,6 +79,26 @@ def test_series_count_reads_a_real_featurization_call(monkeypatch):
                                                 for name in ("proc", "lab", "chart")]
 
 
+def test_a_raw_featurization_reaches_every_wrapped_featurizer(monkeypatch):
+    # the encoders.* spans time the featurizers spans.py wraps by name; a
+    # featurization that went around one would leave its span reading zero
+    spans = _load_spans()
+    wrapped = [attr for module, attr, name, _ in spans.WRAPPED
+               if module is pipeline and name.startswith("encoders.")]
+    assert {name for *_, name, _ in spans.WRAPPED if name.startswith("encoders.")} \
+        == set(spans.ENCODER_SPANS)
+    called = set()
+    for attr in wrapped:
+        def spy(*args, _real=getattr(pipeline, attr), _attr=attr, **kwargs):
+            called.add(_attr)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, spy)
+    ds = build(planted_profile(n_records=9, seed=0, mode="raw"))
+    pipeline._base_embeddings(ds, np.array([3, 0, 3]), [s.name for s in ds.source_specs])
+    assert sorted(called) == sorted(wrapped)
+
+
 def test_reference_confidences_match_the_recorded_reference(tmp_path, monkeypatch):
     # the benchmark rejects a run whose reference confidences drift; check
     # the same thing here, through perfbench/bench.py itself

@@ -341,6 +341,27 @@ def test_a_dataset_manifest_key_missing_or_of_the_wrong_type_names_the_manifest(
     assert _manifest_error(broken, key, value) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda names: names[:-1], "7 task names for 8 label columns"),
+    (lambda names: ["a"] * len(names), "duplicate task names: a"),
+    (lambda names: [names[0], *names[:-1]], "duplicate task names: "),
+], ids=["one-short", "all-equal", "one-repeated"])
+def test_train_refuses_task_names_that_miss_the_labels_or_repeat(workspace, tmp_path, capsys,
+                                                                 edit, message):
+    broken = tmp_path / "data"
+    shutil.copytree(workspace["data"], broken)
+    manifest = read_json(broken / "manifest")
+    assert len(manifest["task_names"]) == 8
+    if message.endswith(": "):
+        message += manifest["task_names"][0]
+    manifest["task_names"] = edit(manifest["task_names"])
+    dump_json(broken / "manifest", manifest)
+    assert main(["train", "--data", str(broken), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    assert f"error: {broken / 'manifest'}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("key", CHECKPOINT_KEYS)
 @pytest.mark.parametrize("edit", ["deleted", "wrong-type"])
 def test_a_checkpoint_manifest_key_missing_or_of_the_wrong_type_names_the_manifest(

@@ -1,5 +1,7 @@
 """Feature extraction tests: the 11-statistic summary (frozen oracles),
-image screening selection/aggregation, text chunking, normalization."""
+image screening selection/aggregation, text chunking, normalization, and
+the one-pass featurizers against the per-record oracle in
+`featurize_oracle.py`."""
 
 import re
 
@@ -14,6 +16,21 @@ from riskfuse.encoders import (N_TS_FEATURES, SourceSpec, aggregate_images,
                                fit_feature_stats, image_stub_matrix, latest_image,
                                text_stub_table, timeseries_feature_matrix, ts_features)
 from riskfuse.pipeline import _base_embeddings
+
+import featurize_oracle as oracle
+
+
+def assert_near_oracle(got, want):
+    """Equal within the oracle tolerance: atol = 1e-13 * max|oracle|."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=oracle.ATOL_SCALE * np.abs(want).max())
+
+
+def _flat(records):
+    """(lengths table, flat values) of records given as lists of series."""
+    lengths = np.array([[len(x) for x in rec] for rec in records])
+    return lengths, np.concatenate([np.asarray(x, dtype=np.float64)
+                                    for rec in records for x in rec])
 
 
 # ---------------------------------------------------------------------------
@@ -75,31 +92,11 @@ def test_feature_matrix_concatenates_series_in_order():
         [np.array([1.0, 2.0, 4.0]), np.array([7.0])],
         [np.array([3.0, 1.0, 5.0, 1.0]), np.array([2.0, 2.0])],
     ]
-    mat = timeseries_feature_matrix(records)
+    mat = timeseries_feature_matrix(*_flat(records))
     assert mat.shape == (2, 22)
-    np.testing.assert_allclose(mat[0, :11], ts_features(np.array([1.0, 2.0, 4.0])))
-    np.testing.assert_allclose(mat[0, 11:], ts_features(np.array([7.0])))
-
-
-def _loop_ts_features(x):
-    """Per-series formulation of the 11 features; the vectorized code must
-    reproduce it bit for bit."""
-    out = np.zeros(N_TS_FEATURES)
-    out[0], out[2], out[3] = x.mean(), x.min(), x.max()
-    if x.size == 1:
-        return out
-    out[1] = x.var()
-    d = np.diff(x)
-    out[4:8] = d.mean(), np.abs(d).mean(), d.max(), np.abs(d).sum()
-    out[8] = x[-1] - x[0]
-    if x.size >= 3:
-        interior = x[1:-1]
-        out[9] = np.count_nonzero((interior > x[:-2]) & (interior > x[2:])
-                                  & (interior > np.median(x)))
-    idx = np.arange(x.size, dtype=np.float64)
-    ic = idx - idx.mean()
-    out[10] = ic @ (x - x.mean()) / (ic @ ic)
-    return out
+    for i, rec in enumerate(records):
+        for j, x in enumerate(rec):
+            np.testing.assert_array_equal(mat[i, 11 * j:11 * (j + 1)], ts_features(x))
 
 
 _ragged_records = st.integers(1, 3).flatmap(lambda n_series: st.lists(
@@ -111,19 +108,29 @@ _ragged_records = st.integers(1, 3).flatmap(lambda n_series: st.lists(
 @settings(max_examples=80, deadline=None)
 @given(_ragged_records)
 @example([[[1.0], [2.0, -1.0], [3.0, 1.0, 2.0]], [[4.0], [0.5, 0.5], [1.0, 5.0, 1.0]]])
-def test_feature_matrix_equals_row_wise_ts_features(records):
-    arrays = [[np.array(x) for x in rec] for rec in records]
-    mat = timeseries_feature_matrix(arrays)
-    for loop in (ts_features, _loop_ts_features):
-        rowwise = np.stack([np.concatenate([loop(x) for x in rec]) for rec in arrays])
-        np.testing.assert_array_equal(mat, rowwise)
+def test_feature_matrix_matches_the_oracle_and_ts_features(records):
+    mat = timeseries_feature_matrix(*_flat(records))
+    want = oracle.timeseries_features(records)
+    assert_near_oracle(mat, want)
+    n_series = len(records[0])
+    exact = [11 * j + c for j in range(n_series) for c in oracle.EXACT_TS_COLUMNS]
+    np.testing.assert_array_equal(mat[:, exact], want[:, exact])
+    # ts_features is the one-series case, bit for bit
+    np.testing.assert_array_equal(
+        mat, np.stack([np.concatenate([ts_features(x) for x in rec]) for rec in records]))
 
 
-def test_feature_matrix_rejects_nonfinite_and_ragged_records():
+def test_feature_matrix_rejects_nonfinite_empty_and_miscut_series():
+    lengths, values = _flat([[[1.0, 2.0]], [[3.0, 4.0, 5.0]]])
+    values[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        timeseries_feature_matrix([[np.array([1.0, np.nan])]])
-    with pytest.raises(ValueError, match="record 1 has 1 series"):
-        timeseries_feature_matrix([[np.ones(2), np.ones(3)], [np.ones(2)]])
+        timeseries_feature_matrix(lengths, values)
+    with pytest.raises(ValueError, match="series must be nonempty"):
+        timeseries_feature_matrix(np.array([[2, 0]]), np.ones(2))
+    with pytest.raises(ValueError, match="series lengths add up to 5, not to the 4 given"):
+        timeseries_feature_matrix(lengths, values[:4])
+    with pytest.raises(ValueError, match="no records"):
+        timeseries_feature_matrix(np.zeros((0, 2), dtype=int), np.ones(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,33 +180,59 @@ def test_apply_uses_fitted_not_own_stats():
 # image screenings
 
 
-def _scr(*screenings):
-    """(times, vectors) of one record from (time, *vector) screenings."""
-    return (np.array([t for t, *_ in screenings]),
-            np.array([v for _, *v in screenings], dtype=np.float64))
+def _scr(*records):
+    """(counts, times, vectors) of records, each a list of (time, *vector)
+    screenings."""
+    return (np.array([len(rec) for rec in records]),
+            np.array([t for rec in records for t, *_ in rec], dtype=np.float64),
+            np.array([v for rec in records for _, *v in rec], dtype=np.float64))
 
 
 def test_latest_image_picks_greatest_time_last_wins_ties():
-    picked = latest_image(*_scr((1.0, 1.0), (5.0, 2.0), (3.0, 3.0)))
-    np.testing.assert_array_equal(picked, [2.0])
-    tied = latest_image(*_scr((4.0, 1.0), (4.0, 2.0), (2.0, 3.0)))
-    np.testing.assert_array_equal(tied, [2.0])
+    picked = latest_image(*_scr([(1.0, 1.0), (5.0, 2.0), (3.0, 3.0)],
+                                [(4.0, 1.0), (4.0, 2.0), (2.0, 3.0)]))
+    np.testing.assert_array_equal(picked, [[2.0], [2.0]])
 
 
 def test_aggregate_images_weight_oracle():
     # times [0, 6, 12]: w = (t - 0)/12 = [0, .5, 1]; normalized [0, 1/3, 2/3]
-    out = aggregate_images(*_scr((0.0, 3.0), (6.0, 6.0), (12.0, 9.0)))
-    assert out[0] == pytest.approx(6.0 * (1 / 3) + 9.0 * (2 / 3), abs=1e-12)
+    out = aggregate_images(*_scr([(0.0, 3.0), (6.0, 6.0), (12.0, 9.0)]))
+    assert out[0, 0] == pytest.approx(6.0 * (1 / 3) + 9.0 * (2 / 3), abs=1e-12)
 
 
 def test_aggregate_single_screening_falls_back_to_latest():
-    out = aggregate_images(*_scr((7.0, 4.0)))
-    np.testing.assert_array_equal(out, [4.0])
+    np.testing.assert_array_equal(aggregate_images(*_scr([(7.0, 4.0)])), [[4.0]])
 
 
 def test_aggregate_all_zero_times_falls_back_to_latest():
-    out = aggregate_images(*_scr((0.0, 1.0), (0.0, 9.0)))
-    np.testing.assert_array_equal(out, [9.0])
+    np.testing.assert_array_equal(aggregate_images(*_scr([(0.0, 1.0), (0.0, 9.0)])), [[9.0]])
+
+
+# records covering each rule's cases: a tie at the latest time, a plain
+# recency weighting, equal times and all-zero times (both fall back to the
+# latest screening), and a single screening
+MIXED_SCREENINGS = (
+    [(4.0, 1.0, 0.5), (4.0, 2.0, -1.0), (2.0, 3.0, 2.0)],
+    [(0.0, 3.0, 1.0), (6.0, 6.0, 0.25), (12.0, 9.0, -3.0)],
+    [(3.0, 1.0, 1.0), (3.0, 5.0, 2.0)],
+    [(0.0, 1.0, 7.0), (0.0, 9.0, 8.0), (0.0, 2.0, 9.0)],
+    [(7.0, 4.0, 4.5)],
+    [(1.5, -2.0, 0.0), (0.5, 2.0, 1.0), (33.0, 0.1, 0.3), (20.0, 8.0, 8.0)],
+)
+
+
+@pytest.mark.parametrize("pick, one", [(latest_image, oracle.latest_image),
+                                       (aggregate_images, oracle.aggregate_images)])
+def test_image_rules_on_a_mixed_batch_match_the_oracle_and_each_record_alone(pick, one):
+    got = pick(*_scr(*MIXED_SCREENINGS))
+    for i, rec in enumerate(MIXED_SCREENINGS):
+        counts, times, vectors = _scr(rec)
+        np.testing.assert_array_equal(got[i], pick(counts, times, vectors)[0])
+        want = one(times, vectors)
+        if pick is latest_image or i in (2, 3, 4):   # a pick, not an average
+            np.testing.assert_array_equal(got[i], want)
+        else:
+            assert_near_oracle(got[i], want)
 
 
 def test_screening_rejects_negative_time():
@@ -215,23 +248,28 @@ def test_screening_rejects_negative_time():
 
 
 def test_empty_screening_list_rejected():
-    with pytest.raises(ValueError, match="no screenings"):
-        latest_image([], np.zeros((0, 2)))
-    with pytest.raises(ValueError, match="no screenings"):
-        aggregate_images([], np.zeros((0, 2)))
+    for pick in (latest_image, aggregate_images):
+        with pytest.raises(ValueError, match="no screenings"):
+            pick([2, 0], [1.0, 2.0], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="2 screening times for 3 vectors"):
-        latest_image([1.0, 2.0], np.zeros((3, 2)))
+        latest_image([2], [1.0, 2.0], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="screening lengths add up to 3, not to the 2 given"):
+        latest_image([1, 2], [1.0, 2.0], np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
 # text chunking
 
 
+def _text(table, *records):
+    return encode_text_with_table(table, [len(r) for r in records], np.concatenate(records))
+
+
 def test_text_chunks_600_tokens_as_512_plus_88():
     spec = SourceSpec(5, "txt", "text", 4, token_vocab=32)
     table = text_stub_table(spec, seed=1)
     ids = np.arange(600) % 32
-    direct = encode_text_with_table(table, ids)
+    direct = _text(table, ids)[0]
     chunk_a = table[ids[:512]].mean(axis=0)
     chunk_b = table[ids[512:]].mean(axis=0)
     np.testing.assert_allclose(direct, (chunk_a + chunk_b) / 2.0, atol=1e-12)
@@ -241,25 +279,35 @@ def test_text_single_chunk_is_plain_mean():
     spec = SourceSpec(5, "txt", "text", 4, token_vocab=32)
     table = text_stub_table(spec, seed=1)
     ids = np.array([3, 7, 7, 1])
-    np.testing.assert_allclose(encode_text_with_table(table, ids),
-                               table[ids].mean(axis=0), atol=1e-14)
+    np.testing.assert_allclose(_text(table, ids)[0], table[ids].mean(axis=0), atol=1e-14)
 
 
 def test_aggregate_text_means_chunks():
     # a 512-token chunk of token 0 and a 1-token chunk of token 1 weigh the
     # same: the chunk means are averaged, not the tokens
     table = np.array([[1.0, 2.0], [3.0, 6.0]])
-    ids = np.array([0] * 512 + [1])
-    np.testing.assert_array_equal(encode_text_with_table(table, ids), [2.0, 4.0])
+    np.testing.assert_array_equal(_text(table, np.array([0] * 512 + [1])), [[2.0, 4.0]])
 
 
-def test_text_rejects_out_of_vocab_ids():
+def test_long_and_short_texts_in_one_batch_match_the_oracle_and_each_alone():
+    table = text_stub_table(SourceSpec(5, "txt", "text", 4, token_vocab=32), seed=1)
+    gen = np.random.default_rng(3)
+    records = [gen.integers(0, 32, size=n) for n in (600, 3, 1100, 1, 512, 513, 1024)]
+    got = _text(table, *records)
+    for i, ids in enumerate(records):
+        np.testing.assert_array_equal(got[i], _text(table, ids)[0])
+        assert_near_oracle(got[i], oracle.encode_text(table, ids))
+
+
+def test_text_rejects_out_of_vocab_ids_and_empty_records():
     spec = SourceSpec(5, "txt", "text", 4, token_vocab=32)
     table = text_stub_table(spec, seed=1)
-    with pytest.raises(ValueError):
-        encode_text_with_table(table, np.array([31, 32]))
-    with pytest.raises(ValueError):
-        encode_text_with_table(table, np.array([], dtype=int))
+    with pytest.raises(ValueError, match=re.escape("token ids out of range [0, 32)")):
+        _text(table, np.array([3, 4]), np.array([31, 32]))
+    with pytest.raises(ValueError, match="token ids out of range"):
+        _text(table, np.array([-1]))
+    with pytest.raises(ValueError, match="token sequence must be nonempty"):
+        encode_text_with_table(table, [2, 0], np.array([1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,42 +347,57 @@ def test_encode_image_stub_is_linear_in_payload():
         np.testing.assert_array_equal(zero[name], 0.0)
 
 
-def test_encode_image_stub_embeds_each_screening_of_the_rows_read():
-    # one stub product per screening of each row read, picked by the
-    # source's rule from that row's own screenings
-    ds = build(planted_profile(n_records=7, seed=2, mode="raw"))
-    counts, times, vectors = ds.payloads["xr"]
-    cuts = np.cumsum(counts)[:-1]
-    times, vectors = np.split(times, cuts), np.split(vectors, cuts)
-    rows = np.array([5, 0, 3, 3])
-    got = _base_embeddings(ds, rows, ("xr", "axr"))
-    for name, pick in (("xr", latest_image), ("axr", aggregate_images)):
-        stub = image_stub_matrix(ds.spec(name), ds.seed)
-        want = [pick(times[i], np.stack([stub @ v for v in vectors[i]])) for i in rows]
-        np.testing.assert_array_equal(got[name], np.stack(want))
+RAW_SOURCES = ("xr", "axr", "proc", "lab", "chart", "txt")
 
 
-def test_encode_timeseries_reads_each_rows_series():
-    ds = build(planted_profile(n_records=7, seed=2, mode="raw"))
+def test_raw_features_match_the_per_record_oracle():
+    # the one-pass featurizers sum in other orders than the per-record
+    # oracle; the worst gap on planted raw cohorts is below 3e-15 of the
+    # largest value, against this tolerance of 1e-13
+    ds = build(planted_profile(n_records=100, seed=5, mode="raw"))
+    rows = np.r_[np.arange(ds.n_records), [7, 7, 3]]
+    got = _base_embeddings(ds, rows, RAW_SOURCES)
+    want = oracle.base_embeddings(ds, rows, RAW_SOURCES)
+    for name in RAW_SOURCES:
+        assert_near_oracle(got[name], want[name])
+        if ds.spec(name).modality == "time-series":
+            exact = (..., list(oracle.EXACT_TS_COLUMNS))
+            np.testing.assert_array_equal(got[name].reshape(rows.size, -1, 11)[exact],
+                                          want[name].reshape(rows.size, -1, 11)[exact])
+
+
+@pytest.mark.parametrize("name", RAW_SOURCES)
+def test_any_rows_featurize_as_in_the_full_call_bit_for_bit(name):
+    # a record's features read only its own payload: rows 1..n, each row
+    # alone, and rows with duplicates all give the full call's rows
+    ds = build(planted_profile(n_records=12, seed=2, mode="raw"))
+    full = _base_embeddings(ds, np.arange(ds.n_records), (name,))[name]
+    for k in range(1, ds.n_records + 1):
+        np.testing.assert_array_equal(_base_embeddings(ds, np.arange(k), (name,))[name],
+                                      full[:k])
+    for i in range(ds.n_records):
+        np.testing.assert_array_equal(_base_embeddings(ds, np.array([i]), (name,))[name],
+                                      full[[i]])
+    rows = np.array([5, 0, 5, 11, 0, 5])
+    np.testing.assert_array_equal(_base_embeddings(ds, rows, (name,))[name], full[rows])
+
+
+def test_raw_featurization_refuses_a_nonfinite_series_and_an_unknown_token():
+    ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
     lengths, values = ds.payloads["lab"]
-    series = np.split(values, np.cumsum(lengths)[:-1])
-    rows = np.array([6, 2, 2, 0])
-    want = timeseries_feature_matrix([series[i * 4:(i + 1) * 4] for i in rows])
-    np.testing.assert_array_equal(_base_embeddings(ds, rows, ("lab",))["lab"], want)
-
-
-def test_encode_text_stub_matches_table_route():
-    # a raw dataset's text embedding is the table route through the stub
-    # table seeded by the dataset seed and the source
-    ds = build(planted_profile(n_records=4, seed=9, mode="raw"))
-    table = text_stub_table(ds.spec("txt"), seed=9)
+    values = values.copy()
+    values[lengths[:3].sum() + 2] = np.inf   # in record 3
+    ds.payloads["lab"] = (lengths, values)
+    _base_embeddings(ds, np.array([0, 1, 2]), ("lab",))
+    with pytest.raises(ValueError, match="non-finite"):
+        _base_embeddings(ds, np.array([0, 3]), ("lab",))
     counts, ids = ds.payloads["txt"]
-    want = np.stack([encode_text_with_table(table, record)
-                     for record in np.split(ids, np.cumsum(counts)[:-1])])
-    got = _base_embeddings(ds, np.arange(ds.n_records), ("txt",))["txt"]
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(_base_embeddings(ds, np.array([2, 0]), ("txt",))["txt"],
-                                  want[[2, 0]])
+    ids = ids.copy()
+    ids[counts[:4].sum()] = ds.spec("txt").token_vocab   # record 4's first token
+    ds.payloads["txt"] = (counts, ids)
+    _base_embeddings(ds, np.array([5, 0]), ("txt",))
+    with pytest.raises(ValueError, match="token ids out of range"):
+        _base_embeddings(ds, np.array([5, 4]), ("txt",))
 
 
 # ---------------------------------------------------------------------------

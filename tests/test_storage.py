@@ -241,6 +241,22 @@ def test_load_arrays_reads_no_zip_archive(tmp_path):
         load_arrays(path, ("<f4", (3,)))
 
 
+@pytest.mark.parametrize("shape", [b"(3L,),}", b"(3L), }"])
+def test_load_arrays_refuses_a_python_2_header_without_a_warning(tmp_path, recwarn, capfd,
+                                                                 shape):
+    # numpy parses a `3L` length only through its Python-2 header filter,
+    # which warns on stderr; the load refuses the file instead, quietly
+    path = tmp_path / "a.bin"
+    save_arrays(path, np.zeros(3, "<f4"))
+    blob = path.read_bytes()
+    assert blob.count(b"(3,), }") == 1
+    path.write_bytes(blob.replace(b"(3,), }", shape))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {MALFORMED}")):
+        load_arrays(path, ("<f4", (3,)))
+    assert not recwarn.list
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.parametrize("key", ["n_records", "mode", "sources"])
 def test_missing_manifest_key_names_the_manifest(tmp_path, key):
     write_dataset(_latent_ds(), tmp_path)
