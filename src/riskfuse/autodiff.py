@@ -14,10 +14,12 @@ It is for forward-only evaluation (prediction, finite-difference probes);
 eval_with_grads refuses to run inside it.
 
 Every primitive validates its output. NaN or Inf anywhere, forward or
-backward, raises NonFiniteError naming the offending primitive. All values
-are float64; reductions use numpy's deterministic shape-fixed order, so two
-evaluations of the same graph on the same inputs are bit-identical in a
-single-threaded process.
+backward, raises NonFiniteError naming the offending primitive. Layers built
+as one node elsewhere (backbone, projector, losses) name themselves the same
+way, through check_finite and the checks every Tensor and gradient gets. All
+values are float64; reductions use numpy's deterministic shape-fixed order,
+so two evaluations of the same graph on the same inputs are bit-identical in
+a single-threaded process.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "NonFiniteError",
+    "check_finite",
     "Tensor",
     "constant",
     "parameter",
@@ -40,14 +43,12 @@ __all__ = [
     "matmul",
     "tanh",
     "sigmoid",
-    "relu",
     "log",
     "maximum_const",
     "power_const",
     "clip",
     "tsum",
     "tmean",
-    "softmax_last",
     "concat",
     "reshape",
     "swapaxes",
@@ -73,10 +74,11 @@ class NonFiniteError(FloatingPointError):
         super().__init__(msg)
 
 
-def _check_finite(arr: np.ndarray, op: str, context: str = "") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(op, context)
-    return arr
+def check_finite(op: str, *arrays, context: str = "") -> None:
+    """Raise NonFiniteError naming `op` if any of the arrays holds NaN or Inf."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(op, context)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -107,7 +109,8 @@ class Tensor:
 
     def __init__(self, value, requires_grad: bool = False, *, op: str = "leaf",
                  parents: tuple = (), vjps: tuple = ()):
-        self.value = _check_finite(np.asarray(value, dtype=np.float64), op)
+        self.value = np.asarray(value, dtype=np.float64)
+        check_finite(op, self.value)
         self.requires_grad = bool(requires_grad)
         self.op = op
         self._parents = parents
@@ -189,9 +192,6 @@ class Tensor:
 
     def sigmoid(self):
         return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
 
     def maximum(self, c: float):
         return maximum_const(self, c)
@@ -310,12 +310,6 @@ def sigmoid(a) -> Tensor:
     return _node(out, "sigmoid", (a,), (lambda g: g * (out * (1.0 - out)),))
 
 
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    out = np.maximum(a.value, 0.0)
-    return _node(out, "relu", (a,), (lambda g: g * (a.value > 0).astype(np.float64),))
-
-
 def log(a) -> Tensor:
     a = _wrap(a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -396,20 +390,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
     return _node(out, "mean", (a,),
                  (lambda g: _expand_reduced(g / count, a.shape, axes, keepdims),))
-
-
-def softmax_last(a) -> Tensor:
-    """Softmax over the last axis, shift-stabilized."""
-    a = _wrap(a)
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (g - inner) * out
-
-    return _node(out, "softmax", (a,), (vjp,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -518,7 +498,7 @@ def backward(out: Tensor) -> float:
 
 
 def _accumulate(grads: dict, parent: Tensor, pg: np.ndarray, op: str) -> None:
-    _check_finite(pg, op, "backward")
+    check_finite(op, pg, context="backward")
     prev = grads.get(id(parent))
     grads[id(parent)] = pg if prev is None else prev + pg
 

@@ -17,6 +17,7 @@ so a record's features are bit for bit the same in any batch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,20 +269,33 @@ def aggregate_images(counts, times, vectors) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # stand-in encoders (fixed random linear maps)
+#
+# A stub is a pure function of (spec, seed), so each is drawn once and then
+# shared, read-only, by every featurization call.
+
+STUB_CACHE_SIZE = 64
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=STUB_CACHE_SIZE)
 def image_stub_matrix(spec: SourceSpec, seed: int) -> np.ndarray:
     if spec.modality != "image":
         raise ValueError(f"source {spec.name!r} is not an image source")
     gen = seeding.rng(seed, "image-stub", spec.source_id)
-    return gen.normal(0.0, 1.0 / np.sqrt(spec.raw_dim), size=(spec.dim, spec.raw_dim))
+    return _read_only(gen.normal(0.0, 1.0 / np.sqrt(spec.raw_dim),
+                                 size=(spec.dim, spec.raw_dim)))
 
 
+@functools.lru_cache(maxsize=STUB_CACHE_SIZE)
 def text_stub_table(spec: SourceSpec, seed: int) -> np.ndarray:
     if spec.modality != "text":
         raise ValueError(f"source {spec.name!r} is not a text source")
     gen = seeding.rng(seed, "text-stub", spec.source_id)
-    return gen.normal(0.0, 1.0, size=(spec.token_vocab, spec.dim))
+    return _read_only(gen.normal(0.0, 1.0, size=(spec.token_vocab, spec.dim)))
 
 
 def encode_text_with_table(table: np.ndarray, counts, token_ids) -> np.ndarray:

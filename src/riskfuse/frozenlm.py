@@ -134,12 +134,6 @@ def init_frozen(config: LMConfig) -> FrozenWeights:
     return FrozenWeights(config)
 
 
-def _finite(block: str, *arrays, context: str = "") -> None:
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise ad.NonFiniteError(block, context)
-
-
 # Each block takes and returns the (rows, d_model) residual stream; attention
 # views it as (batch, seq_len, .) for its scores only. The elementwise
 # arithmetic is that of the autodiff primitives each block replaces; where a
@@ -183,7 +177,7 @@ def _layer_norm_vjp(g, gain, saved):
 def _attention_probs(qh, kh, scale, mask, block):
     scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
     # a non-finite score can vanish in the softmax
-    _finite(block, scores)
+    ad.check_finite(block, scores)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -217,7 +211,7 @@ def _attention_block(h, layer, seq_len, n_heads, tape, block):
         attended = np.concatenate(heads, axis=-1).reshape(h.shape)
     out = h + attended @ layer["wo"].value
     # an overflowing variance vanishes in the layer norm
-    _finite(block, shifted_var, out)
+    ad.check_finite(block, shifted_var, out)
     return out
 
 
@@ -251,14 +245,14 @@ def _ff_block(h, layer, tape, block):
     f, shifted_var = _layer_norm(h, layer["ln2_g"].value, layer["ln2_b"].value, tape)
     hidden = f @ layer["ff1"].value
     # before the relu can hide a -inf
-    _finite(block, shifted_var, hidden)
+    ad.check_finite(block, shifted_var, hidden)
     np.maximum(hidden, 0.0, out=hidden)
     if tape is not None:
         # the VJP reads only where the relu passed its input: its output is
         # positive exactly there
         tape.append(hidden > 0)
     out = h + hidden @ layer["ff2"].value
-    _finite(block, out)
+    ad.check_finite(block, out)
     return out
 
 
@@ -309,7 +303,7 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
                              f"frozen_lm.layer{i}.attention")
         h = _ff_block(h, layer, tape, f"frozen_lm.layer{i}.ff")
     h, shifted_var = _layer_norm(h, weights.ln_f_g.value, weights.ln_f_b.value, tape)
-    _finite(HEAD_BLOCK, shifted_var)
+    ad.check_finite(HEAD_BLOCK, shifted_var)
     # the Tensor built below checks the logits under the same name
     logits = (h @ weights.head.value)[:rows].reshape(t.shape[:-1] + (cfg.vocab,))
     if not recorded:
@@ -321,18 +315,18 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         g = _as_gemm_rows(g, rows) @ _transposed(weights.head)
         g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g.value, tape.pop())
         g = g_centered + g_mean
-        _finite(HEAD_BLOCK, g, context="backward")
+        ad.check_finite(HEAD_BLOCK, g, context="backward")
         for i in reversed(range(cfg.n_layers)):
             layer = weights.layers[i]
             g_centered, g_mean = _layer_norm_vjp(_ff_vjp(g, layer, tape.pop()),
                                                  layer["ln2_g"].value, tape.pop())
             g = (g + g_centered) + g_mean
-            _finite(f"frozen_lm.layer{i}.ff", g, context="backward")
+            ad.check_finite(f"frozen_lm.layer{i}.ff", g, context="backward")
             g_centered, g_mean = _layer_norm_vjp(
                 _attention_vjp(g, layer, tape.pop() if seq_len > 1 else None),
                 layer["ln1_g"].value, tape.pop())
             g = (g + g_centered) + g_mean
-            _finite(f"frozen_lm.layer{i}.attention", g, context="backward")
+            ad.check_finite(f"frozen_lm.layer{i}.attention", g, context="backward")
         return g[:rows].reshape(t.shape)
 
     return ad.Tensor(logits, requires_grad=True, op=HEAD_BLOCK, parents=(t,), vjps=(vjp,))

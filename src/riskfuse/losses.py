@@ -10,7 +10,12 @@ Confidences are clamped to [1e-7, 1 - 1e-7] before any logarithm.
 
 The scalar functions here are deliberately plain float math: they are the
 reference the graph builders (classification_loss_graph and friends) are
-tested against.
+tested against. Each graph builder is one autodiff node with a hand-written
+VJP. It does the arithmetic of the generic primitives and of `ad.backward`
+over them, so values and gradients equal that graph's, kept in
+`tests/loss_oracle.py`, bit for bit. A NaN or Inf in either pass raises
+NonFiniteError naming the node, `classification_loss` or
+`reconstruction_loss`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ __all__ = [
 
 UNKNOWN = -1
 PROB_EPS = 1e-7
+# node names a NonFiniteError reports
+CLASSIFICATION = "classification_loss"
+RECONSTRUCTION = "reconstruction_loss"
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,8 @@ def projector_loss(e, e_hat, labels, phis, beta: float, kind: str, *,
 def classification_loss_graph(phi: ad.Tensor, labels, kind: str, *,
                               weights: ClassWeights | None = None,
                               asl: ASLConfig | None = None) -> ad.Tensor:
-    """Per-record masked classification sums for a (B, K) confidence tensor.
+    """Per-record masked classification sums for a (B, K) confidence tensor,
+    as one node.
 
     Unknown labels enter as multiplicative zero masks, which keeps their
     gradient contribution exactly zero. Returns a (B,) tensor.
@@ -182,28 +191,64 @@ def classification_loss_graph(phi: ad.Tensor, labels, kind: str, *,
         raise ValueError(f"labels shape {y.shape} does not match confidences {phi.shape}")
     pos_mask = (y == 1).astype(np.float64)
     neg_mask = (y == 0).astype(np.float64)
-    p = phi.clip(PROB_EPS, 1.0 - PROB_EPS)
+    p = np.clip(phi.value, PROB_EPS, 1.0 - PROB_EPS)
+    log_p = np.log(p)
     if kind == "avg":
         if weights is None:
             raise ValueError("avg loss needs class weights")
         if weights.pos.size != y.shape[-1]:
             raise ValueError("class weight length does not match the task count")
-        terms = pos_mask * weights.pos * p.log() + neg_mask * weights.neg * (1.0 - p).log()
+        pos_w, neg_w = pos_mask * weights.pos, neg_mask * weights.neg
+        q = 1.0 - p
+        terms = pos_w * log_p + neg_w * np.log(q)
     elif kind == "asl":
         cfg = asl or ASLConfig()
-        p_m = (p - cfg.margin).maximum(0.0)
-        pos_part = pos_mask * (1.0 - p) * p.log()
-        neg_part = neg_mask * (p_m ** cfg.gamma_neg) * (1.0 - p_m).log()
-        terms = pos_part + neg_part
+        shifted = p - cfg.margin
+        p_m = np.maximum(shifted, 0.0)
+        q, q_m = 1.0 - p, 1.0 - p_m
+        pos_w = pos_mask * q
+        neg_w = neg_mask * np.power(p_m, cfg.gamma_neg)
+        log_q_m = np.log(q_m)
+        terms = pos_w * log_p + neg_w * log_q_m
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    return -terms.sum(axis=-1)
+    out = -terms.sum(axis=-1)
+    if not ad.records(phi):
+        return ad.Tensor(out, op=CLASSIFICATION)
+    in_clip = ((phi.value >= PROB_EPS) & (phi.value <= 1.0 - PROB_EPS)).astype(np.float64)
+
+    def vjp(g):
+        g = (-g)[..., np.newaxis]
+        if kind == "avg":
+            g_p = (g * pos_w) * (1.0 / p) + -((g * neg_w) * (1.0 / q))
+            return g_p * in_clip
+        # p reaches the terms three ways: through 1 - p, log p and p - margin;
+        # their gradients are summed in that order, as `ad.backward` sums them
+        g_p = -((g * log_p) * pos_mask) + (g * pos_w) * (1.0 / p)
+        gamma = cfg.gamma_neg
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.zeros_like(p_m) if gamma == 0.0 else gamma * np.power(p_m, gamma - 1.0)
+        g_p_m = ((g * log_q_m) * neg_mask) * slope + -((g * neg_w) * (1.0 / q_m))
+        g_p = g_p + g_p_m * (shifted > 0.0).astype(np.float64)
+        return g_p * in_clip
+
+    return ad.Tensor(out, requires_grad=True, op=CLASSIFICATION, parents=(phi,), vjps=(vjp,))
 
 
 def reconstruction_loss_graph(e, e_hat: ad.Tensor) -> ad.Tensor:
-    """Per-record squared-L2 reconstruction error, (B,) tensor."""
+    """Per-record squared-L2 reconstruction error, (B,) tensor, as one node."""
     target = e if isinstance(e, ad.Tensor) else ad.constant(e)
     if target.shape != e_hat.shape:
         raise ValueError(f"embedding shapes disagree: {target.shape} vs {e_hat.shape}")
-    diff = e_hat - target
-    return (diff * diff).sum(axis=-1)
+    diff = e_hat.value - target.value
+    out = (diff * diff).sum(axis=-1)
+    if not ad.records(e_hat, target):
+        return ad.Tensor(out, op=RECONSTRUCTION)
+
+    def vjp(g):
+        # both factors of diff * diff are diff: the gradient is g * diff twice
+        half = g[..., np.newaxis] * diff
+        return half + half
+
+    return ad.Tensor(out, requires_grad=True, op=RECONSTRUCTION, parents=(e_hat, target),
+                     vjps=(vjp, lambda g: -vjp(g)))

@@ -235,15 +235,17 @@ def build_joint_loss(groups, frozen: FrozenWeights, designated: DesignatedVocab,
 
     A group is a dict of projectors, source name -> params, whose tokens form
     one sequence in dict order; `groups` is one group or a list of groups
-    with equally many sources. Their sequences are stacked on the batch axis
-    into one backbone call and one classification loss, and a group's loss
-    reads only its own rows, so each group's projectors get exactly the
-    gradient they would get alone. `emb_batch` maps every source to its
-    batch; `labels_batch` holds the groups' label rows, stacked in the same
-    order. Each evaluation appends the list of group loss values to
+    with equally many sources and rows. Their sequences are stacked on the
+    batch axis into one backbone call and one classification loss, and a
+    group's loss reads only its own rows, so each group's projectors get
+    exactly the gradient they would get alone. `emb_batch` maps every source
+    to its batch; `labels_batch` holds the groups' label rows, stacked in the
+    same order. Each evaluation appends the list of group loss values to
     `group_losses`, if given.
     """
     groups = [groups] if isinstance(groups, dict) else list(groups)
+    if len({len(emb_batch[name]) for group in groups for name in group}) != 1:
+        raise ValueError("every source batch must hold the same number of rows")
 
     def computation(_params=None):
         recon, sequences = [], []
@@ -262,15 +264,12 @@ def build_joint_loss(groups, frozen: FrozenWeights, designated: DesignatedVocab,
         phi = _confidence_graph(positions, frozen, designated)
         cls = classification_loss_graph(phi, labels_batch, loss_kind,
                                         weights=weights, asl=asl)
-        losses = []
-        start = 0
-        for rec in recon:
-            rows = cls if len(recon) == 1 else cls[start:start + rec.shape[0]]
-            start += rec.shape[0]
-            losses.append((rec + beta * rows).mean())
+        # row r of group i is row i * B + r of the stack
+        rec = recon[0] if len(recon) == 1 else ad.concat(recon)
+        losses = (rec + beta * cls).reshape(len(recon), -1).mean(axis=-1)
         if group_losses is not None:
-            group_losses.append([float(loss.value) for loss in losses])
-        return sum(losses[1:], losses[0])
+            group_losses.append([float(loss) for loss in losses.value])
+        return losses.sum()
 
     return computation
 

@@ -5,6 +5,13 @@ d_t-dimensional token space with a tanh layer, t = tanh(W_enc e + b_enc);
 the decoder maps back affinely, e_hat = W_dec t + b_dec. Overcompleteness
 (d_t > d_e) is enforced at construction. These are the only trainable
 parameters in the whole pipeline.
+
+`project` and `reconstruct` are one autodiff node each, with hand-written
+VJPs to the batch and both tensors of their layer. They do the arithmetic
+of the generic primitives (matmul by the transposed weight, bias add, tanh)
+and of `ad.backward` over them, so values and gradients equal that graph's,
+kept in `tests/loss_oracle.py`, bit for bit. A NaN or Inf in either pass
+raises NonFiniteError naming the node, `project` or `reconstruct`.
 """
 
 from __future__ import annotations
@@ -83,12 +90,40 @@ def _rows(x, dim: int, what: str) -> ad.Tensor:
 
 
 def project(pp: ProjectorParams, e) -> ad.Tensor:
-    """tanh(W_enc e + b_enc) of each row of a (B, d_e) batch."""
+    """tanh(W_enc e + b_enc) of each row of a (B, d_e) batch, as one node."""
     rows = _rows(e, pp.config.embed_dim, "embedding")
-    return ad.tanh(rows @ pp.tensor("enc_w").swapaxes(0, 1) + pp.tensor("enc_b"))
+    w, b = pp.tensor("enc_w"), pp.tensor("enc_b")
+    pre = rows.value @ np.swapaxes(w.value, 0, 1)
+    pre += b.value
+    # before the tanh can squash an overflow to +-1
+    ad.check_finite("project", pre)
+    out = np.tanh(pre)
+    if not ad.records(rows, w, b):
+        return ad.Tensor(out, op="project")
+    slope = 1.0 - out * out
+
+    def vjp_rows(g):
+        return (g * slope) @ w.value
+
+    def vjp_w(g):
+        return np.swapaxes(np.swapaxes(rows.value, -1, -2) @ (g * slope), 0, 1)
+
+    def vjp_b(g):
+        return (g * slope).sum(axis=0)
+
+    return ad.Tensor(out, requires_grad=True, op="project", parents=(rows, w, b),
+                     vjps=(vjp_rows, vjp_w, vjp_b))
 
 
 def reconstruct(pp: ProjectorParams, t) -> ad.Tensor:
-    """Affine decode W_dec t + b_dec of each row of a (B, d_t) batch."""
+    """Affine decode W_dec t + b_dec of each row of a (B, d_t) batch, as one node."""
     rows = _rows(t, pp.config.token_dim, "token")
-    return rows @ pp.tensor("dec_w").swapaxes(0, 1) + pp.tensor("dec_b")
+    w, b = pp.tensor("dec_w"), pp.tensor("dec_b")
+    out = rows.value @ np.swapaxes(w.value, 0, 1)
+    out += b.value
+    if not ad.records(rows, w, b):
+        return ad.Tensor(out, op="reconstruct")
+    return ad.Tensor(out, requires_grad=True, op="reconstruct", parents=(rows, w, b), vjps=(
+        lambda g: g @ w.value,
+        lambda g: np.swapaxes(np.swapaxes(rows.value, -1, -2) @ g, 0, 1),
+        lambda g: g.sum(axis=0)))

@@ -4,13 +4,38 @@
 one autodiff node with a hand-written input-only VJP. This module keeps the
 primitive-by-primitive form it replaced; tests require the two to agree bit
 for bit in logits from two positions on, and to rounding in logits at one
-position and in input gradients.
+position and in input gradients. `relu` and `softmax_last` are primitives
+only this graph uses, so they live here rather than in `riskfuse.autodiff`.
 """
 
 import numpy as np
 
 import riskfuse.autodiff as ad
 from riskfuse.frozenlm import LN_EPS, MASK_NEG, FrozenWeights
+
+
+def _node(out: np.ndarray, op: str, a: ad.Tensor, vjp) -> ad.Tensor:
+    if not ad.records(a):
+        return ad.Tensor(out, op=op)
+    return ad.Tensor(out, requires_grad=True, op=op, parents=(a,), vjps=(vjp,))
+
+
+def relu(a: ad.Tensor) -> ad.Tensor:
+    return _node(np.maximum(a.value, 0.0), "relu", a,
+                 lambda g: g * (a.value > 0).astype(np.float64))
+
+
+def softmax_last(a: ad.Tensor) -> ad.Tensor:
+    """Softmax over the last axis, shift-stabilized."""
+    shifted = a.value - a.value.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        return (g - inner) * out
+
+    return _node(out, "softmax", a, vjp)
 
 
 def _layer_norm(x: ad.Tensor, gain: ad.Tensor, offset: ad.Tensor) -> ad.Tensor:
@@ -32,7 +57,7 @@ def _attention(x: ad.Tensor, layer: dict, n_heads: int, mask: np.ndarray) -> ad.
         sl = (..., slice(h * dh, (h + 1) * dh))
         qh, kh, vh = q[sl], k[sl], v[sl]
         scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
-        heads.append(ad.softmax_last(scores) @ vh)
+        heads.append(softmax_last(scores) @ vh)
     return ad.concat(heads, axis=-1) @ layer["wo"]
 
 
@@ -60,6 +85,6 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         h = h + _attention(_layer_norm(h, layer["ln1_g"], layer["ln1_b"]), layer,
                            cfg.n_heads, mask)
         f = _layer_norm(h, layer["ln2_g"], layer["ln2_b"])
-        h = h + ad.relu(f @ layer["ff1"]) @ layer["ff2"]
+        h = h + relu(f @ layer["ff1"]) @ layer["ff2"]
     h = _layer_norm(h, weights.ln_f_g, weights.ln_f_b)
     return h @ weights.head

@@ -37,7 +37,6 @@ def test_forward_matches_numpy_elementwise():
     np.testing.assert_array_equal((ta * tb).value, a * b)
     np.testing.assert_array_equal((-ta).value, -a)
     np.testing.assert_allclose(ad.tanh(ta).value, np.tanh(a), rtol=1e-15)
-    np.testing.assert_array_equal(ad.relu(ta).value, np.maximum(a, 0.0))
 
 
 def test_ndarray_left_operand_dispatches_to_tensor():
@@ -59,13 +58,6 @@ def test_sigmoid_is_stable_at_extreme_logits():
     assert s[0] == 0.0 or s[0] < 1e-300
     assert s[2] == 0.5
     assert s[4] == 1.0 or s[4] > 1.0 - 1e-12
-
-
-def test_softmax_rows_sum_to_one_even_for_huge_logits():
-    x = ad.constant(np.array([[1e4, 1e4 + 3.0, 1e4 - 2.0], [0.0, 0.0, 0.0]]))
-    s = ad.softmax_last(x).value
-    np.testing.assert_allclose(s.sum(axis=-1), 1.0, rtol=1e-12)
-    assert np.all(s >= 0.0)
 
 
 def test_matmul_broadcasts_leading_batch_dims():
@@ -103,7 +95,6 @@ def test_power_const_zero_base_special_cases():
     ("sigmoid", lambda x, y: ad.sigmoid(x - y).sum()),
     ("mean", lambda x, y: (x * y).mean()),
     ("axis_sum", lambda x, y: ((x + y).sum(axis=0) * 2.0).sum()),
-    ("softmax", lambda x, y: (ad.softmax_last(x) * y).sum()),
     ("clip", lambda x, y: (x.clip(-0.5, 0.5) * y).sum()),
     ("swapaxes", lambda x, y: (x.swapaxes(0, 1) @ y).sum()),
 ])
@@ -466,19 +457,3 @@ def test_random_expression_gradcheck(seed):
 
     report = ad.finite_diff_check(build, params, tol=1e-5)
     assert report.passed, report.format()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4))
-def test_softmax_gradient_rows_are_mean_free(rows, cols):
-    gen = np.random.default_rng(rows * 7 + cols)
-    x = ad.parameter(gen.standard_normal((rows, cols)))
-    weights = gen.standard_normal((rows, cols))
-    out = (ad.softmax_last(x) * ad.constant(weights)).sum()
-    ad.backward(out)
-    # rows of d softmax / dx are orthogonal to the all-ones direction only
-    # when the downstream weight is constant per row; use uniform weights
-    x2 = ad.parameter(gen.standard_normal((rows, cols)))
-    out2 = (ad.softmax_last(x2) * 1.0).sum()
-    ad.backward(out2)
-    np.testing.assert_allclose(x2.grad.sum(axis=-1), 0.0, atol=1e-12)

@@ -330,6 +330,31 @@ def test_stub_matrices_differ_between_sources():
     assert not np.array_equal(a, b)
 
 
+def test_stubs_are_drawn_once_and_shared_read_only():
+    cases = ((image_stub_matrix, SourceSpec(0, "xr", "image", 8, raw_dim=16)),
+             (text_stub_table, SourceSpec(5, "txt", "text", 4, token_vocab=32)))
+    for stub, spec in cases:
+        first = stub(spec, seed=3)
+        assert stub(spec, seed=3) is first
+        np.testing.assert_array_equal(first, stub.__wrapped__(spec, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+
+
+def test_cached_stubs_featurize_as_freshly_drawn_ones_bit_for_bit():
+    ds = build(planted_profile(n_records=30, seed=4, mode="raw"))
+    rows = np.arange(ds.n_records)
+    names = ("xr", "axr", "txt")
+    image_stub_matrix.cache_clear()
+    text_stub_table.cache_clear()
+    fresh = _base_embeddings(ds, rows, names)
+    cached = _base_embeddings(ds, rows, names)
+    assert image_stub_matrix.cache_info().hits == 2
+    assert text_stub_table.cache_info().hits == 1
+    for name in names:
+        np.testing.assert_array_equal(cached[name], fresh[name])
+
+
 def test_encode_image_stub_is_linear_in_payload():
     # the image stub has no bias and both screening rules are weighted
     # averages, so a record's image embedding is linear in its payloads

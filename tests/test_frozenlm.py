@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskfuse.autodiff as ad
 from riskfuse.frozenlm import (DesignatedVocab, LMConfig, _sinusoidal_table,
@@ -14,7 +16,7 @@ from riskfuse.frozenlm import (DesignatedVocab, LMConfig, _sinusoidal_table,
 from riskfuse.pipeline import _confidence_graph
 from riskfuse.projector import ProjectorConfig, init_projector, project
 
-from backbone_oracle import lm_forward as graph_lm_forward
+from backbone_oracle import lm_forward as graph_lm_forward, relu, softmax_last
 
 SMALL = LMConfig(d_model=16, n_layers=2, n_heads=2, vocab=32, max_seq=6, seed=0)
 
@@ -188,6 +190,43 @@ def _oracle_cases(d_model):
             mix = gen.standard_normal(lead + (cfg.vocab,))
             yield (seq_len, batch, _logits_and_input_grad(lm_forward, w, x, mix),
                    _logits_and_input_grad(graph_lm_forward, w, x, mix))
+
+
+# the oracle's own primitives, which nothing in riskfuse uses
+
+
+def test_oracle_relu_forward_and_gradient():
+    a = np.random.default_rng(1).standard_normal((3, 4))
+    np.testing.assert_array_equal(relu(ad.constant(a)).value, np.maximum(a, 0.0))
+    x = ad.parameter(a)
+    ad.backward(relu(x).sum())
+    np.testing.assert_array_equal(x.grad, (a > 0).astype(np.float64))
+
+
+def test_oracle_softmax_rows_sum_to_one_even_for_huge_logits():
+    x = ad.constant(np.array([[1e4, 1e4 + 3.0, 1e4 - 2.0], [0.0, 0.0, 0.0]]))
+    s = softmax_last(x).value
+    np.testing.assert_allclose(s.sum(axis=-1), 1.0, rtol=1e-12)
+    assert np.all(s >= 0.0)
+
+
+def test_oracle_softmax_gradient_matches_finite_differences():
+    gen = np.random.default_rng(7)
+    params = ad.ParamSet()
+    params.add("x", gen.standard_normal((3, 3)))
+    params.add("y", gen.standard_normal((3, 3)))
+    report = ad.finite_diff_check(lambda p: (softmax_last(p["x"]) * p["y"]).sum(), params)
+    assert report.passed, report.format()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4))
+def test_oracle_softmax_gradient_rows_are_mean_free(rows, cols):
+    # rows of d softmax / dx are orthogonal to the all-ones direction when
+    # the downstream weight is constant per row
+    x = ad.parameter(np.random.default_rng(rows * 7 + cols).standard_normal((rows, cols)))
+    ad.backward((softmax_last(x) * 1.0).sum())
+    np.testing.assert_allclose(x.grad.sum(axis=-1), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d_model", (16, 64))
