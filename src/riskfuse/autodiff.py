@@ -20,6 +20,10 @@ way, through check_finite and the checks every Tensor and gradient gets. All
 values are float64; reductions use numpy's deterministic shape-fixed order,
 so two evaluations of the same graph on the same inputs are bit-identical in
 a single-threaded process.
+
+Training and the gradient audit join fused layer nodes with the primitives
+here and no others; the generic ones only tests use (sub, matmul, tanh, log
+and the like) live in `tests/oracle_ops.py`.
 """
 
 from __future__ import annotations
@@ -37,21 +41,12 @@ __all__ = [
     "constant",
     "parameter",
     "add",
-    "sub",
     "mul",
-    "neg",
-    "matmul",
-    "tanh",
     "sigmoid",
-    "log",
-    "maximum_const",
-    "power_const",
-    "clip",
     "tsum",
     "tmean",
     "concat",
     "reshape",
-    "swapaxes",
     "records",
     "backward",
     "no_graph",
@@ -142,29 +137,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __pow__(self, exponent):
-        return power_const(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, idx):
         return _getitem(self, idx)
@@ -177,24 +154,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, *shape)
-
-    def swapaxes(self, ax1: int, ax2: int):
-        return swapaxes(self, ax1, ax2)
-
-    def clip(self, lo: float, hi: float):
-        return clip(self, lo, hi)
-
-    def log(self):
-        return log(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def maximum(self, c: float):
-        return maximum_const(self, c)
 
 
 def constant(value) -> Tensor:
@@ -261,12 +220,6 @@ def add(a, b) -> Tensor:
                  (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a, b, "sub")
-    return _node(a.value - b.value, "sub", (a, b),
-                 (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)))
-
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
@@ -276,31 +229,6 @@ def mul(a, b) -> Tensor:
                   lambda g: _unbroadcast(g * a.value, b.shape)))
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
-    return _node(-a.value, "neg", (a,), (lambda g: -g,))
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner dimensions disagree, {a.shape} vs {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ValueError(f"matmul: batch dimensions do not broadcast, {a.shape} vs {b.shape}") from None
-    return _node(a.value @ b.value, "matmul", (a, b),
-                 (lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
-                  lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape)))
-
-
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    out = np.tanh(a.value)
-    return _node(out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
-
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
@@ -309,48 +237,6 @@ def sigmoid(a) -> Tensor:
     out = np.where(a.value >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     return _node(out, "sigmoid", (a,), (lambda g: g * (out * (1.0 - out)),))
 
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.value)
-    return _node(out, "log", (a,), (lambda g: g * (1.0 / a.value),))
-
-
-def maximum_const(a, c: float) -> Tensor:
-    a = _wrap(a)
-    c = float(c)
-    out = np.maximum(a.value, c)
-    # subgradient 0 at the tie x == c
-    return _node(out, "maximum_const", (a,),
-                 (lambda g: g * (a.value > c).astype(np.float64),))
-
-
-def power_const(a, p: float) -> Tensor:
-    a = _wrap(a)
-    p = float(p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.power(a.value, p)
-
-    def vjp(g):
-        if p == 0.0:
-            return g * np.zeros_like(a.value)
-        if p == 1.0:
-            return g * np.ones_like(a.value)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return g * (p * np.power(a.value, p - 1.0))
-
-    return _node(out, "power_const", (a,), (vjp,))
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    a = _wrap(a)
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise ValueError(f"clip: lo must be below hi, got {lo} and {hi}")
-    out = np.clip(a.value, lo, hi)
-    return _node(out, "clip", (a,),
-                 (lambda g: g * ((a.value >= lo) & (a.value <= hi)).astype(np.float64),))
 
 
 def _normalize_axes(axis, ndim: int):
@@ -436,12 +322,6 @@ def reshape(a, *shape) -> Tensor:
         shape = tuple(shape[0])
     out = a.value.reshape(shape)
     return _node(out, "reshape", (a,), (lambda g: g.reshape(a.shape),))
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = _wrap(a)
-    out = np.swapaxes(a.value, ax1, ax2)
-    return _node(out, "swapaxes", (a,), (lambda g: np.swapaxes(g, ax1, ax2),))
 
 
 # ---------------------------------------------------------------------------

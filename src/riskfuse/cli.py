@@ -64,7 +64,7 @@ def resolve_train_config(file_cfg: dict, overrides: dict) -> pipeline.TrainConfi
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return pipeline.TrainConfig.from_dict(merged)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise CliError(f"invalid training configuration: {err}") from err
 
 
@@ -83,19 +83,13 @@ def _cmd_gen(args) -> int:
         if args.n_records is not None:
             raise CliError("--n-records applies to the planted profile only")
         scale = 1.0 if args.scale is None else args.scale
-        try:
-            cfg = datagen.table1_profile(scale=scale, seed=args.seed, mode=args.mode)
-        except ValueError as err:
-            raise CliError(str(err)) from err
+        cfg = datagen.table1_profile(scale=scale, seed=args.seed, mode=args.mode)
         resolved = {"profile": "table1", "scale": scale}
     else:
         if args.scale is not None:
             raise CliError("--scale applies to the table1 profile only")
         n = 2000 if args.n_records is None else args.n_records
-        try:
-            cfg = datagen.planted_profile(n_records=n, seed=args.seed, mode=args.mode)
-        except ValueError as err:
-            raise CliError(str(err)) from err
+        cfg = datagen.planted_profile(n_records=n, seed=args.seed, mode=args.mode)
         resolved = {"profile": "planted", "n_records": n}
     resolved.update({"seed": args.seed, "mode": args.mode})
     check_replaceable(args.out, "dataset")
@@ -189,13 +183,10 @@ def _cmd_report(args) -> int:
     for spec in args.runs:
         name, path = _parse_run_spec(spec)
         runs.append((name, metrics.read_metrics_csv(path)))
-    try:
-        if args.out:
-            aligned = metrics.write_report(args.out, runs)
-        else:
-            _, aligned = metrics.render_report(runs)
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    if args.out:
+        aligned = metrics.write_report(args.out, runs)
+    else:
+        _, aligned = metrics.render_report(runs)
     print(aligned)
     if args.out:
         print(f"report written to {args.out}")

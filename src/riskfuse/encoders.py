@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +48,30 @@ TEXT_CHUNK_TOKENS = 512
 MODALITIES = ("time-series", "image", "text")
 
 
+# field annotation -> (the kind an error names, the exact types it admits);
+# a bool is not a number
+FIELD_KINDS = {"int": ("an integer", (int,)), "float": ("a number", (int, float)),
+               "str": ("a string", (str,))}
+
+
 def check_fields(cls, d, where: str, complete: bool) -> None:
     """Check a decoded JSON object against the fields of dataclass `cls`: a
-    non-object or an unknown key is a ValueError, and so is a missing key if
-    `complete` (a saved object must name every field)."""
+    non-object, an unknown key or a value its field's annotation does not
+    admit is a ValueError, and so is a missing key if `complete` (a saved
+    object must name every field)."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be an object, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - names)
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    missing = sorted(names - set(d))
+    missing = sorted(set(fields) - set(d))
     if complete and missing:
         raise ValueError(f"missing {where} keys: {', '.join(missing)}")
+    for key, value in d.items():
+        kind, types = FIELD_KINDS.get(fields[key], (None, ()))
+        if kind and type(value) not in types:
+            raise ValueError(f"{where} key {key!r} must be {kind}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)

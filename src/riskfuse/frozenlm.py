@@ -4,7 +4,8 @@ Projected source tokens are fed as a short sequence of d_model vectors
 (wide-open, no token embedding table on the way in). The backbone is
 pre-norm with causal multi-head attention and relu feed-forward blocks,
 sinusoidal positions, Gaussian(0, 0.02^2) weight init, unit layer-norm
-gains, and a bias-free d_model x V output head. All weights are frozen.
+gains, and a bias-free d_model x V output head. All weights are frozen:
+read-only float64 arrays outside any autodiff graph, so a write raises.
 
 `lm_forward` runs the backbone in plain numpy and enters the autodiff graph
 as one node with one vector-Jacobian product, taken with respect to the
@@ -20,7 +21,7 @@ contiguous copies of the transposed weights). The BLAS rounds each row of
 such a product the same way whatever the row count, so a record's logits
 and input gradient do not depend on which records share the call, bit for
 bit. Against the same transformer built from generic autodiff primitives
-(kept in the tests as the oracle), which multiplies one record at a time,
+(kept in `tests/backbone_oracle.py`), which multiplies one record at a time,
 logits agree bit for bit from two positions on; logits at one position and
 input gradients agree to rounding.
 
@@ -83,7 +84,8 @@ def _sinusoidal_table(max_seq: int, d_model: int) -> np.ndarray:
 
 
 class FrozenWeights:
-    """Constant tensors of the backbone, reproducible from LMConfig."""
+    """The backbone's weights as read-only float64 arrays, reproducible from
+    LMConfig: a write to any of them raises."""
 
     def __init__(self, config: LMConfig):
         self.config = config
@@ -92,35 +94,37 @@ class FrozenWeights:
         hidden = 4 * d
 
         def w(*shape):
-            return ad.constant(gen.normal(0.0, 0.02, size=shape))
+            return gen.normal(0.0, 0.02, size=shape)
 
         self.layers = []
         for _ in range(config.n_layers):
             self.layers.append({
-                "ln1_g": ad.constant(np.ones(d)),
-                "ln1_b": ad.constant(np.zeros(d)),
+                "ln1_g": np.ones(d),
+                "ln1_b": np.zeros(d),
                 "wq": w(d, d),
                 "wk": w(d, d),
                 "wv": w(d, d),
                 "wo": w(d, d),
-                "ln2_g": ad.constant(np.ones(d)),
-                "ln2_b": ad.constant(np.zeros(d)),
+                "ln2_g": np.ones(d),
+                "ln2_b": np.zeros(d),
                 "ff1": w(d, hidden),
                 "ff2": w(hidden, d),
             })
-        self.ln_f_g = ad.constant(np.ones(d))
-        self.ln_f_b = ad.constant(np.zeros(d))
+        self.ln_f_g = np.ones(d)
+        self.ln_f_b = np.zeros(d)
         self.head = w(d, config.vocab)
-        self.positions = ad.constant(_sinusoidal_table(config.max_seq, d))
+        self.positions = _sinusoidal_table(config.max_seq, d)
+        for _, value in self.named_weights():
+            value.flags.writeable = False
 
     def named_weights(self):
         for li, layer in enumerate(self.layers):
             for key in sorted(layer):
-                yield f"layer{li}.{key}", layer[key].value
-        yield "ln_f_g", self.ln_f_g.value
-        yield "ln_f_b", self.ln_f_b.value
-        yield "head", self.head.value
-        yield "positions", self.positions.value
+                yield f"layer{li}.{key}", layer[key]
+        yield "ln_f_g", self.ln_f_g
+        yield "ln_f_b", self.ln_f_b
+        yield "head", self.head
+        yield "positions", self.positions
 
     def weights_hash(self) -> str:
         digest = hashlib.sha256()
@@ -143,11 +147,11 @@ def init_frozen(config: LMConfig) -> FrozenWeights:
 # otherwise receives what that block's VJP reads.
 
 
-def _transposed(weight: ad.Tensor) -> np.ndarray:
-    """A C-contiguous copy of the weight's transpose, taken from its current
-    value: a GEMM reading a transposed view rounds some row counts
-    differently, which would tie a row's gradient to its neighbours."""
-    return np.ascontiguousarray(weight.value.T)
+def _transposed(weight: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of the weight's transpose: a GEMM reading a
+    transposed view rounds some row counts differently, which would tie a
+    row's gradient to its neighbours."""
+    return np.ascontiguousarray(weight.T)
 
 
 def _layer_norm(x, gain, offset, tape):
@@ -185,8 +189,8 @@ def _attention_probs(qh, kh, scale, mask, block):
 def _attention_block(h, layer, seq_len, n_heads, tape, block):
     """h + attention(ln1(h)) under the causal mask, for rows that hold
     consecutive sequences of `seq_len` positions."""
-    a, shifted_var = _layer_norm(h, layer["ln1_g"].value, layer["ln1_b"].value, tape)
-    v = a @ layer["wv"].value
+    a, shifted_var = _layer_norm(h, layer["ln1_g"], layer["ln1_b"], tape)
+    v = a @ layer["wv"]
     if seq_len == 1:
         # the softmax of one score is exactly 1.0, so every head passes its
         # values through unchanged and sends exact zeros back to q and k
@@ -194,8 +198,8 @@ def _attention_block(h, layer, seq_len, n_heads, tape, block):
     else:
         mask = np.triu(np.full((seq_len, seq_len), MASK_NEG), k=1)
         by_sequence = (-1, seq_len, h.shape[-1])
-        q = (a @ layer["wq"].value).reshape(by_sequence)
-        k = (a @ layer["wk"].value).reshape(by_sequence)
+        q = (a @ layer["wq"]).reshape(by_sequence)
+        k = (a @ layer["wk"]).reshape(by_sequence)
         v = v.reshape(by_sequence)
         dh = h.shape[-1] // n_heads
         scale = 1.0 / np.sqrt(dh)
@@ -209,7 +213,7 @@ def _attention_block(h, layer, seq_len, n_heads, tape, block):
         if tape is not None:
             tape.append((q, k, v, probs))
         attended = np.concatenate(heads, axis=-1).reshape(h.shape)
-    out = h + attended @ layer["wo"].value
+    out = h + attended @ layer["wo"]
     # an overflowing variance vanishes in the layer norm
     ad.check_finite(block, shifted_var, out)
     return out
@@ -242,8 +246,8 @@ def _attention_vjp(g, layer, saved):
 
 def _ff_block(h, layer, tape, block):
     """h + relu(ln2(h) @ ff1) @ ff2."""
-    f, shifted_var = _layer_norm(h, layer["ln2_g"].value, layer["ln2_b"].value, tape)
-    hidden = f @ layer["ff1"].value
+    f, shifted_var = _layer_norm(h, layer["ln2_g"], layer["ln2_b"], tape)
+    hidden = f @ layer["ff1"]
     # before the relu can hide a -inf
     ad.check_finite(block, shifted_var, hidden)
     np.maximum(hidden, 0.0, out=hidden)
@@ -251,7 +255,7 @@ def _ff_block(h, layer, tape, block):
         # the VJP reads only where the relu passed its input: its output is
         # positive exactly there
         tape.append(hidden > 0)
-    out = h + hidden @ layer["ff2"].value
+    out = h + hidden @ layer["ff2"]
     ad.check_finite(block, out)
     return out
 
@@ -297,15 +301,15 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
     rows = t.size // cfg.d_model
     recorded = ad.records(t)
     tape = [] if recorded else None
-    h = _as_gemm_rows(t.value + weights.positions.value[:seq_len], rows)
+    h = _as_gemm_rows(t.value + weights.positions[:seq_len], rows)
     for i, layer in enumerate(weights.layers):
         h = _attention_block(h, layer, seq_len, cfg.n_heads, tape,
                              f"frozen_lm.layer{i}.attention")
         h = _ff_block(h, layer, tape, f"frozen_lm.layer{i}.ff")
-    h, shifted_var = _layer_norm(h, weights.ln_f_g.value, weights.ln_f_b.value, tape)
+    h, shifted_var = _layer_norm(h, weights.ln_f_g, weights.ln_f_b, tape)
     ad.check_finite(HEAD_BLOCK, shifted_var)
     # the Tensor built below checks the logits under the same name
-    logits = (h @ weights.head.value)[:rows].reshape(t.shape[:-1] + (cfg.vocab,))
+    logits = (h @ weights.head)[:rows].reshape(t.shape[:-1] + (cfg.vocab,))
     if not recorded:
         return ad.Tensor(logits, op=HEAD_BLOCK)
 
@@ -313,18 +317,18 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         # the tape is read back to front, and each block's activations are
         # dropped as soon as its VJP has read them; so is the logits' gradient
         g = _as_gemm_rows(g, rows) @ _transposed(weights.head)
-        g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g.value, tape.pop())
+        g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g, tape.pop())
         g = g_centered + g_mean
         ad.check_finite(HEAD_BLOCK, g, context="backward")
         for i in reversed(range(cfg.n_layers)):
             layer = weights.layers[i]
             g_centered, g_mean = _layer_norm_vjp(_ff_vjp(g, layer, tape.pop()),
-                                                 layer["ln2_g"].value, tape.pop())
+                                                 layer["ln2_g"], tape.pop())
             g = (g + g_centered) + g_mean
             ad.check_finite(f"frozen_lm.layer{i}.ff", g, context="backward")
             g_centered, g_mean = _layer_norm_vjp(
                 _attention_vjp(g, layer, tape.pop() if seq_len > 1 else None),
-                layer["ln1_g"].value, tape.pop())
+                layer["ln1_g"], tape.pop())
             g = (g + g_centered) + g_mean
             ad.check_finite(f"frozen_lm.layer{i}.attention", g, context="backward")
         return g[:rows].reshape(t.shape)

@@ -8,19 +8,18 @@ fold the sign into a single overall negation so every term is nonnegative.
 
 Confidences are clamped to [1e-7, 1 - 1e-7] before any logarithm.
 
-The scalar functions here are deliberately plain float math: they are the
-reference the graph builders (classification_loss_graph and friends) are
-tested against. Each graph builder is one autodiff node with a hand-written
-VJP. It does the arithmetic of the generic primitives and of `ad.backward`
-over them, so values and gradients equal that graph's, kept in
-`tests/loss_oracle.py`, bit for bit. A NaN or Inf in either pass raises
-NonFiniteError naming the node, `classification_loss` or
-`reconstruction_loss`.
+Training takes the loss batched, through the graph builders
+`classification_loss_graph` and `reconstruction_loss_graph`. Each is one
+autodiff node with a hand-written VJP. It does the arithmetic of the
+generic primitives and of `ad.backward` over them, so values and gradients
+equal that graph's bit for bit. `tests/loss_oracle.py` keeps that graph,
+and the loss of one record in plain float math as a scalar reference. A NaN
+or Inf in either pass raises NonFiniteError naming the node,
+`classification_loss` or `reconstruction_loss`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,6 @@ __all__ = [
     "ClassWeights",
     "validate_labels",
     "class_weights",
-    "wbce_term",
-    "asl_term",
-    "masked_multilabel_loss",
-    "projector_loss",
     "classification_loss_graph",
     "reconstruction_loss_graph",
 ]
@@ -113,64 +108,6 @@ def class_weights(labels) -> ClassWeights:
         pos[k] = n_k / (2.0 * n_tasks * p_k)
         neg[k] = n_k / (2.0 * n_tasks * n_k_neg)
     return ClassWeights(pos=pos, neg=neg)
-
-
-def _clamp(phi: float) -> float:
-    return min(max(float(phi), PROB_EPS), 1.0 - PROB_EPS)
-
-
-def wbce_term(y: int, phi: float, w_pos: float, w_neg: float) -> float:
-    """-[y w_pos log(phi) + (1-y) w_neg log(1-phi)] for one binary label."""
-    if y not in (0, 1):
-        raise ValueError(f"wbce_term takes a resolved binary label, got {y}")
-    p = _clamp(phi)
-    return -(y * w_pos * math.log(p) + (1 - y) * w_neg * math.log(1.0 - p))
-
-
-def asl_term(y: int, phi: float, cfg: ASLConfig) -> float:
-    """Asymmetric term: -(1-phi) log(phi) for positives; for negatives the
-    shifted probability p_m = max(phi - m, 0) gives -(p_m)^gamma log(1-p_m)."""
-    if y not in (0, 1):
-        raise ValueError(f"asl_term takes a resolved binary label, got {y}")
-    p = _clamp(phi)
-    if y == 1:
-        return -(1.0 - p) * math.log(p)
-    p_m = max(p - cfg.margin, 0.0)
-    return -(p_m ** cfg.gamma_neg) * math.log(1.0 - p_m)
-
-
-def masked_multilabel_loss(labels, phis, kind: str, *, weights: ClassWeights | None = None,
-                           asl: ASLConfig | None = None) -> float:
-    """Sum of per-task terms over the labeled entries of one record."""
-    y = validate_labels(labels)
-    phi = np.asarray(phis, dtype=np.float64)
-    if y.shape != phi.shape or y.ndim != 1:
-        raise ValueError("labels and confidences must be matching 1-D vectors")
-    total = 0.0
-    for k in range(y.size):
-        if y[k] == UNKNOWN:
-            continue
-        if kind == "avg":
-            if weights is None:
-                raise ValueError("avg loss needs class weights")
-            total += wbce_term(int(y[k]), float(phi[k]), float(weights.pos[k]), float(weights.neg[k]))
-        elif kind == "asl":
-            total += asl_term(int(y[k]), float(phi[k]), asl or ASLConfig())
-        else:
-            raise ValueError(f"unknown loss kind {kind!r}")
-    return total
-
-
-def projector_loss(e, e_hat, labels, phis, beta: float, kind: str, *,
-                   weights: ClassWeights | None = None,
-                   asl: ASLConfig | None = None) -> float:
-    """Squared-L2 reconstruction plus beta times the masked classification sum."""
-    e = np.asarray(e, dtype=np.float64)
-    e_hat = np.asarray(e_hat, dtype=np.float64)
-    if e.shape != e_hat.shape:
-        raise ValueError(f"embedding shapes disagree: {e.shape} vs {e_hat.shape}")
-    rec = float(np.sum((e - e_hat) ** 2))
-    return rec + beta * masked_multilabel_loss(labels, phis, kind, weights=weights, asl=asl)
 
 
 # ---------------------------------------------------------------------------

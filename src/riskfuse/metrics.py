@@ -131,10 +131,15 @@ def _ordered_tasks(tasks: list[str]) -> list[str]:
 def render_report(runs: list[tuple[str, list[dict]]]) -> tuple[str, str]:
     """Merge runs into one table: rows are tasks, each run contributes a
     precision and a recall column, values at 3 decimals. Returns (csv_text,
-    aligned_text); every run must cover the same task list.
+    aligned_text); every run must cover the same task list, under a name no
+    other run has.
     """
     if not runs:
         raise ValueError("no runs to report")
+    run_names = [name for name, _ in runs]
+    for i, name in enumerate(run_names):
+        if name in run_names[:i]:
+            raise ValueError(f"run name {name!r} is given more than once")
     base_tasks = [r["task"] for r in runs[0][1]]
     table: dict[str, dict[str, tuple[float, float]]] = {t: {} for t in base_tasks}
     for run_name, rows in runs:
@@ -145,7 +150,6 @@ def render_report(runs: list[tuple[str, list[dict]]]) -> tuple[str, str]:
         for r in rows:
             table[r["task"]][run_name] = (r["precision"], r["recall"])
     order = _ordered_tasks(base_tasks)
-    run_names = [name for name, _ in runs]
 
     buf = io.StringIO()
     writer = csv.writer(buf)

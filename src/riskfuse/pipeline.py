@@ -620,7 +620,7 @@ def load_checkpoint(path) -> Checkpoint:
     train_config = value("train_config", "an object")
     try:
         cfg = TrainConfig.from_dict(train_config, complete=True)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
     # the backbone and the designated indices are rebuilt from their seeds,
     # not stored: check they are the ones training used

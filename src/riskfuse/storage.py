@@ -207,7 +207,7 @@ def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
     field or holds an invalid one is a ValueError naming the manifest."""
     try:
         return tuple(SourceSpec.from_dict(d) for d in items)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ValueError(f"{path}: invalid sources: {err}") from None
 
 

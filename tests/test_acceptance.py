@@ -21,15 +21,15 @@ from riskfuse.datagen import (TABLE1_COUNTS, build, planted_profile,
                               task_source_names)
 from riskfuse.encoders import ts_features
 from riskfuse.frozenlm import DesignatedVocab, LMConfig, draw_designated, init_frozen
-from riskfuse.losses import (ASLConfig, ClassWeights, asl_term, class_weights,
-                             classification_loss_graph, masked_multilabel_loss,
-                             projector_loss, wbce_term)
+from riskfuse.losses import ASLConfig, ClassWeights, class_weights, classification_loss_graph
 from riskfuse.metrics import read_metrics_csv, write_metrics_csv, write_report
 from riskfuse.pipeline import (TrainConfig, build_joint_loss, evaluate_protocol,
                                gradcheck_suite, split_by_patient, train)
 from riskfuse.projector import PARAM_NAMES, ProjectorConfig, init_projector
 from riskfuse.seeding import rng
 from riskfuse.storage import load_dataset
+
+from loss_oracle import asl_term, masked_multilabel_loss, projector_loss, wbce_term
 
 # experiment settings for the cross-modal claim (criteria 8 and 9): identical
 # budget for both arms; strong enough optimization that the joint model

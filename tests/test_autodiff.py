@@ -1,6 +1,7 @@
 """Gradient engine tests: forward values against numpy, analytic gradients
 against central differences, and the failure modes (non-finite detection,
-fault injection, shape mismatches)."""
+fault injection, shape mismatches). The primitives that only the oracles
+use come from `oracle_ops.py`."""
 
 import zlib
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskfuse.autodiff as ad
+
+from oracle_ops import clip, log, matmul, maximum_const, neg, power_const, sub, swapaxes, tanh
 
 
 def _rng(seed=0):
@@ -33,22 +36,19 @@ def test_forward_matches_numpy_elementwise():
     b = _rng(2).standard_normal((3, 4))
     ta, tb = ad.constant(a), ad.constant(b)
     np.testing.assert_array_equal((ta + tb).value, a + b)
-    np.testing.assert_array_equal((ta - tb).value, a - b)
+    np.testing.assert_array_equal(sub(ta, tb).value, a - b)
     np.testing.assert_array_equal((ta * tb).value, a * b)
-    np.testing.assert_array_equal((-ta).value, -a)
-    np.testing.assert_allclose(ad.tanh(ta).value, np.tanh(a), rtol=1e-15)
+    np.testing.assert_array_equal(neg(ta).value, -a)
+    np.testing.assert_allclose(tanh(ta).value, np.tanh(a), rtol=1e-15)
 
 
 def test_ndarray_left_operand_dispatches_to_tensor():
     # ndarray.__mul__ must not swallow the tensor into an object array
     a = _rng(3).standard_normal((2, 3))
     t = ad.parameter(np.ones((2, 3)))
-    for combined in (a * t, a + t, a - t):
+    for combined in (a * t, a + t):
         assert isinstance(combined, ad.Tensor)
         assert combined.shape == (2, 3)
-    m = _rng(4).standard_normal((4, 2))
-    assert isinstance(m @ t, ad.Tensor)
-    assert (m @ t).shape == (4, 3)
 
 
 def test_sigmoid_is_stable_at_extreme_logits():
@@ -63,7 +63,7 @@ def test_sigmoid_is_stable_at_extreme_logits():
 def test_matmul_broadcasts_leading_batch_dims():
     a = _rng(5).standard_normal((4, 2, 3))
     b = _rng(6).standard_normal((3, 5))
-    out = ad.constant(a) @ ad.constant(b)
+    out = matmul(ad.constant(a), ad.constant(b))
     np.testing.assert_allclose(out.value, a @ b, rtol=1e-15)
 
 
@@ -72,14 +72,14 @@ def test_getitem_slices_and_reshape():
     t = ad.constant(a)
     np.testing.assert_array_equal(t[1:3, ::2].value, a[1:3, ::2])
     np.testing.assert_array_equal(t.reshape(2, 12).value, a.reshape(2, 12))
-    np.testing.assert_array_equal(t.swapaxes(0, 1).value, a.swapaxes(0, 1))
+    np.testing.assert_array_equal(swapaxes(t, 0, 1).value, a.swapaxes(0, 1))
 
 
 def test_power_const_zero_base_special_cases():
     t = ad.constant(np.array([0.0, 2.0]))
-    np.testing.assert_array_equal((t ** 0.0).value, [1.0, 1.0])
-    np.testing.assert_array_equal((t ** 1.0).value, [0.0, 2.0])
-    np.testing.assert_array_equal((t ** 3.0).value, [0.0, 8.0])
+    np.testing.assert_array_equal(power_const(t, 0.0).value, [1.0, 1.0])
+    np.testing.assert_array_equal(power_const(t, 1.0).value, [0.0, 2.0])
+    np.testing.assert_array_equal(power_const(t, 3.0).value, [0.0, 8.0])
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +88,15 @@ def test_power_const_zero_base_special_cases():
 
 @pytest.mark.parametrize("name,expr", [
     ("add", lambda x, y: (x + y).sum()),
-    ("sub", lambda x, y: (x - y).sum()),
+    ("sub", lambda x, y: sub(x, y).sum()),
     ("mul", lambda x, y: (x * y).sum()),
-    ("neg", lambda x, y: (-(x * y)).sum()),
-    ("tanh", lambda x, y: ad.tanh(x * y).sum()),
-    ("sigmoid", lambda x, y: ad.sigmoid(x - y).sum()),
+    ("neg", lambda x, y: neg(x * y).sum()),
+    ("tanh", lambda x, y: tanh(x * y).sum()),
+    ("sigmoid", lambda x, y: ad.sigmoid(sub(x, y)).sum()),
     ("mean", lambda x, y: (x * y).mean()),
     ("axis_sum", lambda x, y: ((x + y).sum(axis=0) * 2.0).sum()),
-    ("clip", lambda x, y: (x.clip(-0.5, 0.5) * y).sum()),
-    ("swapaxes", lambda x, y: (x.swapaxes(0, 1) @ y).sum()),
+    ("clip", lambda x, y: (clip(x, -0.5, 0.5) * y).sum()),
+    ("swapaxes", lambda x, y: matmul(swapaxes(x, 0, 1), y).sum()),
 ])
 def test_primitive_gradients(name, expr):
     # str hash() is salted per process; crc32 draws the same data every run
@@ -109,16 +109,16 @@ def test_primitive_gradients(name, expr):
 
 @pytest.mark.parametrize("frozen", ["left", "right"])
 @pytest.mark.parametrize("name,shapes,expr", [
-    ("add", ((3, 3), (3,)), lambda u, v: ad.tanh(u + v).sum()),
-    ("sub", ((3, 3), (3,)), lambda u, v: ad.tanh(u - v).sum()),
-    ("mul", ((3, 3), (3,)), lambda u, v: ad.tanh(u * v).sum()),
+    ("add", ((3, 3), (3,)), lambda u, v: tanh(u + v).sum()),
+    ("sub", ((3, 3), (3,)), lambda u, v: tanh(sub(u, v)).sum()),
+    ("mul", ((3, 3), (3,)), lambda u, v: tanh(u * v).sum()),
     # the left operand is the broadcast one
-    ("mul_broadcast_left", ((3,), (2, 3)), lambda u, v: ad.tanh(u * v).sum()),
-    ("matmul", ((3, 4), (4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
-    ("matmul_batched", ((2, 3, 4), (4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
-    ("matmul_batched_right", ((3, 4), (2, 4, 2)), lambda u, v: ad.tanh(u @ v).sum()),
+    ("mul_broadcast_left", ((3,), (2, 3)), lambda u, v: tanh(u * v).sum()),
+    ("matmul", ((3, 4), (4, 2)), lambda u, v: tanh(matmul(u, v)).sum()),
+    ("matmul_batched", ((2, 3, 4), (4, 2)), lambda u, v: tanh(matmul(u, v)).sum()),
+    ("matmul_batched_right", ((3, 4), (2, 4, 2)), lambda u, v: tanh(matmul(u, v)).sum()),
     ("concat", ((2, 3), (2, 2)),
-     lambda u, v: (ad.tanh(ad.concat([u, v], axis=1)) * np.arange(10.0).reshape(2, 5)).sum()),
+     lambda u, v: (tanh(ad.concat([u, v], axis=1)) * np.arange(10.0).reshape(2, 5)).sum()),
 ])
 def test_primitive_gradients_with_a_frozen_operand(name, shapes, expr, frozen):
     gen = _rng(zlib.crc32(f"{name}-{frozen}".encode()))
@@ -149,7 +149,7 @@ def test_matmul_gradient_including_batched():
     params = ad.ParamSet()
     params.add("a", gen.standard_normal((2, 3, 4)))
     params.add("b", gen.standard_normal((4, 2)))
-    check_scalar_fn(lambda p: ((p["a"] @ p["b"]) * 0.7).sum(), params)
+    check_scalar_fn(lambda p: (matmul(p["a"], p["b"]) * 0.7).sum(), params)
 
 
 def test_broadcast_gradients_reduce_to_param_shape():
@@ -168,7 +168,7 @@ def test_broadcast_gradients_reduce_to_param_shape():
 def test_log_gradient_on_positive_domain():
     params = ad.ParamSet()
     params.add("x", np.array([0.3, 1.0, 2.5]))
-    check_scalar_fn(lambda p: ad.log(p["x"] * p["x"] + 0.1).sum(), params)
+    check_scalar_fn(lambda p: log(p["x"] * p["x"] + 0.1).sum(), params)
 
 
 def test_concat_and_getitem_gradients():
@@ -191,20 +191,20 @@ def test_getitem_gradient_accumulates_repeated_indices():
     params = ad.ParamSet()
     params.add("m", _rng(14).standard_normal((4, 3)))
     weights = _rng(15).standard_normal((5, 3))
-    check_scalar_fn(lambda p: (ad.tanh(p["m"][[0, 2, 0, 3, 2]]) * weights).sum(), params)
-    check_scalar_fn(lambda p: ad.tanh(p["m"][[1, 1, 3], [2, 2, 0]] * 2.0).sum(), params)
+    check_scalar_fn(lambda p: (tanh(p["m"][[0, 2, 0, 3, 2]]) * weights).sum(), params)
+    check_scalar_fn(lambda p: tanh(p["m"][[1, 1, 3], [2, 2, 0]] * 2.0).sum(), params)
 
 
 def test_maximum_const_gradient_away_from_kink():
     params = ad.ParamSet()
     params.add("x", np.array([-1.0, -0.2, 0.4, 2.0]))
-    check_scalar_fn(lambda p: (p["x"].maximum(0.0) * 3.0).sum(), params)
+    check_scalar_fn(lambda p: (maximum_const(p["x"], 0.0) * 3.0).sum(), params)
 
 
 def test_power_const_gradient():
     params = ad.ParamSet()
     params.add("x", np.array([0.2, 0.7, 1.9]))
-    check_scalar_fn(lambda p: (p["x"] ** 4.0).sum(), params)
+    check_scalar_fn(lambda p: power_const(p["x"], 4.0).sum(), params)
 
 
 def test_diamond_graph_accumulates_both_paths():
@@ -226,7 +226,7 @@ def test_reused_node_many_consumers():
     params.add("x", np.array([1.5]))
 
     def build(p):
-        s = ad.tanh(p["x"])
+        s = tanh(p["x"])
         return (s * s + s * 2.0 + s).sum()
 
     check_scalar_fn(build, params)
@@ -239,7 +239,7 @@ def test_reused_node_many_consumers():
 def test_forward_nan_raises_and_names_primitive():
     negative = ad.constant(np.array([-1.0]))
     with pytest.raises(ad.NonFiniteError) as exc:
-        ad.log(negative)
+        log(negative)
     assert exc.value.op == "log"
     assert "log" in str(exc.value)
 
@@ -253,7 +253,7 @@ def test_forward_inf_raises():
 
 def test_log_of_zero_raises():
     with pytest.raises(ad.NonFiniteError) as exc:
-        ad.log(ad.constant(np.array([0.0])))
+        log(ad.constant(np.array([0.0])))
     assert exc.value.op == "log"
 
 
@@ -262,7 +262,7 @@ def test_backward_nonfinite_detected():
     params = ad.ParamSet()
     params.add("x", np.array([1e-320]))
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as exc:
-        ad.eval_with_grads(lambda p: ad.log(p["x"]).sum(), params)
+        ad.eval_with_grads(lambda p: log(p["x"]).sum(), params)
     assert exc.value.op == "log"
 
 
@@ -328,10 +328,10 @@ def test_graph_below_constants_is_pruned():
 
 def test_no_graph_builds_plain_nodes_with_the_same_values():
     x = ad.parameter(np.array([0.5, -1.0]))
-    recorded = ad.tanh(x * 2.0).sum()
+    recorded = tanh(x * 2.0).sum()
     with ad.no_graph():
         inner = x * 2.0
-        out = ad.tanh(inner).sum()
+        out = tanh(inner).sum()
     for node in (inner, out):
         assert node._parents == () and not node.requires_grad
     assert out.value == recorded.value
@@ -340,7 +340,7 @@ def test_no_graph_builds_plain_nodes_with_the_same_values():
 def test_no_graph_still_names_a_nonfinite_primitive():
     x = ad.parameter(np.array([0.0]))
     with ad.no_graph(), pytest.raises(ad.NonFiniteError) as exc:
-        ad.log(x)
+        log(x)
     assert exc.value.op == "log"
 
 
@@ -424,7 +424,7 @@ def test_finite_diff_restores_parameter_values():
     params = ad.ParamSet()
     start = np.array([0.7, -1.1])
     params.add("x", start.copy())
-    ad.finite_diff_check(lambda p: (p["x"] ** 2.0).sum(), params)
+    ad.finite_diff_check(lambda p: power_const(p["x"], 2.0).sum(), params)
     np.testing.assert_array_equal(params.value("x"), start)
 
 
@@ -452,7 +452,7 @@ def test_random_expression_gradcheck(seed):
     params.add("y", gen.uniform(-2.0, 2.0, size=(3,)))
 
     def build(p):
-        h = ad.tanh(p["x"] * p["y"] + 0.3)
+        h = tanh(p["x"] * p["y"] + 0.3)
         return (ad.sigmoid(h.sum(axis=1)) * h.mean()).sum()
 
     report = ad.finite_diff_check(build, params, tol=1e-5)

@@ -114,9 +114,14 @@ def test_gen_profile_flag_mismatches(tmp_path, capsys):
     assert main(["gen", "--profile", "planted"]) == EXIT_CONFIG  # missing --out
 
 
-def test_gen_rejects_bad_scale(tmp_path):
-    assert main(["gen", "--profile", "table1", "--scale", "0",
-                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+def test_gen_rejects_bad_scale(tmp_path, capsys):
+    # a profile's ValueError is one error line, as main prints any ValueError
+    for flags, message in ((["--profile", "table1", "--scale", "0"], "scale must be positive"),
+                           (["--profile", "planted", "--n-records", "0"],
+                            "n_records must be positive")):
+        assert main(["gen", *flags, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_over_another_dataset_leaves_only_its_own_files(tmp_path):
@@ -257,6 +262,34 @@ def test_train_invalid_hyperparameter(workspace, tmp_path, capsys):
     assert "invalid training configuration" in capsys.readouterr().err
 
 
+# a training-config value of the wrong type for its field, at the top level
+# and in lm and asl, with the message that names it
+WRONG_TYPES = [
+    ({"epochs": 2.5}, "config key 'epochs' must be an integer, got 2.5"),
+    ({"epochs": True}, "config key 'epochs' must be an integer, got true"),
+    ({"batch_size": 4.5}, "config key 'batch_size' must be an integer, got 4.5"),
+    ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+    ({"seed": 0.0}, "config key 'seed' must be an integer, got 0.0"),
+    ({"beta": False}, "config key 'beta' must be a number, got false"),
+    ({"mode": 1}, "config key 'mode' must be a string, got 1"),
+    ({"lm": {"d_model": 64.0}}, "config lm key 'd_model' must be an integer, got 64.0"),
+    ({"asl": {"margin": "0.05"}}, 'config asl key \'margin\' must be a number, got "0.05"'),
+]
+WRONG_TYPE_IDS = ["epochs-float", "epochs-bool", "batch-float", "seed-float", "seed-zero-float",
+                  "beta-bool", "mode-int", "lm-d-model-float", "asl-margin-string"]
+
+
+@pytest.mark.parametrize("setting, message", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+def test_train_rejects_a_config_value_of_the_wrong_type(workspace, tmp_path, capsys,
+                                                        setting, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lm": SMALL_LM, "epochs": 1, **setting}))
+    assert main(["train", "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "c"), "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid training configuration: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -390,6 +423,24 @@ def test_eval_rejects_a_checkpoint_config_with_an_unknown_key(workspace, tmp_pat
     assert f"{broken / 'manifest'}: invalid train_config" in err and "bogus" in err
 
 
+@pytest.mark.parametrize("setting, message", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+def test_eval_rejects_a_checkpoint_config_value_of_the_wrong_type(workspace, tmp_path, capsys,
+                                                                  setting, message):
+    broken = tmp_path / "iso"
+    shutil.copytree(workspace["iso"], broken)
+    manifest = read_json(broken / "manifest")
+    for key, value in setting.items():
+        if isinstance(value, dict):
+            manifest["train_config"][key].update(value)
+        else:
+            manifest["train_config"][key] = value
+    dump_json(broken / "manifest", manifest)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert (capsys.readouterr().err
+            == f"error: {broken / 'manifest'}: invalid train_config: {message}\n")
+
+
 @pytest.mark.parametrize("damage,message", [
     # seed 0 is also the default, so only the missing-field check sees this
     (lambda m: m["train_config"]["lm"].pop("seed"),
@@ -495,7 +546,7 @@ def test_train_exits_numeric_naming_the_backbone_block(workspace, tmp_path, caps
 
     def overflowing(config):
         weights = real(config)
-        weights.layers[1]["ff1"].value[...] = 1e308
+        weights.layers[1]["ff1"] = np.full_like(weights.layers[1]["ff1"], 1e308)
         return weights
 
     monkeypatch.setattr(pipeline, "init_frozen", overflowing)
@@ -690,6 +741,17 @@ def test_report_renders_the_table_once(tmp_path, capsys, monkeypatch):
     assert main(["report", f"joint={a}", "--out", str(tmp_path / "merged.csv")]) == EXIT_OK
     assert len(calls) == 1
     assert capsys.readouterr().out.startswith((tmp_path / "merged.csv.txt").read_text())
+
+
+def test_report_rejects_a_repeated_run_name(tmp_path, capsys):
+    # p's numbers would otherwise vanish under q's in both x columns
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    _fake_csv(p, "joint", 0)
+    _fake_csv(q, "joint", 1)
+    out = tmp_path / "merged.csv"
+    assert main(["report", f"x={p}", f"x={q}", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: run name 'x' is given more than once\n"
+    assert not out.exists()
 
 
 def test_report_rejects_mismatched_task_sets(tmp_path, capsys):

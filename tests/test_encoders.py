@@ -439,3 +439,11 @@ def test_image_rule_validation():
         SourceSpec(0, "xr", "image", 8, raw_dim=16, image_rule="newest")
     # the rule field is inert for non-image sources
     SourceSpec(2, "proc", "time-series", 11, n_series=1, image_rule="aggregate")
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("dim", 8.0, "an integer"), ("source_id", True, "an integer"), ("name", 3, "a string")])
+def test_a_decoded_spec_value_of_the_wrong_type_is_refused(key, value, kind):
+    d = dict(SourceSpec(0, "xr", "image", 8, raw_dim=16).to_dict(), **{key: value})
+    with pytest.raises(ValueError, match=f"source key '{key}' must be {kind}, got"):
+        SourceSpec.from_dict(d)

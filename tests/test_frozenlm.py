@@ -16,7 +16,8 @@ from riskfuse.frozenlm import (DesignatedVocab, LMConfig, _sinusoidal_table,
 from riskfuse.pipeline import _confidence_graph
 from riskfuse.projector import ProjectorConfig, init_projector, project
 
-from backbone_oracle import lm_forward as graph_lm_forward, relu, softmax_last
+from backbone_oracle import lm_forward as graph_lm_forward
+from oracle_ops import matmul, relu, softmax_last, sub
 
 SMALL = LMConfig(d_model=16, n_layers=2, n_heads=2, vocab=32, max_seq=6, seed=0)
 
@@ -131,11 +132,11 @@ def test_batched_forward_matches_loop():
 def test_weights_are_constants_and_deterministic():
     a = init_frozen(SMALL)
     b = init_frozen(SMALL)
+    for name, value in a.named_weights():
+        assert type(value) is np.ndarray and value.dtype == np.float64, name
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
     assert a.weights_hash() == b.weights_hash()
-    for layer in a.layers:
-        for name, t in layer.items():
-            assert not t.requires_grad, name
-    assert not a.head.requires_grad
     c = init_frozen(LMConfig(d_model=16, n_layers=2, n_heads=2, vocab=32,
                              max_seq=6, seed=1))
     assert a.weights_hash() != c.weights_hash()
@@ -159,7 +160,7 @@ def test_gradient_flows_through_backbone_to_inputs():
 
     def build(p):
         fused = lm_forward(w, p["x"]).mean(axis=-2)
-        diff = fused - ad.constant(target)
+        diff = sub(fused, target)
         return (diff * diff).sum()
 
     report = ad.finite_diff_check(build, params, tol=1e-4)
@@ -335,13 +336,21 @@ def test_forward_only_peak_memory_is_no_more_than_the_graphs(seq_len):
     assert peaks[0] <= peaks[1], peaks
 
 
-# block -> (layer-norm gain, layer-norm offset, the matrix that reads the norm)
+def _writable(w, layer, *keys):
+    """Swap the weights `keys` of w.layers[layer] (of `w` itself if layer is
+    None) for writable copies, and return the copies."""
+    owner = vars(w) if layer is None else w.layers[layer]
+    for key in keys:
+        owner[key] = owner[key].copy()
+    return [owner[key] for key in keys]
+
+
+# block -> (its layer, its layer-norm gain, that norm's offset, the matrix
+# that reads the norm)
 BLOCK_WEIGHTS = {
-    "frozen_lm.layer0.attention": lambda w: (w.layers[0]["ln1_g"], w.layers[0]["ln1_b"],
-                                             w.layers[0]["wv"]),
-    "frozen_lm.layer1.ff": lambda w: (w.layers[1]["ln2_g"], w.layers[1]["ln2_b"],
-                                      w.layers[1]["ff1"]),
-    "frozen_lm.head": lambda w: (w.ln_f_g, w.ln_f_b, w.head),
+    "frozen_lm.layer0.attention": (0, "ln1_g", "ln1_b", "wv"),
+    "frozen_lm.layer1.ff": (1, "ln2_g", "ln2_b", "ff1"),
+    "frozen_lm.head": (None, "ln_f_g", "ln_f_b", "head"),
 }
 
 
@@ -349,7 +358,7 @@ BLOCK_WEIGHTS = {
 @pytest.mark.parametrize("block", BLOCK_WEIGHTS)
 def test_overflowing_weight_names_its_block_in_the_forward_pass(block, seq_len):
     w = init_frozen(SMALL)
-    BLOCK_WEIGHTS[block](w)[2].value[...] = 1e308
+    _writable(w, *BLOCK_WEIGHTS[block])[2][...] = 1e308
     x = _tokens(np.random.default_rng(9), 2, seq_len, 16)
     with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as exc:
         lm_forward(w, x)
@@ -362,13 +371,15 @@ def _overflowing_variance(w):
 
 def _overflowing_ff_variance(w):
     # attention's output is finite but too large to square
-    w.layers[0]["wo"].value[...] *= 1e160
+    wo, = _writable(w, 0, "wo")
+    wo *= 1e160
     return np.random.default_rng(14).standard_normal((2, 16))
 
 
 def _overflowing_head_variance(w):
     # the last feed-forward output is finite but too large to square
-    w.layers[1]["ff2"].value[...] *= 1e160
+    ff2, = _writable(w, 1, "ff2")
+    ff2 *= 1e160
     return np.random.default_rng(15).standard_normal((2, 16))
 
 
@@ -376,10 +387,10 @@ def _hidden_score(w):
     # position 0 normalizes to zeros and position 1 to a spike on feature 0,
     # so only position 1's score with itself overflows (to -inf); the softmax
     # gives it weight 0.0
-    layer = w.layers[0]
-    layer["wq"].value[...] = layer["wk"].value[...] = 0.0
-    layer["wq"].value[0, 0], layer["wk"].value[0, 0] = 1e154, -1e154
-    x = -w.positions.value[:2].copy()
+    wq, wk = _writable(w, 0, "wq", "wk")
+    wq[...] = wk[...] = 0.0
+    wq[0, 0], wk[0, 0] = 1e154, -1e154
+    x = -w.positions[:2]
     x[1, 0] += 10.0
     return x
 
@@ -387,8 +398,9 @@ def _hidden_score(w):
 def _hidden_relu_input(w):
     # feature 0 of ln2's output is near -10 everywhere, so the relu turns the
     # overflowing pre-activation it feeds into 0.0
-    w.layers[1]["ln2_b"].value[0] = -10.0
-    w.layers[1]["ff1"].value[0, 0] = 1e308
+    ln2_b, ff1 = _writable(w, 1, "ln2_b", "ff1")
+    ln2_b[0] = -10.0
+    ff1[0, 0] = 1e308
     return np.random.default_rng(12).standard_normal((2, 16))
 
 
@@ -418,9 +430,9 @@ def test_overflowing_weight_names_its_block_in_the_backward_pass(block, seq_len)
     # a zero gain and offset on feature 0 hide row 0 of the next matrix from
     # the forward pass; the backward pass multiplies the gradient by that row
     w = init_frozen(SMALL)
-    gain, offset, matrix = BLOCK_WEIGHTS[block](w)
-    gain.value[0] = offset.value[0] = 0.0
-    matrix.value[0] = 1e308
+    gain, offset, matrix = _writable(w, *BLOCK_WEIGHTS[block])
+    gain[0] = offset[0] = 0.0
+    matrix[0] = 1e308
     x = ad.parameter(_tokens(np.random.default_rng(10), 2, seq_len, 16))
     loss = (lm_forward(w, x) * 1e100).sum()
     with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as exc:
@@ -496,7 +508,7 @@ def test_confidence_via_selection_matrix_matches_extract():
 
     def by_matrix(tokens):
         seq = ad.concat([t.reshape(t.shape[0], 1, SMALL.d_model) for t in tokens], axis=1)
-        return ad.sigmoid(lm_forward(w, seq).mean(axis=-2) @ ad.constant(onehot))
+        return ad.sigmoid(matmul(lm_forward(w, seq).mean(axis=-2), ad.constant(onehot)))
 
     for n_sources in (1, 3):
         for batch in (1, 5):

@@ -1,8 +1,12 @@
 """The loss graph outside the backbone: each fused node (project,
 reconstruct, reconstruction and classification loss) and a whole training
 step against the primitive graph in `loss_oracle.py`, bit for bit in values
-and every gradient; the recorded graph size of a step; and non-finite
-values named by the node that made them, in both passes."""
+and every gradient; the recorded graph size of a step, and that training
+and the gradient audit record every primitive `riskfuse.autodiff` defines;
+and non-finite values named by the node that made them, in both passes."""
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -158,17 +162,38 @@ def test_groups_of_unequal_batches_are_refused():
 # graph size
 
 
-def _recorded_nodes(out: ad.Tensor) -> int:
-    """Interior nodes reachable from `out`; leaves are not counted."""
-    seen, stack, count = {id(out)}, [out], 0
+def _recorded_nodes(out: ad.Tensor) -> list[ad.Tensor]:
+    """Interior nodes reachable from `out`; leaves are not included."""
+    seen, stack, nodes = {id(out)}, [out], []
     while stack:
         node = stack.pop()
-        count += bool(node._parents)
+        if node._parents:
+            nodes.append(node)
         for p in node._parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    return count
+    return nodes
+
+
+def _record_loss_graphs(monkeypatch) -> list:
+    """A list that receives the interior nodes of every loss graph that
+    `pipeline` builds from then on, one list per evaluation."""
+    graphs = []
+    build_joint_loss = pipeline.build_joint_loss
+
+    def recording(*args, **kwargs):
+        computation = build_joint_loss(*args, **kwargs)
+
+        def recorded(params):
+            out = computation(params)
+            graphs.append(_recorded_nodes(out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(pipeline, "build_joint_loss", recording)
+    return graphs
 
 
 # Six sources of 3 nodes each (project, reconstruct, reconstruction loss),
@@ -184,25 +209,34 @@ STEP_NODES = {"isolated": 30, "joint": 40}
 @pytest.mark.parametrize("kind", ("avg", "asl"))
 @pytest.mark.parametrize("mode", ("isolated", "joint"))
 def test_a_training_step_records_a_pinned_number_of_nodes(mode, kind, monkeypatch):
-    counts = []
-    build_joint_loss = pipeline.build_joint_loss
-
-    def counting(*args, **kwargs):
-        computation = build_joint_loss(*args, **kwargs)
-
-        def counted(params):
-            out = computation(params)
-            counts.append(_recorded_nodes(out))
-            return out
-
-        return counted
-
-    monkeypatch.setattr(pipeline, "build_joint_loss", counting)
+    graphs = _record_loss_graphs(monkeypatch)
     dataset = build(planted_profile(n_records=60, seed=5))
     pipeline.train(dataset, pipeline.TrainConfig(mode=mode, loss_kind=kind, epochs=1,
                                                  lm=LM, seed=1))
     assert len(dataset.source_specs) == 6
-    assert set(counts) == {STEP_NODES[mode]}
+    assert {len(nodes) for nodes in graphs} == {STEP_NODES[mode]}
+
+
+def _defined_primitives() -> set[str]:
+    """The op of every primitive `riskfuse.autodiff` defines: the name each
+    `_node` call in its source gives the node it builds."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {call.args[1].value for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"}
+
+
+def test_every_primitive_the_engine_defines_is_recorded_by_training_or_the_audit(
+        monkeypatch):
+    # a primitive only tests use belongs in oracle_ops.py, not in riskfuse
+    graphs = _record_loss_graphs(monkeypatch)
+    dataset = build(planted_profile(n_records=60, seed=5))
+    for mode in ("joint", "isolated"):
+        pipeline.train(dataset, pipeline.TrainConfig(mode=mode, epochs=1, lm=LM, seed=1))
+    pipeline.gradcheck_suite(0)
+    defined = _defined_primitives()
+    recorded = {node.op for nodes in graphs for node in nodes}
+    assert "add" in defined
+    assert defined <= recorded, f"never recorded: {sorted(defined - recorded)}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Loss-family tests: frozen scalar oracles, masking semantics, and the
-agreement between the plain-python reference terms and the graph builders."""
+agreement between the plain-python reference terms in `loss_oracle.py` and
+the graph builders."""
 
 import math
 
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskfuse.autodiff as ad
-from riskfuse.losses import (ASLConfig, PROB_EPS, UNKNOWN, ClassWeights, asl_term,
-                             class_weights, classification_loss_graph,
-                             masked_multilabel_loss, projector_loss,
-                             reconstruction_loss_graph, validate_labels, wbce_term)
+from riskfuse.losses import (ASLConfig, PROB_EPS, UNKNOWN, ClassWeights, class_weights,
+                             classification_loss_graph, reconstruction_loss_graph,
+                             validate_labels)
+
+from loss_oracle import asl_term, masked_multilabel_loss, projector_loss, wbce_term
 
 
 # ---------------------------------------------------------------------------

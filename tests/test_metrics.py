@@ -132,6 +132,12 @@ def test_render_report_rejects_mismatched_tasks():
         render_report([])
 
 
+def test_render_report_rejects_a_repeated_run_name():
+    with pytest.raises(ValueError, match="run name 'a' is given more than once"):
+        render_report([("a", _rows(["x"], 0.5, 0.5)), ("b", _rows(["x"], 0.5, 0.5)),
+                       ("a", _rows(["x"], 0.1, 0.2))])
+
+
 def test_write_report_emits_csv_and_aligned_twin(tmp_path):
     out = tmp_path / "report.csv"
     aligned = write_report(out, [("solo", _rows(["a"], 0.5, 0.5))])
