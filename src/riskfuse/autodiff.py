@@ -21,6 +21,12 @@ values are float64; reductions use numpy's deterministic shape-fixed order,
 so two evaluations of the same graph on the same inputs are bit-identical in
 a single-threaded process.
 
+finite_diff_check compares analytic gradients with central differences.
+By default it evaluates each probe on its own; a caller that can evaluate
+many probes in one pass hands it a parameter's probe losses instead (the
+gradient audit runs them as lockstep groups), and both feed one scoring
+loop, so equal probe losses give the same report.
+
 Training and the gradient audit join fused layer nodes with the primitives
 here and no others; the generic ones only tests use (sub, matmul, tanh, log
 and the like) live in `tests/oracle_ops.py`.
@@ -28,6 +34,7 @@ and the like) live in `tests/oracle_ops.py`.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -498,8 +505,14 @@ class GradCheckReport:
 FD_FLOOR = 1e-6
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 def finite_diff_check(computation, params: ParamSet, *, h: float = 1e-5, tol: float = 1e-6,
-                      analytic: dict[str, np.ndarray] | None = None) -> GradCheckReport:
+                      analytic: dict[str, np.ndarray] | None = None,
+                      probe_losses=None) -> GradCheckReport:
     """Compare analytic gradients against central differences, per entry.
 
     For each scalar parameter entry the symmetric difference
@@ -507,38 +520,42 @@ def finite_diff_check(computation, params: ParamSet, *, h: float = 1e-5, tol: fl
     where both magnitudes fall below FD_FLOOR are counted as negligible and
     skipped (the difference quotient carries no signal there). `analytic`
     overrides the freshly computed gradients, which lets callers check a
-    gradient they obtained elsewhere.
+    gradient they obtained elsewhere. `h` and `tol` must be positive and
+    finite.
+
+    By default each probe sets one entry in place and evaluates
+    computation(params) under no_graph(). `probe_losses(name, stack)`
+    replaces that loop for callers that can evaluate many probes at once:
+    `stack` holds 2n copies of the n-entry parameter, copy 2i with entry i
+    at x+h and copy 2i+1 with it at x-h, and it returns their 2n losses.
+    The stack holds 2n full copies, so the hook suits small parameters.
+    Both routes feed the same scoring, so a batched evaluator whose losses
+    equal the serial ones bit for bit yields the same report.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _check_positive_finite("h", h)
+    _check_positive_finite("tol", tol)
     if analytic is None:
         eval_with_grads(computation, params)
         analytic = {name: params.grad(name).copy() for name in params.names()}
 
-    def loss_at() -> float:
-        with no_graph():
-            out = computation(params)
-        if out.value.size != 1:
-            raise ValueError("computation must return a scalar")
-        return float(out.value)
-
     report = GradCheckReport(h=h, tol=tol)
     for name in params.names():
-        values = params.value(name).reshape(-1)
+        values = params.value(name)
         an = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
-        if an.shape != values.shape:
+        if an.shape != (values.size,):
             raise ValueError(f"analytic gradient for {name!r} has wrong size")
+        if probe_losses is None:
+            losses = _serial_probe_losses(computation, params, values.reshape(-1), h)
+        else:
+            losses = np.asarray(probe_losses(name, _probe_stack(values, h)), dtype=np.float64)
+            if losses.shape != (2 * values.size,):
+                raise ValueError(f"probe_losses for {name!r} returned shape {losses.shape}, "
+                                 f"expected ({2 * values.size},)")
         max_rel = 0.0
         worst = None
         negligible = 0
         for i in range(values.size):
-            saved = values[i]
-            values[i] = saved + h
-            lo_plus = loss_at()
-            values[i] = saved - h
-            lo_minus = loss_at()
-            values[i] = saved
-            numeric = (lo_plus - lo_minus) / (2.0 * h)
+            numeric = (float(losses[2 * i]) - float(losses[2 * i + 1])) / (2.0 * h)
             scale = max(abs(an[i]), abs(numeric))
             if scale < FD_FLOOR:
                 negligible += 1
@@ -556,3 +573,33 @@ def finite_diff_check(computation, params: ParamSet, *, h: float = 1e-5, tol: fl
             passed=max_rel < tol,
         ))
     return report
+
+
+def _probe_stack(values: np.ndarray, h: float) -> np.ndarray:
+    """(2n, *shape) copies of an n-entry parameter: copy 2i holds entry i at
+    x+h, copy 2i+1 at x-h, every other entry unchanged."""
+    flat = values.reshape(-1)
+    stack = np.tile(flat, (2 * flat.size, 1))
+    entries = np.arange(flat.size)
+    stack[2 * entries, entries] = flat + h
+    stack[2 * entries + 1, entries] = flat - h
+    return stack.reshape(2 * flat.size, *values.shape)
+
+
+def _serial_probe_losses(computation, params: ParamSet, flat: np.ndarray, h: float) -> np.ndarray:
+    """The probe losses of one parameter, one evaluation per probe, with the
+    entry set in place through `flat` (a view of the parameter) and restored."""
+    losses = np.empty(2 * flat.size)
+    for i in range(flat.size):
+        saved = flat[i]
+        try:
+            for k, probe in enumerate((saved + h, saved - h)):
+                flat[i] = probe
+                with no_graph():
+                    out = computation(params)
+                if out.value.size != 1:
+                    raise ValueError("computation must return a scalar")
+                losses[2 * i + k] = float(out.value)
+        finally:
+            flat[i] = saved
+    return losses

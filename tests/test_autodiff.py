@@ -420,6 +420,86 @@ def test_finite_diff_report_format_mentions_every_param():
     assert "alpha" in text and "beta" in text and "PASS" in text
 
 
+@pytest.mark.parametrize("arg", ("h", "tol"))
+@pytest.mark.parametrize("value", (0.0, -1e-5, float("nan"), float("inf"), float("-inf")))
+def test_finite_diff_rejects_a_non_finite_or_non_positive_step_or_tolerance(arg, value):
+    params = ad.ParamSet()
+    params.add("x", np.array([0.5]))
+    with pytest.raises(ValueError, match=f"^{arg} must be a positive finite number, got"):
+        ad.finite_diff_check(lambda p: (p["x"] * p["x"]).sum(), params, **{arg: value})
+
+
+def _serial_probes(build, params, h):
+    """Every probe loss of the serial loop, in probe order."""
+    losses = []
+
+    def recording(p):
+        out = build(p)
+        if not out.requires_grad:
+            losses.append(float(out.value))
+        return out
+
+    report = ad.finite_diff_check(recording, params, h=h, tol=1e-5)
+    return report, losses
+
+
+def test_batched_probe_losses_feed_the_same_scoring_as_the_serial_loop():
+    gen = np.random.default_rng(3)
+    params = ad.ParamSet()
+    params.add("x", gen.uniform(-2.0, 2.0, size=(2, 3)))
+    params.add("y", gen.uniform(-2.0, 2.0, size=(3,)))
+
+    def build(p):
+        h = tanh(p["x"] * p["y"] + 0.3)
+        return (ad.sigmoid(h.sum(axis=1)) * h.mean()).sum()
+
+    stacks, batched_losses = [], []
+
+    def probe_losses(name, stack):
+        # one probe at a time through the parameter, as a batched evaluator
+        # would see them: copy 2i holds entry i at +h, copy 2i+1 at -h
+        stacks.append((name, stack.shape))
+        value = params.value(name)
+        saved = value.copy()
+        losses = []
+        for probe in stack:
+            value[...] = probe
+            with ad.no_graph():
+                losses.append(float(build(params).value))
+        value[...] = saved
+        batched_losses.extend(losses)
+        return losses
+
+    serial, serial_losses = _serial_probes(build, params, h=1e-5)
+    batched = ad.finite_diff_check(build, params, h=1e-5, tol=1e-5, probe_losses=probe_losses)
+    assert stacks == [("x", (12, 2, 3)), ("y", (6, 3))]
+    assert batched_losses == serial_losses and len(serial_losses) == 2 * (6 + 3)
+    assert batched.format() == serial.format()
+
+
+def test_finite_diff_rejects_probe_losses_of_the_wrong_length():
+    params = ad.ParamSet()
+    params.add("x", np.array([0.5, -0.3]))
+    with pytest.raises(ValueError, match=r"probe_losses for 'x' returned shape \(3,\)"):
+        ad.finite_diff_check(lambda p: (p["x"] * p["x"]).sum(), params,
+                             probe_losses=lambda name, stack: [0.0, 0.0, 0.0])
+
+
+def test_finite_diff_restores_the_entry_a_failing_probe_set():
+    params = ad.ParamSet()
+    start = np.array([0.7, 2.0])
+    params.add("x", start.copy())
+
+    def build(p):
+        if p.value("x")[1] > 2.0:
+            raise ad.NonFiniteError("probe")
+        return (p["x"] * p["x"]).sum()
+
+    with pytest.raises(ad.NonFiniteError):
+        ad.finite_diff_check(build, params)
+    np.testing.assert_array_equal(params.value("x"), start)
+
+
 def test_finite_diff_restores_parameter_values():
     params = ad.ParamSet()
     start = np.array([0.7, -1.1])

@@ -691,6 +691,15 @@ def test_gradcheck_failure_exits_numeric(capsys):
     assert "-> FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value, name", [("--step", "nan", "h"), ("--step", "inf", "h"),
+                                               ("--tol", "nan", "tol"), ("--tol", "-1", "tol")])
+def test_gradcheck_rejects_a_non_finite_or_non_positive_argument(capsys, flag, value, name):
+    assert main(["gradcheck", flag, value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"error: {name} must be a positive finite number, got" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # report
 
