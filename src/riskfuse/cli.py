@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from . import datagen, metrics, pipeline
-from .storage import MODES, check_replaceable, dump_json, load_dataset, write_dataset
+from .storage import MODES, check_replaceable, decode, dump_json, load_dataset, write_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,7 +63,7 @@ def resolve_train_config(file_cfg: dict, overrides: dict) -> pipeline.TrainConfi
     merged = dict(file_cfg)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return pipeline.TrainConfig.from_dict(merged)
+        return decode(pipeline.TrainConfig, merged, "config", complete=False)
     except ValueError as err:
         raise CliError(f"invalid training configuration: {err}") from err
 

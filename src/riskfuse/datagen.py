@@ -114,6 +114,8 @@ class GenConfig:
             raise ValueError("stay_p must lie in (0, 1]")
         if self.n_records <= 0:
             raise ValueError("n_records must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for t in self.tasks:
             if t.exact_counts is not None and sum(t.exact_counts) > self.n_records:
                 pos, neg = t.exact_counts
@@ -342,6 +344,8 @@ def table1_profile(scale: float = 1.0, seed: int = 0, mode: str = "latent") -> G
     `scale` shrinks every count proportionally (rounded, floor 1), including
     the total record count.
     """
+    if not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if scale <= 0:
         raise ValueError("scale must be positive")
     total = max(1, round(TABLE1_TOTAL * scale))

@@ -16,9 +16,7 @@ so a record's features are bit for bit the same in any batch.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,6 @@ from . import seeding
 __all__ = [
     "N_TS_FEATURES",
     "TEXT_CHUNK_TOKENS",
-    "check_fields",
     "SourceSpec",
     "FeatureStats",
     "fit_feature_stats",
@@ -46,32 +43,6 @@ N_TS_FEATURES = 11
 TEXT_CHUNK_TOKENS = 512
 
 MODALITIES = ("time-series", "image", "text")
-
-
-# field annotation -> (the kind an error names, the exact types it admits);
-# a bool is not a number
-FIELD_KINDS = {"int": ("an integer", (int,)), "float": ("a number", (int, float)),
-               "str": ("a string", (str,))}
-
-
-def check_fields(cls, d, where: str, complete: bool) -> None:
-    """Check a decoded JSON object against the fields of dataclass `cls`: a
-    non-object, an unknown key or a value its field's annotation does not
-    admit is a ValueError, and so is a missing key if `complete` (a saved
-    object must name every field)."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be an object, got {type(d).__name__}")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - set(fields))
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    missing = sorted(set(fields) - set(d))
-    if complete and missing:
-        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
-    for key, value in d.items():
-        kind, types = FIELD_KINDS.get(fields[key], (None, ()))
-        if kind and type(value) not in types:
-            raise ValueError(f"{where} key {key!r} must be {kind}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -105,16 +76,6 @@ class SourceSpec:
             raise ValueError("image source needs raw_dim")
         if self.modality == "text" and self.token_vocab <= 0:
             raise ValueError("text source needs token_vocab")
-
-    def to_dict(self) -> dict:
-        """Manifest form, shared by dataset and checkpoint manifests."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> SourceSpec:
-        """Inverse of `to_dict`; every field must be present."""
-        check_fields(cls, d, "source", complete=True)
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

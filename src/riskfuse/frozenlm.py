@@ -71,6 +71,8 @@ class LMConfig:
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}")
+        if self.seed < 0:
+            raise ValueError(f"lm seed must be nonnegative, got {self.seed}")
 
 
 def _sinusoidal_table(max_seq: int, d_model: int) -> np.ndarray:

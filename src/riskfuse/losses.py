@@ -54,8 +54,8 @@ class ASLConfig:
     def __post_init__(self):
         if not 0.0 <= self.margin <= 1.0:
             raise ValueError(f"margin must lie in [0, 1], got {self.margin}")
-        if self.gamma_neg < 0.0:
-            raise ValueError(f"gamma_neg must be nonnegative, got {self.gamma_neg}")
+        if not 0.0 <= self.gamma_neg < np.inf:
+            raise ValueError(f"gamma_neg must be finite and nonnegative, got {self.gamma_neg}")
 
 
 @dataclass

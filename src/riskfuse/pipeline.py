@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from . import seeding
 from .encoders import (FeatureStats, SourceSpec, aggregate_images,
-                       apply_feature_stats, check_fields, fit_feature_stats, image_stub_matrix,
+                       apply_feature_stats, fit_feature_stats, image_stub_matrix,
                        latest_image, encode_text_with_table, text_stub_table,
                        timeseries_feature_matrix)
 from .frozenlm import (DesignatedVocab, FrozenWeights, LMConfig, draw_designated,
@@ -43,7 +43,7 @@ from .losses import (ASLConfig, ClassWeights, class_weights,
 from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, dump_json, gather_records,
+from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, decode, dump_json, gather_records,
                       load_arrays, manifest_value, read_manifest, read_source_specs,
                       replaced_directory, save_arrays)
 
@@ -96,26 +96,17 @@ class TrainConfig:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        for name in ("learning_rate", "weight_decay", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0 or self.beta < 0:
             raise ValueError("invalid optimization hyperparameters")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError("split_ratio must lie in (0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict, complete: bool = False) -> "TrainConfig":
-        """Rebuild a config, nested asl and lm included, from a
-        `dataclasses.asdict` dict. Unknown keys are a ValueError at every
-        level; so are missing ones if `complete` (a saved config must name
-        every field), otherwise they take their defaults."""
-        check_fields(cls, d, "config", complete)
-        kw = dict(d)
-        for key, sub in (("asl", ASLConfig), ("lm", LMConfig)):
-            if key in kw:
-                check_fields(sub, kw[key], f"config {key}", complete)
-                kw[key] = sub(**kw[key])
-        return cls(**kw)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def split_by_patient(patients, ratio: float = 0.75, seed: int = 0
@@ -567,22 +558,14 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
     core, val = split_by_patient(dataset.patients[train_idx], BSS_VALIDATION_RATIO,
                                  ckpt.config.seed)
     selection = bss_select(ckpt, dataset, train_idx[val])
-    per_source = {}
-    for name in set(selection.assignment.values()):
-        if name is None:
-            continue
-        _, yhat = predict(ckpt, dataset, test_idx, f"single:{name}", threshold)
-        per_source[name] = yhat
-    results = []
+    per_source = {name: predict(ckpt, dataset, test_idx, f"single:{name}", threshold)[1]
+                  for name in set(selection.assignment.values()) - {None}}
+    labels, results = dataset.labels[test_idx], []
     for k, task in enumerate(ckpt.task_names):
         source = selection.assignment[task]
-        if source is None:
-            results.append(TaskMetrics(task=task, tp=0, fp=0, fn=0, tn=0,
-                                       precision=0.0, recall=0.0, n_labeled=0,
-                                       degenerate=True))
-            continue
-        results.append(precision_recall(per_source[source][:, k],
-                                        dataset.labels[test_idx][:, k], task=task))
+        # a task no source was selected for is scored over zero records
+        yhat, true = (per_source[source][:, k], labels[:, k]) if source else ([], [])
+        results.append(precision_recall(yhat, true, task=task))
     return results, selection
 
 
@@ -603,7 +586,7 @@ def save_checkpoint(ckpt: Checkpoint, out_dir, lock: dict | None = None) -> Path
         "format": "riskfuse-checkpoint",
         "version": FORMAT_VERSIONS["checkpoint"],
         "train_config": dataclasses.asdict(ckpt.config),
-        "sources": [s.to_dict() for s in ckpt.source_specs],
+        "sources": [dataclasses.asdict(s) for s in ckpt.source_specs],
         "task_names": list(ckpt.task_names),
         "dataset_mode": ckpt.dataset_mode,
         "dataset_seed": ckpt.dataset_seed,
@@ -626,7 +609,7 @@ def load_checkpoint(path) -> Checkpoint:
     value = partial(manifest_value, manifest_path, manifest)
     train_config = value("train_config", "an object")
     try:
-        cfg = TrainConfig.from_dict(train_config, complete=True)
+        cfg = decode(TrainConfig, train_config, "config", complete=True)
     except ValueError as err:
         raise ValueError(f"{manifest_path}: invalid train_config: {err}") from None
     # the backbone and the designated indices are rebuilt from their seeds,
@@ -652,7 +635,7 @@ def load_checkpoint(path) -> Checkpoint:
         designated=designated,
         projectors={},
         stats={},
-        history=value("history", "an object"),
+        history=value("history", "an object of number lists"),
         _frozen=frozen,
     )
     proj_cfgs = _projector_configs(specs, cfg.lm)

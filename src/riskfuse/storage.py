@@ -1,8 +1,8 @@
 """Dataset directory format and in-memory dataset container.
 
 A dataset directory holds a JSON `manifest` (format version, record and
-task counts, task names, source specs, mode, seed and a generator echo,
-each checked for its type on load by `manifest_value`) and binary files.
+task counts, task names, source specs, mode, seed and a generator echo)
+and binary files.
 Each binary file is one or more consecutive numpy .npy arrays, written by
 `save_arrays` and read back by `load_arrays`, which checks every array's
 dtype and shape against the manifest:
@@ -28,6 +28,10 @@ lengths and ids as int64. Arrays are little-endian. Identical
 generator seeds produce byte-identical directories. Checkpoints store their
 parameters and stats through `save_arrays` and `load_arrays` too, as
 float64.
+
+Each JSON value read back must be of a kind in `KINDS`: a manifest key
+as `manifest_value` names it, a field of a config dataclass that `decode`
+builds (a source spec, a training config) as its annotation names it.
 """
 
 from __future__ import annotations
@@ -37,18 +41,19 @@ import os
 import shutil
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 from pathlib import Path
 from tokenize import TokenError
+from typing import get_type_hints
 
 import numpy as np
 
 from .encoders import SourceSpec
 
-__all__ = ["FORMAT_VERSIONS", "MODES", "Dataset", "payload_layout", "gather_records",
-           "write_dataset", "load_dataset", "save_arrays", "load_arrays", "check_replaceable",
-           "replaced_directory"]
+__all__ = ["FORMAT_VERSIONS", "MODES", "KINDS", "Dataset", "payload_layout", "gather_records",
+           "decode", "write_dataset", "load_dataset", "save_arrays", "load_arrays",
+           "check_replaceable", "replaced_directory"]
 
 FORMAT_VERSIONS = {"dataset": 2, "checkpoint": 3}
 MODES = ("latent", "raw")
@@ -178,35 +183,69 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-# what a manifest value must be, under the name its error message gives it
-MANIFEST_KINDS = {
+# what a decoded JSON value must be, as errors name it (a bool is not a number)
+KINDS = {
     "an integer": lambda v: type(v) is int,
     "a count": lambda v: type(v) is int and v >= 0,
+    "a number": lambda v: type(v) in (int, float),
     "a string": lambda v: type(v) is str,
     "a list": lambda v: type(v) is list,
     "a list of names": lambda v: type(v) is list and all(type(x) is str for x in v),
     "an object": lambda v: type(v) is dict,
+    "an object of number lists": lambda v: type(v) is dict and all(
+        type(x) is list and all(KINDS["a number"](y) for y in x) for x in v.values()),
     "latent or raw": lambda v: v in MODES,
 }
 
 
+def _checked(what: str, value, kind: str):
+    if not KINDS[kind](value):
+        raise ValueError(f"{what} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def manifest_value(path, manifest: dict, key: str, kind: str):
-    """`manifest[key]`, which must be `kind` (see MANIFEST_KINDS); a missing
-    key or a value of another kind is a ValueError naming the manifest at
-    `path`."""
+    """`manifest[key]`, which must be `kind` (see KINDS); a missing key or a
+    value of another kind is a ValueError naming the manifest at `path`."""
     if key not in manifest:
         raise ValueError(f"{path}: missing key {key!r}")
-    value = manifest[key]
-    if not MANIFEST_KINDS[kind](value):
-        raise ValueError(f"{path}: {key} must be {kind}, got {json.dumps(value)}")
-    return value
+    return _checked(f"{path}: {key}", manifest[key], kind)
+
+
+@cache
+def _field_kinds(cls) -> dict:
+    # each field's kind or dataclass; resolving annotations is slow, so once
+    hints = get_type_hints(cls)
+    named = {int: "an integer", float: "a number", str: "a string"}
+    return {f.name: hints[f.name] if is_dataclass(hints[f.name]) else named[hints[f.name]]
+            for f in fields(cls)}
+
+
+def decode(cls, obj, where: str, complete: bool):
+    """The config dataclass `cls` built from the decoded JSON object `obj`,
+    dataclass fields included. A non-object, an unknown key or a value not
+    of the kind its field's annotation names is a ValueError naming `where`,
+    and so is a missing key if `complete`; otherwise it takes its default."""
+    if not KINDS["an object"](obj):
+        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    kinds = _field_kinds(cls)
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = sorted(set(kinds) - set(obj))
+    if complete and missing:
+        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
+    return cls(**{key: _checked(f"{where} key {key!r}", value, kinds[key])
+                  if isinstance(kinds[key], str)
+                  else decode(kinds[key], value, f"{where} {key}", complete)
+                  for key, value in obj.items()})
 
 
 def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
     """Decode the source list of the manifest at `path`; a spec that lacks a
     field or holds an invalid one is a ValueError naming the manifest."""
     try:
-        return tuple(SourceSpec.from_dict(d) for d in items)
+        return tuple(decode(SourceSpec, d, "source", complete=True) for d in items)
     except ValueError as err:
         raise ValueError(f"{path}: invalid sources: {err}") from None
 
@@ -326,7 +365,7 @@ def write_dataset(ds: Dataset, out_dir, lock: dict | None = None) -> Path:
         "task_names": list(ds.task_names),
         "mode": ds.mode,
         "seed": ds.seed,
-        "sources": [s.to_dict() for s in ds.source_specs],
+        "sources": [asdict(s) for s in ds.source_specs],
         "generator": ds.generator,
     }
     with replaced_directory(out_dir, "dataset", lock) as out:

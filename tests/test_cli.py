@@ -117,8 +117,14 @@ def test_gen_profile_flag_mismatches(tmp_path, capsys):
 def test_gen_rejects_bad_scale(tmp_path, capsys):
     # a profile's ValueError is one error line, as main prints any ValueError
     for flags, message in ((["--profile", "table1", "--scale", "0"], "scale must be positive"),
+                           (["--profile", "table1", "--scale", "inf"],
+                            "scale must be finite, got inf"),
+                           (["--profile", "table1", "--scale", "nan"],
+                            "scale must be finite, got nan"),
                            (["--profile", "planted", "--n-records", "0"],
-                            "n_records must be positive")):
+                            "n_records must be positive"),
+                           (["--profile", "planted", "--seed", "-1"],
+                            "seed must be nonnegative, got -1")):
         assert main(["gen", *flags, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x").exists()
@@ -262,8 +268,9 @@ def test_train_invalid_hyperparameter(workspace, tmp_path, capsys):
     assert "invalid training configuration" in capsys.readouterr().err
 
 
-# a training-config value of the wrong type for its field, at the top level
-# and in lm and asl, with the message that names it
+# a training-config value of the wrong type for its field, or that training
+# cannot run, at the top level and in lm and asl, with the message that
+# names it
 WRONG_TYPES = [
     ({"epochs": 2.5}, "config key 'epochs' must be an integer, got 2.5"),
     ({"epochs": True}, "config key 'epochs' must be an integer, got true"),
@@ -274,9 +281,19 @@ WRONG_TYPES = [
     ({"mode": 1}, "config key 'mode' must be a string, got 1"),
     ({"lm": {"d_model": 64.0}}, "config lm key 'd_model' must be an integer, got 64.0"),
     ({"asl": {"margin": "0.05"}}, 'config asl key \'margin\' must be a number, got "0.05"'),
+    # values that decode but cannot run; json writes a non-finite float as
+    # a NaN or Infinity literal
+    ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
+    ({"weight_decay": float("nan")}, "weight_decay must be finite, got nan"),
+    ({"beta": -float("inf")}, "beta must be finite, got -inf"),
+    ({"asl": {"gamma_neg": float("nan")}}, "gamma_neg must be finite and nonnegative, got nan"),
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"lm": {"seed": -1}}, "lm seed must be nonnegative, got -1"),
 ]
 WRONG_TYPE_IDS = ["epochs-float", "epochs-bool", "batch-float", "seed-float", "seed-zero-float",
-                  "beta-bool", "mode-int", "lm-d-model-float", "asl-margin-string"]
+                  "beta-bool", "mode-int", "lm-d-model-float", "asl-margin-string",
+                  "lr-inf", "weight-decay-nan", "beta-minus-inf", "asl-gamma-neg-nan",
+                  "seed-negative", "lm-seed-negative"]
 
 
 @pytest.mark.parametrize("setting, message", WRONG_TYPES, ids=WRONG_TYPE_IDS)
@@ -286,6 +303,20 @@ def test_train_rejects_a_config_value_of_the_wrong_type(workspace, tmp_path, cap
     cfg.write_text(json.dumps({"lm": SMALL_LM, "epochs": 1, **setting}))
     assert main(["train", "--data", str(workspace["data"]),
                  "--out", str(tmp_path / "c"), "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid training configuration: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "learning_rate must be finite, got nan"),
+    ("--lr", "inf", "learning_rate must be finite, got inf"),
+    ("--weight-decay", "nan", "weight_decay must be finite, got nan"),
+    ("--beta", "inf", "beta must be finite, got inf"),
+    ("--seed", "-3", "seed must be nonnegative, got -3"),
+], ids=["lr-nan", "lr-inf", "weight-decay-nan", "beta-inf", "seed-negative"])
+def test_train_refuses_an_unrunnable_flag(workspace, tmp_path, capsys, flag, value, message):
+    assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"]), flag, value]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: invalid training configuration: {message}\n"
     assert not (tmp_path / "c").exists()
 
@@ -439,6 +470,19 @@ def test_eval_rejects_a_checkpoint_config_value_of_the_wrong_type(workspace, tmp
                  "--protocol", "bss"]) == EXIT_CONFIG
     assert (capsys.readouterr().err
             == f"error: {broken / 'manifest'}: invalid train_config: {message}\n")
+
+
+@pytest.mark.parametrize("history", [
+    {"isolated": "x", "other": [1, "a"]}, {"isolated": [0.5, True]}, {"isolated": [[0.5]]},
+    {"isolated": None}, [[0.5]],
+], ids=["string-and-mixed", "bool", "nested", "null", "list"])
+def test_eval_refuses_a_checkpoint_history_that_is_not_number_lists(workspace, tmp_path, capsys,
+                                                                    history):
+    broken = _edit_manifest(workspace, tmp_path, "iso", "history", (history,))
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: {broken / 'manifest'}: history must be an "
+                                       f"object of number lists, got {json.dumps(history)}\n")
 
 
 @pytest.mark.parametrize("damage,message", [

@@ -3,6 +3,7 @@ image screening selection/aggregation, text chunking, normalization, and
 the one-pass featurizers against the per-record oracle in
 `featurize_oracle.py`."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from riskfuse.encoders import (N_TS_FEATURES, SourceSpec, aggregate_images,
                                fit_feature_stats, image_stub_matrix, latest_image,
                                text_stub_table, timeseries_feature_matrix, ts_features)
 from riskfuse.pipeline import _base_embeddings
+from riskfuse.storage import decode
 
 import featurize_oracle as oracle
 
@@ -444,6 +446,6 @@ def test_image_rule_validation():
 @pytest.mark.parametrize("key, value, kind", [
     ("dim", 8.0, "an integer"), ("source_id", True, "an integer"), ("name", 3, "a string")])
 def test_a_decoded_spec_value_of_the_wrong_type_is_refused(key, value, kind):
-    d = dict(SourceSpec(0, "xr", "image", 8, raw_dim=16).to_dict(), **{key: value})
+    d = dict(dataclasses.asdict(SourceSpec(0, "xr", "image", 8, raw_dim=16)), **{key: value})
     with pytest.raises(ValueError, match=f"source key '{key}' must be {kind}, got"):
-        SourceSpec.from_dict(d)
+        decode(SourceSpec, d, "source", complete=True)

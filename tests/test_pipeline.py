@@ -16,13 +16,13 @@ from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import apply_feature_stats
 from riskfuse.frozenlm import LMConfig, init_frozen
 from riskfuse.losses import ASLConfig
-from riskfuse.metrics import TaskMetrics
+from riskfuse.metrics import TaskMetrics, precision_recall
 from riskfuse.pipeline import (TrainConfig, bss_select, evaluate_protocol,
                                load_checkpoint, predict, prepare_embeddings,
                                save_checkpoint, split_by_patient, train)
 from riskfuse.projector import PARAM_NAMES, ProjectorConfig, init_projector
 from riskfuse.seeding import rng
-from riskfuse.storage import dump_json, read_json, write_dataset
+from riskfuse.storage import decode, dump_json, read_json, write_dataset
 
 # d_model must exceed the widest source embedding (lab, 44)
 LM_SMALL = LMConfig(d_model=48, n_layers=2, n_heads=2, vocab=32, max_seq=8, seed=0)
@@ -178,21 +178,21 @@ def test_isolated_training_of_a_source_ignores_the_other_sources(iso_ckpt, datas
                                       iso_ckpt.projectors[name].value(pname))
 
 
-def test_train_config_from_dict_roundtrips_and_rejects_unknown_keys():
+def test_train_config_decode_roundtrips_and_rejects_unknown_keys():
     cfg = _cfg(mode="isolated", asl=ASLConfig(margin=0.1))
-    assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
-    assert TrainConfig.from_dict({"epochs": 2}) == TrainConfig(epochs=2)
+    assert decode(TrainConfig, dataclasses.asdict(cfg), "config", complete=False) == cfg
+    assert decode(TrainConfig, {"epochs": 2}, "config", complete=False) == TrainConfig(epochs=2)
     for bad, key in [({"momentum": 0.9}, "momentum"),
                      ({"asl": {"margin": 0.1, "gamma_pos": 1.0}}, "gamma_pos"),
                      ({"lm": {"head_count": 2}}, "head_count"),
                      ({"lm": 5}, "config lm must be an object")]:
         with pytest.raises(ValueError, match=key):
-            TrainConfig.from_dict(bad)
+            decode(TrainConfig, bad, "config", complete=False)
     full = dataclasses.asdict(cfg)
-    assert TrainConfig.from_dict(full, complete=True) == cfg
+    assert decode(TrainConfig, full, "config", complete=True) == cfg
     del full["lm"]["n_heads"]
     with pytest.raises(ValueError, match="missing config lm keys: n_heads"):
-        TrainConfig.from_dict(full, complete=True)
+        decode(TrainConfig, full, "config", complete=True)
 
 
 def test_backbone_weights_never_move(joint_ckpt, iso_ckpt):
@@ -473,13 +473,30 @@ def test_evaluate_joint_protocol(joint_ckpt, dataset):
     assert all(isinstance(m, TaskMetrics) for m in rows)
 
 
-def test_evaluate_bss_protocol(iso_ckpt, dataset):
+def test_evaluate_bss_protocol(iso_ckpt, dataset, monkeypatch):
+    select = pipeline.bss_select
+
+    def leave_the_first_task_unselected(*args):
+        sel = select(*args)
+        sel.assignment[iso_ckpt.task_names[0]] = None
+        return sel
+
+    monkeypatch.setattr(pipeline, "bss_select", leave_the_first_task_unselected)
     rows, sel = evaluate_protocol(iso_ckpt, dataset, "bss")
     assert sel is not None
     assert [m.task for m in rows] == list(iso_ckpt.task_names)
-    for m, task in zip(rows, iso_ckpt.task_names):
-        if sel.assignment[task] is None:
-            assert m.degenerate and m.n_labeled == 0
+    _, test_idx = split_by_patient(dataset.patients, iso_ckpt.config.split_ratio,
+                                   iso_ckpt.config.seed)
+    labels = dataset.labels[test_idx]
+    for k, (m, task) in enumerate(zip(rows, iso_ckpt.task_names)):
+        source = sel.assignment[task]
+        if source is None:
+            assert m == TaskMetrics(task=task, tp=0, fp=0, fn=0, tn=0, precision=0.0,
+                                    recall=0.0, n_labeled=0, degenerate=True)
+        else:
+            _, yhat = predict(iso_ckpt, dataset, test_idx, f"single:{source}")
+            assert m == precision_recall(yhat[:, k], labels[:, k], task=task)
+    assert sel.assignment[iso_ckpt.task_names[0]] is None
 
 
 def test_evaluate_rejects_wrong_pairing(iso_ckpt, dataset):

@@ -1,20 +1,23 @@
 """Dataset persistence tests: roundtrips in both modes, manifest validation,
-file-level determinism."""
+the one decoder of config dataclasses, file-level determinism."""
 
+import dataclasses
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from riskfuse import storage
+from riskfuse import datagen, storage
 from riskfuse.datagen import build, planted_profile
 from riskfuse.encoders import SourceSpec
 from riskfuse.frozenlm import LMConfig
+from riskfuse.losses import ASLConfig
 from riskfuse.pipeline import TrainConfig, load_checkpoint, save_checkpoint, train
 from riskfuse.projector import PARAM_NAMES
-from riskfuse.storage import (Dataset, dump_json, load_arrays, load_dataset, read_json,
-                              save_arrays, write_dataset)
+from riskfuse.storage import (Dataset, decode, dump_json, load_arrays, load_dataset,
+                              read_json, save_arrays, write_dataset)
 
 
 def _latent_ds(seed=0, n=40):
@@ -266,6 +269,42 @@ def test_missing_manifest_key_names_the_manifest(tmp_path, key):
     with pytest.raises(ValueError,
                        match=re.escape(f"{tmp_path / 'manifest'}: missing key '{key}'")):
         load_dataset(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the one decoder of config dataclasses
+
+
+@pytest.mark.parametrize("obj", [
+    TrainConfig(mode="isolated", epochs=3, learning_rate=1e-3, asl=ASLConfig(0.1, 2.0),
+                lm=LMConfig(d_model=32, n_layers=1, n_heads=4, vocab=64, max_seq=6, seed=5)),
+    *datagen.SOURCES, LMConfig(vocab=16, seed=2), ASLConfig(margin=0.0, gamma_neg=1.5),
+], ids=lambda obj: getattr(obj, "name", type(obj).__name__))
+@pytest.mark.parametrize("complete", [True, False])
+def test_decode_inverts_asdict(obj, complete):
+    assert decode(type(obj), dataclasses.asdict(obj), "x", complete) == obj
+
+
+# a value that a manifest key and a dataclass field of the same kind refuse
+@pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "true"), ("7", '"7"')])
+@pytest.mark.parametrize("where", ["dataset-seed", "config-epochs", "source-dim"])
+def test_a_value_of_the_wrong_kind_is_refused_in_the_same_words_everywhere(
+        tmp_path, where, value, shown):
+    if where == "dataset-seed":
+        write_dataset(_latent_ds(n=6), tmp_path)
+        manifest = read_json(tmp_path / "manifest")
+        manifest["seed"] = value
+        dump_json(tmp_path / "manifest", manifest)
+        load, prefix = partial(load_dataset, tmp_path), f"{tmp_path / 'manifest'}: seed"
+    elif where == "config-epochs":
+        load = partial(decode, TrainConfig, {"epochs": value}, "config", False)
+        prefix = "config key 'epochs'"
+    else:
+        spec = dict(dataclasses.asdict(datagen.SOURCES[0]), dim=value)
+        load, prefix = partial(decode, SourceSpec, spec, "source", True), "source key 'dim'"
+    with pytest.raises(ValueError) as err:
+        load()
+    assert str(err.value) == f"{prefix} must be an integer, got {shown}"
 
 
 def test_dump_json_is_deterministic(tmp_path):
