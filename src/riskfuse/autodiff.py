@@ -395,36 +395,34 @@ def _accumulate(grads: dict, parent: Tensor, pg: np.ndarray, op: str) -> None:
 
 
 class ParamSet:
-    """Named trainable tensors, one gradient buffer per parameter."""
+    """Named trainable leaves, in insertion order, and the owner of their
+    storage: building the set copies them into one float64 `values` and one
+    `grads` buffer, matrices (ndim >= 2, the first `n_matrix` entries) first,
+    and points each leaf's `.value` and `.grad` at its slice. A later set
+    over the same leaves moves their storage again."""
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
+    def __init__(self, leaves: dict[str, Tensor]):
+        for name, t in leaves.items():
+            if not t.requires_grad or t._parents:
+                raise ValueError(f"parameter {name!r} must be a requires_grad leaf")
+        self._params = dict(leaves)
+        packed = sorted(self._params.values(), key=lambda t: t.ndim < 2)
+        self.n_matrix = sum(t.size for t in packed if t.ndim >= 2)
+        self.values = np.empty(sum(t.size for t in packed))
+        self.grads = np.empty_like(self.values)
+        for t, end in zip(packed, accumulate(t.size for t in packed)):
+            seg = slice(end - t.size, end)
+            self.values[seg] = t.value.reshape(-1)
+            self.grads[seg] = t.grad.reshape(-1)
+            t.value = self.values[seg].reshape(t.shape)
+            t.grad = self.grads[seg].reshape(t.shape)
         self.grads_populated = False
-
-    def add(self, name: str, value) -> Tensor:
-        t = parameter(value)
-        return self.adopt(name, t)
-
-    def adopt(self, name: str, tensor: Tensor) -> Tensor:
-        """Register an existing leaf under this set (shared across sets)."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if not tensor.requires_grad or tensor._parents:
-            raise ValueError(f"parameter {name!r} must be a requires_grad leaf")
-        self._params[name] = tensor
-        return tensor
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._params)
 
-    def items(self):
-        return self._params.items()
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)
@@ -436,8 +434,7 @@ class ParamSet:
         return self._params[name].grad
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad[...] = 0.0
+        self.grads.fill(0.0)
         self.grads_populated = False
 
 

@@ -316,12 +316,10 @@ def _projector_configs(specs, lm: LMConfig) -> dict:
 
 
 def _param_set(projectors: dict) -> ad.ParamSet:
-    """One ParamSet over every tensor of the given projectors."""
-    params = ad.ParamSet()
-    for name, pp in projectors.items():
-        for pname in PARAM_NAMES:
-            params.adopt(f"{name}.{pname}", pp.tensor(pname))
-    return params
+    """One ParamSet over every tensor of the given projectors; it takes over
+    their storage."""
+    return ad.ParamSet({f"{name}.{pname}": t for name, pp in projectors.items()
+                        for pname, t in pp.tensors.items()})
 
 
 def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
@@ -366,7 +364,7 @@ def _run_epochs(groups: list[_Group], emb: dict, labels: np.ndarray, frozen: Fro
             try:
                 ad.eval_with_grads(batch_loss(groups, batches, batch_losses), params)
             except ad.NonFiniteError as err:
-                label, op = _first_failing(groups, batches, batch_loss, cfg.mode, err)
+                label, op = _first_failing(groups, batches, batch_loss, params, cfg.mode, err)
                 raise ad.NonFiniteError(
                     op, f"{label}: aborted at epoch {epoch}, batch {b}") from err
             adamw_step(params, state)
@@ -375,15 +373,15 @@ def _run_epochs(groups: list[_Group], emb: dict, labels: np.ndarray, frozen: Fro
     return history
 
 
-def _first_failing(groups, batches, batch_loss, mode: str, err: ad.NonFiniteError):
+def _first_failing(groups, batches, batch_loss, params, mode: str, err: ad.NonFiniteError):
     """(label, primitive) of the first group, in feed order, whose batch
-    fails on its own; the shared step cannot tell which one did. Nothing is
-    updated."""
+    fails on its own; the shared step cannot tell which one did. Each try
+    writes gradients into the training set `params`; nothing is updated."""
     if len(groups) == 1:
         return groups[0].label, err.op
     for g, batch in zip(groups, batches):
         try:
-            ad.eval_with_grads(batch_loss([g], [batch]), _param_set(g.projectors))
+            ad.eval_with_grads(batch_loss([g], [batch]), params)
         except ad.NonFiniteError as alone:
             return g.label, alone.op
     return f"{mode} training", err.op
@@ -631,7 +629,7 @@ def load_checkpoint(path) -> Checkpoint:
         source_specs=specs,
         task_names=task_names,
         dataset_mode=value("dataset_mode", "latent or raw"),
-        dataset_seed=value("dataset_seed", "an integer"),
+        dataset_seed=value("dataset_seed", "a count"),
         designated=designated,
         projectors={},
         stats={},
@@ -716,5 +714,7 @@ def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5
     bit for bit, and a probe's loss is the mean of its own rows, so every
     probe loss, and with it the report, is the one the serial loop of
     `finite_diff_check` gives."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     computation, params, probe_losses = _gradcheck_problem(seed)
     return ad.finite_diff_check(computation, params, h=h, tol=tol, probe_losses=probe_losses)

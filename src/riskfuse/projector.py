@@ -48,24 +48,21 @@ class ProjectorConfig:
 
 
 class ProjectorParams:
-    """Config plus the four named tensors in a ParamSet."""
+    """Config plus the four named leaves; a training ParamSet built over them
+    owns their storage."""
 
     def __init__(self, config: ProjectorConfig, enc_w, enc_b, dec_w, dec_b):
         self.config = config
-        self.params = ad.ParamSet()
+        self.tensors = {}
         shapes = config.shapes()
-        given = {"enc_w": enc_w, "enc_b": enc_b, "dec_w": dec_w, "dec_b": dec_b}
-        for name in PARAM_NAMES:
-            arr = np.asarray(given[name], dtype=np.float64)
+        for name, given in zip(PARAM_NAMES, (enc_w, enc_b, dec_w, dec_b)):
+            arr = np.asarray(given, dtype=np.float64)
             if arr.shape != shapes[name]:
                 raise ValueError(f"{name} must have shape {shapes[name]}, got {arr.shape}")
-            self.params.add(name, arr)
-
-    def tensor(self, name: str) -> ad.Tensor:
-        return self.params[name]
+            self.tensors[name] = ad.parameter(arr)
 
     def value(self, name: str) -> np.ndarray:
-        return self.params.value(name)
+        return self.tensors[name].value
 
 
 def init_projector(config: ProjectorConfig, seed: int, source_key: int | str = 0) -> ProjectorParams:
@@ -92,7 +89,7 @@ def _rows(x, dim: int, what: str) -> ad.Tensor:
 def project(pp: ProjectorParams, e) -> ad.Tensor:
     """tanh(W_enc e + b_enc) of each row of a (B, d_e) batch, as one node."""
     rows = _rows(e, pp.config.embed_dim, "embedding")
-    w, b = pp.tensor("enc_w"), pp.tensor("enc_b")
+    w, b = pp.tensors["enc_w"], pp.tensors["enc_b"]
     pre = rows.value @ np.swapaxes(w.value, 0, 1)
     pre += b.value
     # before the tanh can squash an overflow to +-1
@@ -118,7 +115,7 @@ def project(pp: ProjectorParams, e) -> ad.Tensor:
 def reconstruct(pp: ProjectorParams, t) -> ad.Tensor:
     """Affine decode W_dec t + b_dec of each row of a (B, d_t) batch, as one node."""
     rows = _rows(t, pp.config.token_dim, "token")
-    w, b = pp.tensor("dec_w"), pp.tensor("dec_b")
+    w, b = pp.tensors["dec_w"], pp.tensors["dec_b"]
     out = rows.value @ np.swapaxes(w.value, 0, 1)
     out += b.value
     if not ad.records(rows, w, b):

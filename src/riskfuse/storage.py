@@ -389,7 +389,7 @@ def load_dataset(path) -> Dataset:
     specs = read_source_specs(manifest_path, value("sources", "a list"))
     n, k = value("n_records", "a count"), value("n_tasks", "a count")
     task_names = tuple(value("task_names", "a list of names"))
-    mode, seed = value("mode", "latent or raw"), value("seed", "an integer")
+    mode, seed = value("mode", "latent or raw"), value("seed", "a count")
     generator = value("generator", "an object")
     labels = load_arrays(root / LABELS, ("i1", (n, k)))[0]
     patients = load_arrays(root / PATIENTS, ("<u4", (n,)))[0]

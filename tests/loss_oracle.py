@@ -24,12 +24,12 @@ from oracle_ops import clip, log, matmul, maximum_const, neg, power_const, sub, 
 
 def project(pp, e) -> ad.Tensor:
     rows = _rows(e, pp.config.embed_dim, "embedding")
-    return tanh(matmul(rows, swapaxes(pp.tensor("enc_w"), 0, 1)) + pp.tensor("enc_b"))
+    return tanh(matmul(rows, swapaxes(pp.tensors["enc_w"], 0, 1)) + pp.tensors["enc_b"])
 
 
 def reconstruct(pp, t) -> ad.Tensor:
     rows = _rows(t, pp.config.token_dim, "token")
-    return matmul(rows, swapaxes(pp.tensor("dec_w"), 0, 1)) + pp.tensor("dec_b")
+    return matmul(rows, swapaxes(pp.tensors["dec_w"], 0, 1)) + pp.tensors["dec_b"]
 
 
 def reconstruction_loss_graph(e, e_hat: ad.Tensor) -> ad.Tensor:

@@ -118,8 +118,8 @@ def _masked_phi_case(case: int) -> None:
     labels[0, 0] = 1                # at least one live entry
     labels[1, 1] = -1               # and at least one masked entry
     phi_val = gen.uniform(0.02, 0.98, size=(B, K))
-    params = ad.ParamSet()
-    phi = params.add("phi", phi_val)
+    phi = ad.parameter(phi_val)
+    params = ad.ParamSet({"phi": phi})
 
     def computation(_params=None):
         return classification_loss_graph(phi, labels, kind,
@@ -167,10 +167,8 @@ def _masked_task_case(case: int, flip_sanity: bool = False) -> None:
 
     results = []
     for des in (designated, swapped):
-        params = ad.ParamSet()
-        for name in dims:
-            for pname in PARAM_NAMES:
-                params.adopt(f"{name}.{pname}", projectors[name].tensor(pname))
+        params = ad.ParamSet({f"{name}.{pname}": projectors[name].tensors[pname]
+                              for name in dims for pname in PARAM_NAMES})
         computation = build_joint_loss(projectors, frozen, des,
                                        emb, labels, kind, 10.0,
                                        weights=weights, asl=ASLConfig())

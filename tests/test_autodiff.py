@@ -101,9 +101,8 @@ def test_power_const_zero_base_special_cases():
 def test_primitive_gradients(name, expr):
     # str hash() is salted per process; crc32 draws the same data every run
     gen = _rng(zlib.crc32(name.encode()))
-    params = ad.ParamSet()
-    params.add("x", gen.standard_normal((3, 3)))
-    params.add("y", gen.standard_normal((3, 3)))
+    params = ad.ParamSet({"x": ad.parameter(gen.standard_normal((3, 3))),
+                          "y": ad.parameter(gen.standard_normal((3, 3)))})
     check_scalar_fn(lambda p: expr(p["x"], p["y"]), params)
 
 
@@ -123,14 +122,13 @@ def test_primitive_gradients(name, expr):
 def test_primitive_gradients_with_a_frozen_operand(name, shapes, expr, frozen):
     gen = _rng(zlib.crc32(f"{name}-{frozen}".encode()))
     left, right = (gen.standard_normal(shape) for shape in shapes)
-    params = ad.ParamSet()
     if frozen == "left":
         const = ad.constant(left)
-        params.add("x", right)
+        params = ad.ParamSet({"x": ad.parameter(right)})
         check_scalar_fn(lambda p: expr(const, p["x"]), params)
     else:
         const = ad.constant(right)
-        params.add("x", left)
+        params = ad.ParamSet({"x": ad.parameter(left)})
         check_scalar_fn(lambda p: expr(p["x"], const), params)
     assert const.grad is None
 
@@ -146,17 +144,15 @@ def test_frozen_operand_vjp_is_never_evaluated():
 
 def test_matmul_gradient_including_batched():
     gen = _rng(11)
-    params = ad.ParamSet()
-    params.add("a", gen.standard_normal((2, 3, 4)))
-    params.add("b", gen.standard_normal((4, 2)))
+    params = ad.ParamSet({"a": ad.parameter(gen.standard_normal((2, 3, 4))),
+                          "b": ad.parameter(gen.standard_normal((4, 2)))})
     check_scalar_fn(lambda p: (matmul(p["a"], p["b"]) * 0.7).sum(), params)
 
 
 def test_broadcast_gradients_reduce_to_param_shape():
     gen = _rng(12)
-    params = ad.ParamSet()
-    params.add("m", gen.standard_normal((4, 3)))
-    params.add("row", gen.standard_normal(3))
+    params = ad.ParamSet({"m": ad.parameter(gen.standard_normal((4, 3))),
+                          "row": ad.parameter(gen.standard_normal(3))})
 
     def build(p):
         return ((p["m"] + p["row"]) * (p["m"] * p["row"])).sum()
@@ -166,16 +162,14 @@ def test_broadcast_gradients_reduce_to_param_shape():
 
 
 def test_log_gradient_on_positive_domain():
-    params = ad.ParamSet()
-    params.add("x", np.array([0.3, 1.0, 2.5]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.3, 1.0, 2.5]))})
     check_scalar_fn(lambda p: log(p["x"] * p["x"] + 0.1).sum(), params)
 
 
 def test_concat_and_getitem_gradients():
     gen = _rng(13)
-    params = ad.ParamSet()
-    params.add("a", gen.standard_normal((2, 3)))
-    params.add("b", gen.standard_normal((2, 3)))
+    params = ad.ParamSet({"a": ad.parameter(gen.standard_normal((2, 3))),
+                          "b": ad.parameter(gen.standard_normal((2, 3)))})
 
     def build(p):
         cat = ad.concat([p["a"], p["b"]], axis=1)
@@ -188,29 +182,24 @@ def test_getitem_gradient_accumulates_repeated_indices():
     x = ad.parameter(np.array([1.0, 2.0, 3.0]))
     ad.backward(x[[0, 0, 2]].sum())
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
-    params = ad.ParamSet()
-    params.add("m", _rng(14).standard_normal((4, 3)))
+    params = ad.ParamSet({"m": ad.parameter(_rng(14).standard_normal((4, 3)))})
     weights = _rng(15).standard_normal((5, 3))
     check_scalar_fn(lambda p: (tanh(p["m"][[0, 2, 0, 3, 2]]) * weights).sum(), params)
     check_scalar_fn(lambda p: tanh(p["m"][[1, 1, 3], [2, 2, 0]] * 2.0).sum(), params)
 
 
 def test_maximum_const_gradient_away_from_kink():
-    params = ad.ParamSet()
-    params.add("x", np.array([-1.0, -0.2, 0.4, 2.0]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([-1.0, -0.2, 0.4, 2.0]))})
     check_scalar_fn(lambda p: (maximum_const(p["x"], 0.0) * 3.0).sum(), params)
 
 
 def test_power_const_gradient():
-    params = ad.ParamSet()
-    params.add("x", np.array([0.2, 0.7, 1.9]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.2, 0.7, 1.9]))})
     check_scalar_fn(lambda p: power_const(p["x"], 4.0).sum(), params)
 
 
 def test_diamond_graph_accumulates_both_paths():
-    params = ad.ParamSet()
-    params.add("x", np.array([2.0]))
-    params.add("y", np.array([3.0]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([2.0])), "y": ad.parameter(np.array([3.0]))})
 
     def build(p):
         shared = p["x"] * p["y"]
@@ -222,8 +211,7 @@ def test_diamond_graph_accumulates_both_paths():
 
 
 def test_reused_node_many_consumers():
-    params = ad.ParamSet()
-    params.add("x", np.array([1.5]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([1.5]))})
 
     def build(p):
         s = tanh(p["x"])
@@ -259,8 +247,7 @@ def test_log_of_zero_raises():
 
 def test_backward_nonfinite_detected():
     # forward survives log(tiny); backward 1/tiny overflows
-    params = ad.ParamSet()
-    params.add("x", np.array([1e-320]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([1e-320]))})
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as exc:
         ad.eval_with_grads(lambda p: log(p["x"]).sum(), params)
     assert exc.value.op == "log"
@@ -291,8 +278,7 @@ def test_backward_requires_scalar():
 
 
 def test_eval_with_grads_zeroes_between_calls():
-    params = ad.ParamSet()
-    params.add("x", np.array([1.0, 2.0]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([1.0, 2.0]))})
     build = lambda p: (p["x"] * p["x"]).sum()
     ad.eval_with_grads(build, params)
     first = params.grad("x").copy()
@@ -300,23 +286,37 @@ def test_eval_with_grads_zeroes_between_calls():
     np.testing.assert_array_equal(params.grad("x"), first)  # not doubled
 
 
-def test_paramset_rejects_duplicates_and_nonleaves():
-    params = ad.ParamSet()
-    x = params.add("x", np.ones(2))
+def test_paramset_rejects_nonleaves():
+    x = ad.parameter(np.ones(2))
     with pytest.raises(ValueError):
-        params.add("x", np.ones(2))
+        ad.ParamSet({"y": x * 2.0})  # interior node
     with pytest.raises(ValueError):
-        params.adopt("y", x * 2.0)  # interior node
-    with pytest.raises(ValueError):
-        params.adopt("z", ad.constant(np.ones(2)))  # frozen
+        ad.ParamSet({"z": ad.constant(np.ones(2))})  # frozen
 
 
-def test_paramset_shares_tensor_across_sets():
-    a, b = ad.ParamSet(), ad.ParamSet()
-    t = a.add("w", np.array([1.0]))
-    b.adopt("alias.w", t)
-    ad.eval_with_grads(lambda p: (p["w"] * 3.0).sum(), a)
-    np.testing.assert_array_equal(b.grad("alias.w"), [3.0])
+def test_paramset_leaves_are_views_of_its_flat_store():
+    gen = _rng(21)
+    start = {"b": gen.standard_normal(3), "w": gen.standard_normal((3, 2)),
+             "c": gen.standard_normal(2), "v": gen.standard_normal((2, 2))}
+    leaves = {name: ad.parameter(value) for name, value in start.items()}
+    params = ad.ParamSet(leaves)
+    assert params.names() == ("b", "w", "c", "v")
+    assert params.n_matrix == 6 + 4
+    assert params.values.shape == params.grads.shape == (15,)
+    for name, t in leaves.items():
+        assert params[name] is t
+        assert t.value.base is params.values and t.grad.base is params.grads
+        np.testing.assert_array_equal(t.value, start[name])
+    # matrices fill the front of the buffer, in insertion order
+    np.testing.assert_array_equal(params.values[:params.n_matrix],
+                                  np.concatenate([start["w"].ravel(), start["v"].ravel()]))
+    ad.eval_with_grads(lambda p: sum(((p[n] * p[n]).sum() for n in start), ad.constant(0.0)),
+                       params)
+    assert all(np.all(t.grad != 0.0) for t in leaves.values())
+    params.zero_grads()
+    for t in leaves.values():
+        np.testing.assert_array_equal(t.grad, 0.0)
+    assert not params.grads_populated
 
 
 def test_graph_below_constants_is_pruned():
@@ -353,8 +353,7 @@ def test_no_graph_restores_recording_after_an_exception():
 
 
 def test_eval_with_grads_refuses_to_run_inside_no_graph():
-    params = ad.ParamSet()
-    params.add("x", np.array([1.0]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([1.0]))})
     with ad.no_graph(), pytest.raises(RuntimeError, match="no_graph"):
         ad.eval_with_grads(lambda p: (p["x"] * 3.0).sum(), params)
 
@@ -365,8 +364,7 @@ def test_eval_with_grads_refuses_to_run_inside_no_graph():
 
 def test_finite_diff_probes_record_no_graph():
     recorded = []
-    params = ad.ParamSet()
-    params.add("x", np.array([0.5, -0.3]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.5, -0.3]))})
 
     def build(p):
         out = (p["x"] * p["x"]).sum()
@@ -378,8 +376,7 @@ def test_finite_diff_probes_record_no_graph():
 
 
 def test_finite_diff_flags_corrupted_gradient():
-    params = ad.ParamSet()
-    params.add("x", np.array([0.5, -0.3]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.5, -0.3]))})
     build = lambda p: (p["x"] * p["x"]).sum()
     ad.eval_with_grads(build, params)
     poisoned = {"x": params.grad("x") + 0.1}
@@ -392,9 +389,8 @@ def test_finite_diff_flags_corrupted_gradient():
 def test_finite_diff_catches_corrupted_zero_gradient():
     # analytic says 0.1 where the true gradient is 0: numeric is below the
     # floor but analytic is not, so the entry must still be compared
-    params = ad.ParamSet()
-    params.add("x", np.array([1.0]))
-    params.add("dead", np.array([2.0]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([1.0])),
+                          "dead": ad.parameter(np.array([2.0]))})
     build = lambda p: (p["x"] * p["x"]).sum() + (p["dead"] * 0.0).sum()
     ad.eval_with_grads(build, params)
     report = ad.finite_diff_check(build, params, analytic={"x": params.grad("x"),
@@ -403,8 +399,7 @@ def test_finite_diff_catches_corrupted_zero_gradient():
 
 
 def test_finite_diff_counts_negligible_entries():
-    params = ad.ParamSet()
-    params.add("dead", np.array([2.0, 3.0]))
+    params = ad.ParamSet({"dead": ad.parameter(np.array([2.0, 3.0]))})
     build = lambda p: (p["dead"] * 0.0).sum() + 1.0
     report = ad.finite_diff_check(build, params)
     assert report.passed
@@ -412,9 +407,8 @@ def test_finite_diff_counts_negligible_entries():
 
 
 def test_finite_diff_report_format_mentions_every_param():
-    params = ad.ParamSet()
-    params.add("alpha", np.array([0.4]))
-    params.add("beta", np.array([1.2]))
+    params = ad.ParamSet({"alpha": ad.parameter(np.array([0.4])),
+                          "beta": ad.parameter(np.array([1.2]))})
     report = ad.finite_diff_check(lambda p: (p["alpha"] * p["beta"]).sum(), params)
     text = report.format()
     assert "alpha" in text and "beta" in text and "PASS" in text
@@ -423,8 +417,7 @@ def test_finite_diff_report_format_mentions_every_param():
 @pytest.mark.parametrize("arg", ("h", "tol"))
 @pytest.mark.parametrize("value", (0.0, -1e-5, float("nan"), float("inf"), float("-inf")))
 def test_finite_diff_rejects_a_non_finite_or_non_positive_step_or_tolerance(arg, value):
-    params = ad.ParamSet()
-    params.add("x", np.array([0.5]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.5]))})
     with pytest.raises(ValueError, match=f"^{arg} must be a positive finite number, got"):
         ad.finite_diff_check(lambda p: (p["x"] * p["x"]).sum(), params, **{arg: value})
 
@@ -445,9 +438,8 @@ def _serial_probes(build, params, h):
 
 def test_batched_probe_losses_feed_the_same_scoring_as_the_serial_loop():
     gen = np.random.default_rng(3)
-    params = ad.ParamSet()
-    params.add("x", gen.uniform(-2.0, 2.0, size=(2, 3)))
-    params.add("y", gen.uniform(-2.0, 2.0, size=(3,)))
+    params = ad.ParamSet({"x": ad.parameter(gen.uniform(-2.0, 2.0, size=(2, 3))),
+                          "y": ad.parameter(gen.uniform(-2.0, 2.0, size=(3,)))})
 
     def build(p):
         h = tanh(p["x"] * p["y"] + 0.3)
@@ -478,17 +470,15 @@ def test_batched_probe_losses_feed_the_same_scoring_as_the_serial_loop():
 
 
 def test_finite_diff_rejects_probe_losses_of_the_wrong_length():
-    params = ad.ParamSet()
-    params.add("x", np.array([0.5, -0.3]))
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.5, -0.3]))})
     with pytest.raises(ValueError, match=r"probe_losses for 'x' returned shape \(3,\)"):
         ad.finite_diff_check(lambda p: (p["x"] * p["x"]).sum(), params,
                              probe_losses=lambda name, stack: [0.0, 0.0, 0.0])
 
 
 def test_finite_diff_restores_the_entry_a_failing_probe_set():
-    params = ad.ParamSet()
     start = np.array([0.7, 2.0])
-    params.add("x", start.copy())
+    params = ad.ParamSet({"x": ad.parameter(start.copy())})
 
     def build(p):
         if p.value("x")[1] > 2.0:
@@ -501,9 +491,8 @@ def test_finite_diff_restores_the_entry_a_failing_probe_set():
 
 
 def test_finite_diff_restores_parameter_values():
-    params = ad.ParamSet()
     start = np.array([0.7, -1.1])
-    params.add("x", start.copy())
+    params = ad.ParamSet({"x": ad.parameter(start.copy())})
     ad.finite_diff_check(lambda p: power_const(p["x"], 2.0).sum(), params)
     np.testing.assert_array_equal(params.value("x"), start)
 
@@ -527,9 +516,8 @@ def test_addition_commutes(xs, ys):
 @given(st.integers(0, 2**31 - 1))
 def test_random_expression_gradcheck(seed):
     gen = np.random.default_rng(seed)
-    params = ad.ParamSet()
-    params.add("x", gen.uniform(-2.0, 2.0, size=(2, 3)))
-    params.add("y", gen.uniform(-2.0, 2.0, size=(3,)))
+    params = ad.ParamSet({"x": ad.parameter(gen.uniform(-2.0, 2.0, size=(2, 3))),
+                          "y": ad.parameter(gen.uniform(-2.0, 2.0, size=(3,)))})
 
     def build(p):
         h = tanh(p["x"] * p["y"] + 0.3)

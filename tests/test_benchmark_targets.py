@@ -79,6 +79,29 @@ def test_series_count_reads_a_real_featurization_call(monkeypatch):
                                                 for name in ("proc", "lab", "chart")]
 
 
+def test_params_updated_count_reads_a_real_isolated_training(monkeypatch):
+    # optim.params_updated is the count spans.py takes from
+    # pipeline.adamw_step's arguments: the tensors one step updates, four
+    # per projector, so 24 for six sources trained in lockstep
+    spans = _load_spans()
+    (count,) = [c for module, attr, _, c in spans.WRAPPED
+                if module is pipeline and attr == "adamw_step"]
+    calls = []
+    real = pipeline.adamw_step
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "adamw_step", spy)
+    ds = build(planted_profile(n_records=24, seed=0))
+    assert len(ds.source_specs) == 6
+    lm = LMConfig(d_model=48, n_layers=1, n_heads=2, vocab=16, max_seq=8)
+    pipeline.train(ds, pipeline.TrainConfig(mode="isolated", epochs=1, batch_size=8, lm=lm))
+    assert calls
+    assert [count(*call) for call in calls] == [24] * len(calls)
+
+
 def test_a_raw_featurization_reaches_every_wrapped_featurizer(monkeypatch):
     # the encoders.* spans time the featurizers spans.py wraps by name; a
     # featurization that went around one would leave its span reading zero

@@ -437,6 +437,27 @@ def test_a_checkpoint_manifest_key_missing_or_of_the_wrong_type_names_the_manife
     assert _manifest_error(broken, key, value) in capsys.readouterr().err
 
 
+def test_train_rejects_a_negative_dataset_seed_naming_the_manifest(raw_workspace, workspace,
+                                                                   tmp_path, capsys):
+    # raw featurization draws from the seed, so a negative one must stop at the manifest
+    data = tmp_path / "raw"
+    shutil.copytree(raw_workspace, data)
+    dump_json(data / "manifest", {**read_json(data / "manifest"), "seed": -1})
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {data / 'manifest'}: seed must be a count, got -1\n"
+
+
+def test_eval_rejects_a_negative_checkpoint_dataset_seed_naming_the_manifest(workspace,
+                                                                             tmp_path, capsys):
+    broken = _edit_manifest(workspace, tmp_path, "iso", "dataset_seed", (-1,))
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {broken / 'manifest'}: dataset_seed must be a count, got -1\n"
+
+
 @pytest.mark.parametrize("where", [(), ("lm",), ("asl",)])
 def test_eval_rejects_a_checkpoint_config_with_an_unknown_key(workspace, tmp_path, capsys,
                                                               where):
@@ -741,6 +762,13 @@ def test_gradcheck_rejects_a_non_finite_or_non_positive_argument(capsys, flag, v
     assert main(["gradcheck", flag, value]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"error: {name} must be a positive finite number, got" in captured.err
+    assert captured.out == ""
+
+
+def test_gradcheck_rejects_a_negative_seed_in_its_own_words(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
     assert captured.out == ""
 
 

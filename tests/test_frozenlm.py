@@ -154,8 +154,7 @@ def test_hash_is_sha256_of_names_and_bytes():
 def test_gradient_flows_through_backbone_to_inputs():
     w = init_frozen(SMALL)
     gen = np.random.default_rng(5)
-    params = ad.ParamSet()
-    params.add("x", gen.standard_normal((3, 16)) * 0.5)
+    params = ad.ParamSet({"x": ad.parameter(gen.standard_normal((3, 16)) * 0.5)})
     target = gen.standard_normal(32)
 
     def build(p):
@@ -213,9 +212,8 @@ def test_oracle_softmax_rows_sum_to_one_even_for_huge_logits():
 
 def test_oracle_softmax_gradient_matches_finite_differences():
     gen = np.random.default_rng(7)
-    params = ad.ParamSet()
-    params.add("x", gen.standard_normal((3, 3)))
-    params.add("y", gen.standard_normal((3, 3)))
+    params = ad.ParamSet({"x": ad.parameter(gen.standard_normal((3, 3))),
+                          "y": ad.parameter(gen.standard_normal((3, 3)))})
     report = ad.finite_diff_check(lambda p: (softmax_last(p["x"]) * p["y"]).sum(), params)
     assert report.passed, report.format()
 
@@ -299,8 +297,7 @@ def test_leading_rows_equal_a_call_on_them_alone_bit_for_bit(seq_len):
 def test_input_gradient_matches_finite_differences(seq_len):
     w = init_frozen(SMALL)
     gen = np.random.default_rng(seq_len)
-    params = ad.ParamSet()
-    params.add("x", gen.standard_normal((2, seq_len, SMALL.d_model)) * 0.5)
+    params = ad.ParamSet({"x": ad.parameter(gen.standard_normal((2, seq_len, SMALL.d_model)) * 0.5)})
     mix = ad.constant(gen.standard_normal((2, seq_len, SMALL.vocab)))
     report = ad.finite_diff_check(lambda p: (lm_forward(w, p["x"]) * mix).sum(), params,
                                   tol=1e-4)
@@ -519,10 +516,8 @@ def test_confidence_via_selection_matrix_matches_extract():
             mix = ad.constant(gen.standard_normal((batch, len(dv.indices))))
             results = []
             for readout in (by_index, by_matrix):
-                params = ad.ParamSet()
-                for k, pp in enumerate(projectors):
-                    for name, t in pp.params.items():
-                        params.adopt(f"{k}.{name}", t)
+                params = ad.ParamSet({f"{k}.{name}": t for k, pp in enumerate(projectors)
+                                      for name, t in pp.tensors.items()})
                 phi = []
 
                 def loss(_p):

@@ -59,12 +59,13 @@ def test_projector_nodes_equal_the_oracle_bit_for_bit(rows):
     pp = init_projector(PROJ, seed=rows, source_key="xr")
     e = gen.standard_normal((rows, PROJ.embed_dim)) * 2.0
     t = np.tanh(gen.standard_normal((rows, PROJ.token_dim)))
+    params = ad.ParamSet(pp.tensors)
     for node, reference, x, width in ((project, oracle.project, e, PROJ.token_dim),
                                       (reconstruct, oracle.reconstruct, t, PROJ.embed_dim)):
         mix = gen.standard_normal((rows, width))
         _assert_bit_identical(
-            _value_and_grads(lambda x: node(pp, x), [x], mix, pp.params),
-            _value_and_grads(lambda x: reference(pp, x), [x], mix, pp.params),
+            _value_and_grads(lambda x: node(pp, x), [x], mix, params),
+            _value_and_grads(lambda x: reference(pp, x), [x], mix, params),
             node.__name__)
 
 

@@ -172,8 +172,7 @@ def test_graph_gradients_match_finite_differences():
     gen = np.random.default_rng(3)
     labels = np.array([[1, 0, UNKNOWN], [0, 1, 1]])
     w = ClassWeights(pos=np.array([1.5, 0.7, 1.0]), neg=np.array([0.9, 1.1, 2.0]))
-    params = ad.ParamSet()
-    params.add("logits", gen.standard_normal((2, 3)) * 0.5)
+    params = ad.ParamSet({"logits": ad.parameter(gen.standard_normal((2, 3)) * 0.5)})
 
     for kind in ("avg", "asl"):
         def build(p):

@@ -1,10 +1,11 @@
-"""Optimizer tests with hand-computed single-step oracles."""
+"""Optimizer tests with hand-computed single-step oracles, and the flat
+update against the per-tensor loop it replaced."""
 
 import numpy as np
 import pytest
 
 import riskfuse.autodiff as ad
-from riskfuse.optim import adamw_step, init_adamw
+from riskfuse.optim import BETA1, BETA2, EPS, adamw_step, init_adamw
 
 
 def _step(params, grads, **kw):
@@ -21,8 +22,7 @@ def test_single_step_matrix_oracle():
     # = 1 - 1.5e-7. Bias-corrected m_hat = v_hat = 1 after one step, so the
     # update is lr / (1 + 1e-8). Hand-computed final value:
     expected = (1.0 - 5e-4 * 3e-4) - 5e-4 / (1.0 + 1e-8)
-    params = ad.ParamSet()
-    params.add("w", np.array([[1.0]]))
+    params = ad.ParamSet({"w": ad.parameter(np.array([[1.0]]))})
     _step(params, {"w": np.array([[1.0]])}, lr=5e-4, weight_decay=3e-4)
     assert params.value("w")[0, 0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.9994998500, abs=1e-9)
@@ -30,16 +30,14 @@ def test_single_step_matrix_oracle():
 
 def test_decay_only_oracle():
     # zero gradient: Adam delta vanishes, only the decay acts
-    params = ad.ParamSet()
-    params.add("w", np.array([[2.0]]))
+    params = ad.ParamSet({"w": ad.parameter(np.array([[2.0]]))})
     _step(params, {"w": np.array([[0.0]])}, lr=0.01, weight_decay=0.1)
     assert params.value("w")[0, 0] == pytest.approx(1.998, abs=1e-15)
 
 
 def test_vectors_and_scalars_are_not_decayed():
     # decoupled decay applies to matrices only; 1-D parameters skip it
-    params = ad.ParamSet()
-    params.add("b", np.array([2.0]))
+    params = ad.ParamSet({"b": ad.parameter(np.array([2.0]))})
     _step(params, {"b": np.array([0.0])}, lr=0.01, weight_decay=0.1)
     assert params.value("b")[0] == pytest.approx(2.0, abs=1e-15)
 
@@ -58,8 +56,7 @@ def test_two_steps_track_reference_implementation():
         v_hat = v / (1 - b2 ** t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    params = ad.ParamSet()
-    params.add("w", np.array([[1.3]]))
+    params = ad.ParamSet({"w": ad.parameter(np.array([[1.3]]))})
     state = init_adamw(params, lr=lr, weight_decay=wd)
     for g in (g1, g2):
         params[("w")].grad[...] = g
@@ -70,16 +67,14 @@ def test_two_steps_track_reference_implementation():
 
 
 def test_step_requires_populated_gradients():
-    params = ad.ParamSet()
-    params.add("w", np.ones((2, 2)))
+    params = ad.ParamSet({"w": ad.parameter(np.ones((2, 2)))})
     state = init_adamw(params, lr=1e-3, weight_decay=0.0)
     with pytest.raises(ValueError):
         adamw_step(params, state)
 
 
 def test_step_zeroes_gradients_afterwards():
-    params = ad.ParamSet()
-    params.add("w", np.ones((2, 2)))
+    params = ad.ParamSet({"w": ad.parameter(np.ones((2, 2)))})
     state = init_adamw(params, lr=1e-3, weight_decay=0.0)
     params["w"].grad[...] = 1.0
     params.grads_populated = True
@@ -88,20 +83,58 @@ def test_step_zeroes_gradients_afterwards():
     assert not params.grads_populated
 
 
-def test_state_rejects_foreign_paramset():
-    a, b = ad.ParamSet(), ad.ParamSet()
-    a.add("w", np.ones(2))
-    b.add("other", np.ones(2))
+@pytest.mark.parametrize("name, size", [("other", 2), ("w", 3)], ids=["names", "size"])
+def test_state_rejects_foreign_paramset(name, size):
+    a = ad.ParamSet({"w": ad.parameter(np.ones(2))})
+    b = ad.ParamSet({name: ad.parameter(np.ones(size))})
     state = init_adamw(a, lr=1e-3, weight_decay=0.0)
-    b["other"].grad[...] = 1.0
+    b[name].grad[...] = 1.0
     b.grads_populated = True
     with pytest.raises(ValueError):
         adamw_step(b, state)
 
 
+def _per_tensor_adamw(values: dict, grads: dict, m: dict, v: dict, t: int,
+                      lr: float, wd: float) -> None:
+    """AdamW one tensor at a time, in place: the loop the flat pass replaced."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for name, p in values.items():
+        g = grads[name]
+        if wd != 0.0 and p.ndim >= 2:
+            p *= 1.0 - lr * wd
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * g
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * (g * g)
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + EPS)
+
+
+def test_flat_step_equals_the_per_tensor_loop_bit_for_bit():
+    # vectors and matrices interleaved, so packing matrices first reorders them
+    shapes = {"a": (3,), "W": (2, 3), "b": (2,), "T": (2, 2, 3), "V": (3, 2)}
+    gen = np.random.default_rng(3)
+    start = {name: gen.standard_normal(shape) for name, shape in shapes.items()}
+    params = ad.ParamSet({name: ad.parameter(value) for name, value in start.items()})
+    assert params.n_matrix == 6 + 12 + 6
+    state = init_adamw(params, lr=1e-2, weight_decay=0.1)
+    ref = {name: value.copy() for name, value in start.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t in (1, 2, 3):
+        grads = {name: gen.standard_normal(shape) for name, shape in shapes.items()}
+        for name, g in grads.items():
+            params[name].grad[...] = g
+        params.grads_populated = True
+        adamw_step(params, state)
+        _per_tensor_adamw(ref, grads, m, v, t, lr=1e-2, wd=0.1)
+        for name in shapes:
+            np.testing.assert_array_equal(params.value(name), ref[name], err_msg=f"{name}@{t}")
+    assert state.step_count == 3
+
+
 def test_invalid_hyperparameters_rejected():
-    params = ad.ParamSet()
-    params.add("w", np.ones(1))
+    params = ad.ParamSet({"w": ad.parameter(np.ones(1))})
     with pytest.raises(ValueError):
         init_adamw(params, lr=0.0, weight_decay=0.0)
     with pytest.raises(ValueError):
@@ -109,8 +142,7 @@ def test_invalid_hyperparameters_rejected():
 
 
 def test_descends_a_quadratic():
-    params = ad.ParamSet()
-    params.add("w", np.array([[5.0]]))
+    params = ad.ParamSet({"w": ad.parameter(np.array([[5.0]]))})
     state = init_adamw(params, lr=0.05, weight_decay=0.0)
     losses = []
     for _ in range(200):

@@ -207,7 +207,7 @@ def test_projector_weights_do_move(joint_ckpt):
     fresh = init_projector(ProjectorConfig(embed_dim=spec.dim, token_dim=LM_SMALL.d_model),
                            joint_ckpt.config.seed, name)
     trained = joint_ckpt.projectors[name]
-    assert any(not np.array_equal(trained.tensor(p).value, fresh.tensor(p).value)
+    assert any(not np.array_equal(trained.tensors[p].value, fresh.tensors[p].value)
                for p in PARAM_NAMES)
 
 

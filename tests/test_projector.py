@@ -90,7 +90,7 @@ def test_autoencoder_roundtrip_gradients():
         diff = sub(rec, e)
         return (diff * diff).sum()
 
-    report = ad.finite_diff_check(build, pp.params, tol=1e-5)
+    report = ad.finite_diff_check(build, ad.ParamSet(pp.tensors), tol=1e-5)
     assert report.passed, report.format()
     assert sorted(c.name for c in report.checks) == sorted(PARAM_NAMES)
 
@@ -100,17 +100,18 @@ def test_training_reduces_reconstruction_error():
     cfg = ProjectorConfig(embed_dim=4, token_dim=9)
     pp = init_projector(cfg, seed=6)
     e = np.random.default_rng(7).standard_normal((32, 4))
-    state = init_adamw(pp.params, lr=0.01, weight_decay=0.0)
+    params = ad.ParamSet(pp.tensors)
+    state = init_adamw(params, lr=0.01, weight_decay=0.0)
 
     def build(_p):
         rec = reconstruct(pp, project(pp, ad.constant(e)))
         diff = sub(rec, e)
         return (diff * diff).sum(axis=-1).mean()
 
-    first = ad.eval_with_grads(build, pp.params)
-    adamw_step(pp.params, state)
+    first = ad.eval_with_grads(build, params)
+    adamw_step(params, state)
     for _ in range(150):
-        ad.eval_with_grads(build, pp.params)
-        adamw_step(pp.params, state)
-    last = ad.eval_with_grads(build, pp.params)
+        ad.eval_with_grads(build, params)
+        adamw_step(params, state)
+    last = ad.eval_with_grads(build, params)
     assert last < 0.2 * first

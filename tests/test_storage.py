@@ -285,7 +285,7 @@ def test_decode_inverts_asdict(obj, complete):
     assert decode(type(obj), dataclasses.asdict(obj), "x", complete) == obj
 
 
-# a value that a manifest key and a dataclass field of the same kind refuse
+# a value that a manifest key and a dataclass field of an integer kind refuse
 @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "true"), ("7", '"7"')])
 @pytest.mark.parametrize("where", ["dataset-seed", "config-epochs", "source-dim"])
 def test_a_value_of_the_wrong_kind_is_refused_in_the_same_words_everywhere(
@@ -296,15 +296,17 @@ def test_a_value_of_the_wrong_kind_is_refused_in_the_same_words_everywhere(
         manifest["seed"] = value
         dump_json(tmp_path / "manifest", manifest)
         load, prefix = partial(load_dataset, tmp_path), f"{tmp_path / 'manifest'}: seed"
+        kind = "a count"
     elif where == "config-epochs":
         load = partial(decode, TrainConfig, {"epochs": value}, "config", False)
-        prefix = "config key 'epochs'"
+        prefix, kind = "config key 'epochs'", "an integer"
     else:
         spec = dict(dataclasses.asdict(datagen.SOURCES[0]), dim=value)
         load, prefix = partial(decode, SourceSpec, spec, "source", True), "source key 'dim'"
+        kind = "an integer"
     with pytest.raises(ValueError) as err:
         load()
-    assert str(err.value) == f"{prefix} must be an integer, got {shown}"
+    assert str(err.value) == f"{prefix} must be {kind}, got {shown}"
 
 
 def test_dump_json_is_deterministic(tmp_path):
