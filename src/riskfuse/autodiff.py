@@ -286,9 +286,12 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
+    """The tensors joined along `axis`; a lone tensor comes back as it is."""
     tensors = tuple(_wrap(t) for t in tensors)
     if not tensors:
         raise ValueError("concat: need at least one tensor")
+    if len(tensors) == 1:
+        return tensors[0]
     out = np.concatenate([t.value for t in tensors], axis=axis)
     ax = axis % out.ndim
 
@@ -368,8 +371,6 @@ def backward(out: Tensor) -> float:
             continue
         if not node._parents:
             # requires_grad leaf
-            if node.grad is None:
-                node.grad = np.zeros_like(node.value)
             node.grad += grads.pop(id(node))
             continue
         if len(node._parents) == 1:

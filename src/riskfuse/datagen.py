@@ -57,6 +57,7 @@ __all__ = [
 _NORMAL = NormalDist()
 
 LATENT_DIM = 12
+# in feed order: a dataset lists its sources, and a model reads them, in this order
 SOURCES = (
     SourceSpec(0, "xr", "image", 8, raw_dim=16, image_rule="latest"),
     SourceSpec(1, "axr", "image", 8, raw_dim=16, image_rule="aggregate"),

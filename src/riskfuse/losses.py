@@ -121,9 +121,11 @@ def classification_loss_graph(phi: ad.Tensor, labels, kind: str, *,
     as one node.
 
     Unknown labels enter as multiplicative zero masks, which keeps their
-    gradient contribution exactly zero. Returns a (B,) tensor.
+    gradient contribution exactly zero. `labels` must already pass
+    `validate_labels`: training checks its dataset once, not every batch.
+    Returns a (B,) tensor.
     """
-    y = validate_labels(labels)
+    y = np.asarray(labels)
     if y.shape != phi.shape:
         raise ValueError(f"labels shape {y.shape} does not match confidences {phi.shape}")
     pos_mask = (y == 1).astype(np.float64)

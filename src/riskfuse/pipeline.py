@@ -1,7 +1,8 @@
 """Training and evaluation pipeline.
 
 Joint training feeds all sources through their projectors as one short
-sequence into the frozen backbone and minimizes the batch mean of
+sequence, in the dataset's source order, into the frozen backbone and
+minimizes the batch mean of
 
     sum_s ||e_s - e_hat_s||^2  +  beta * masked classification loss
 
@@ -48,7 +49,6 @@ from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, decode, dump_json, gat
                       replaced_directory, save_arrays)
 
 __all__ = [
-    "SEQUENCE_ORDER",
     "TrainConfig",
     "Checkpoint",
     "split_by_patient",
@@ -65,9 +65,6 @@ __all__ = [
     "load_checkpoint",
     "gradcheck_suite",
 ]
-
-# fixed feed order of the canonical sources
-SEQUENCE_ORDER = ("xr", "axr", "proc", "lab", "chart", "txt")
 
 LOSS_KINDS = ("avg", "asl")
 TRAIN_MODES = ("joint", "isolated")
@@ -139,13 +136,6 @@ def split_by_patient(patients, ratio: float = 0.75, seed: int = 0
 # embedding preparation (frozen encoders + train-fitted normalization)
 
 
-def _source_order(specs) -> tuple[str, ...]:
-    names = [s.name for s in specs]
-    if set(names) <= set(SEQUENCE_ORDER):
-        return tuple(n for n in SEQUENCE_ORDER if n in names)
-    return tuple(names)
-
-
 def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
     """Frozen-encoder embeddings of the given record rows, per named source."""
     base = {}
@@ -197,27 +187,29 @@ def prepare_embeddings(dataset: Dataset, rows, stats: dict | None = None,
 # loss graphs
 
 
-def _confidence_graph(tokens: list[ad.Tensor], frozen: FrozenWeights,
+def _confidence_graph(sequences: list[list[ad.Tensor]], frozen: FrozenWeights,
                       designated: DesignatedVocab) -> ad.Tensor:
-    """(N, K) confidences from per-position (N, d_t) token batches: the
-    sigmoid of the position-mean logits at the designated indices.
+    """(G·N, K) confidences of G groups' sequences, each a list of S
+    per-position (N, d_t) token batches: the sigmoid of the position-mean
+    logits at the designated indices, group by group.
 
-    The backbone treats rows independently, bit for bit, so rows stacked
-    from several groups share one call and each row gets the value and
+    The groups' rows are stacked into one (G·N, S, d_t) call. The backbone
+    treats rows independently, bit for bit, so each row gets the value and
     input gradient it would get alone. That rests on `lm_forward` running
     every weight product as one GEMM of at least two rows against a
     contiguous weight, whose rows the BLAS rounds alike at any row count.
     At one position the mean is that position's logits, so it is skipped.
     """
-    stacked = [t.reshape(t.shape[0], 1, t.shape[1]) for t in tokens]
-    seq = stacked[0] if len(stacked) == 1 else ad.concat(stacked, axis=1)
+    positions = [ad.concat(tokens, axis=0) for tokens in zip(*sequences)]
+    rows, width = positions[0].shape
+    seq = ad.concat(positions, axis=-1).reshape(rows, len(positions), width)
     logits = lm_forward(frozen, seq)
-    if len(tokens) == 1:
+    if len(positions) == 1:
         return ad.sigmoid(logits[:, 0, list(designated.indices)])
     return ad.sigmoid(logits.mean(axis=-2)[:, list(designated.indices)])
 
 
-def build_joint_loss(groups, frozen: FrozenWeights, designated: DesignatedVocab,
+def build_joint_loss(groups: list[dict], frozen: FrozenWeights, designated: DesignatedVocab,
                      emb_batch: dict, labels_batch, loss_kind: str,
                      beta: float, weights: ClassWeights | None = None,
                      asl: ASLConfig | None = None, group_losses: list | None = None):
@@ -225,20 +217,19 @@ def build_joint_loss(groups, frozen: FrozenWeights, designated: DesignatedVocab,
     batch-mean objective.
 
     A group is a dict of projectors, source name -> params, whose tokens form
-    one sequence in dict order; `groups` is one group or a list of groups
-    with equally many sources and rows. Their sequences are stacked on the
-    batch axis into one backbone call and one classification loss, and a
-    group's loss reads only its own rows, so each group's projectors get
-    exactly the gradient they would get alone. `emb_batch` maps every source
-    to its batch; `labels_batch` holds the groups' label rows, stacked in the
-    same order. Each evaluation appends the list of group loss values to
-    `group_losses`, if given.
+    one sequence in dict order; the groups hold equally many sources and
+    rows. Their sequences are stacked on the batch axis into one backbone
+    call and one classification loss, and a group's loss reads only its own
+    rows, so each group's projectors get exactly the gradient they would get
+    alone. `emb_batch` maps every source to its batch; `labels_batch` holds
+    the groups' label rows, stacked in the same order, and each must pass
+    `losses.validate_labels`. Each evaluation appends the list of group loss
+    values to `group_losses`, if given.
 
     A projector held by several groups (the gradient audit's unperturbed
     sources) is evaluated once per call and its tokens and reconstruction
     loss reused; training never shares one, so its graph is unchanged.
     """
-    groups = [groups] if isinstance(groups, dict) else list(groups)
     if len({len(emb_batch[name]) for group in groups for name in group}) != 1:
         raise ValueError("every source batch must hold the same number of rows")
 
@@ -258,13 +249,11 @@ def build_joint_loss(groups, frozen: FrozenWeights, designated: DesignatedVocab,
                 tokens.append(t)
             recon.append(rec)
             sequences.append(tokens)
-        positions = [p[0] if len(p) == 1 else ad.concat(p, axis=0) for p in zip(*sequences)]
-        phi = _confidence_graph(positions, frozen, designated)
+        phi = _confidence_graph(sequences, frozen, designated)
         cls = classification_loss_graph(phi, labels_batch, loss_kind,
                                         weights=weights, asl=asl)
         # row r of group i is row i * B + r of the stack
-        rec = recon[0] if len(recon) == 1 else ad.concat(recon)
-        losses = (rec + beta * cls).reshape(len(recon), -1).mean(axis=-1)
+        losses = (ad.concat(recon) + beta * cls).reshape(len(recon), -1).mean(axis=-1)
         if group_losses is not None:
             group_losses.append([float(loss) for loss in losses.value])
         return losses.sum()
@@ -278,7 +267,7 @@ def build_isolated_loss(pp: ProjectorParams, frozen: FrozenWeights,
                         asl: ASLConfig | None = None):
     """Single-source objective: the joint objective of a one-source group,
     i.e. on the length-1 sequence of that source's token."""
-    return build_joint_loss({"source": pp}, frozen, designated, {"source": emb_batch},
+    return build_joint_loss([{"source": pp}], frozen, designated, {"source": emb_batch},
                             labels_batch, loss_kind, beta, weights, asl)
 
 
@@ -296,16 +285,12 @@ class Checkpoint:
     designated: DesignatedVocab
     projectors: dict
     stats: dict
+    frozen: FrozenWeights = field(repr=False, compare=False)
     history: dict = field(default_factory=dict)
-    _frozen: FrozenWeights | None = field(default=None, repr=False, compare=False)
-
-    def frozen(self) -> FrozenWeights:
-        if self._frozen is None:
-            self._frozen = init_frozen(self.config.lm)
-        return self._frozen
 
     def source_order(self) -> tuple[str, ...]:
-        return _source_order(self.source_specs)
+        """The feed order: the source order of the dataset it was trained on."""
+        return tuple(s.name for s in self.source_specs)
 
 
 def _projector_configs(specs, lm: LMConfig) -> dict:
@@ -377,8 +362,6 @@ def _first_failing(groups, batches, batch_loss, params, mode: str, err: ad.NonFi
     """(label, primitive) of the first group, in feed order, whose batch
     fails on its own; the shared step cannot tell which one did. Each try
     writes gradients into the training set `params`; nothing is updated."""
-    if len(groups) == 1:
-        return groups[0].label, err.op
     for g, batch in zip(groups, batches):
         try:
             ad.eval_with_grads(batch_loss([g], [batch]), params)
@@ -389,7 +372,6 @@ def _first_failing(groups, batches, batch_loss, params, mode: str, err: ad.NonFi
 
 def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     dataset.validate()
-    names = _source_order(dataset.source_specs)
     proj_cfgs = _projector_configs(dataset.source_specs, cfg.lm)
 
     # embeddings and labels of the training split; batches index its positions
@@ -400,7 +382,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     weights = class_weights(labels) if cfg.loss_kind == "avg" else None
     designated = draw_designated(cfg.lm.vocab, dataset.n_tasks, cfg.seed)
     frozen = init_frozen(cfg.lm)
-    projectors = {name: init_projector(proj_cfgs[name], cfg.seed, name) for name in names}
+    projectors = {name: init_projector(pc, cfg.seed, name) for name, pc in proj_cfgs.items()}
 
     if cfg.mode == "joint":
         groups = [_Group("joint", projectors, ("batches",), "joint training")]
@@ -418,8 +400,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
         designated=designated,
         projectors=projectors,
         stats=stats,
+        frozen=frozen,
         history=history,
-        _frozen=frozen,
     )
 
 
@@ -443,19 +425,23 @@ def check_compatible(ckpt: Checkpoint, dataset: Dataset) -> None:
                          f"checkpoint's {ckpt.dataset_seed}")
 
 
-def _parse_mode(mode: str, ckpt_mode: str) -> tuple[str, str | None]:
+def _mode_sources(ckpt: Checkpoint, mode: str) -> tuple[str, ...]:
+    """The sources, in feed order, that prediction mode `mode` reads."""
     if mode == "joint":
-        if ckpt_mode != "joint":
+        if ckpt.config.mode != "joint":
             raise ValueError(
                 "joint prediction needs a joint-trained checkpoint "
                 "(use iso-joint for isolation-trained projectors)")
-        return "joint", None
+        return ckpt.source_order()
     if mode == "iso-joint":
-        if ckpt_mode != "isolated":
+        if ckpt.config.mode != "isolated":
             raise ValueError("iso-joint prediction needs an isolation-trained checkpoint")
-        return "iso-joint", None
+        return ckpt.source_order()
     if mode.startswith("single:"):
-        return "single", mode.split(":", 1)[1]
+        name = mode.split(":", 1)[1]
+        if name not in ckpt.source_order():
+            raise ValueError(f"unknown source {name!r}")
+        return (name,)
     raise ValueError(f"unknown prediction mode {mode!r}")
 
 
@@ -467,28 +453,21 @@ def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
     boundary-inclusive, yhat = 1 wherever phi >= threshold.
     """
     check_compatible(ckpt, dataset)
-    kind, single_source = _parse_mode(mode, ckpt.config.mode)
+    names = _mode_sources(ckpt, mode)
     if threshold is None:
         threshold = ckpt.config.threshold
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    names = ckpt.source_order()
-    if kind == "single":
-        if single_source not in names:
-            raise ValueError(f"unknown source {single_source!r}")
-        names = (single_source,)
     idx = np.asarray(indices)
     if idx.size == 0:
         raise ValueError("no records to predict")
     emb, _ = prepare_embeddings(dataset, idx, stats=ckpt.stats, sources=names)
-    frozen = ckpt.frozen()
     out = np.empty((idx.size, len(ckpt.task_names)))
     with ad.no_graph():
         for start in range(0, idx.size, PREDICT_CHUNK):
             chunk = slice(start, start + PREDICT_CHUNK)
             tokens = [project(ckpt.projectors[name], emb[name][chunk]) for name in names]
-            phi = _confidence_graph(tokens, frozen, ckpt.designated)
-            out[chunk] = phi.value
+            out[chunk] = _confidence_graph([tokens], ckpt.frozen, ckpt.designated).value
     return out, (out >= threshold).astype(np.int64)
 
 
@@ -588,7 +567,7 @@ def save_checkpoint(ckpt: Checkpoint, out_dir, lock: dict | None = None) -> Path
         "task_names": list(ckpt.task_names),
         "dataset_mode": ckpt.dataset_mode,
         "dataset_seed": ckpt.dataset_seed,
-        "weights_hash": ckpt.frozen().weights_hash(),
+        "weights_hash": ckpt.frozen.weights_hash(),
         "designated": _designated_entry(ckpt.designated),
         "history": ckpt.history,
     }
@@ -618,12 +597,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{manifest_path}: backbone weights hash {rebuilt} rebuilt "
                          f"from train_config.lm does not match the stored {stored}")
     task_names = tuple(value("task_names", "a list of names"))
+    specs = read_source_specs(manifest_path, value("sources", "a list"))
+    if not specs or not task_names:
+        raise ValueError(f"{manifest_path}: a checkpoint needs at least one source and one "
+                         f"task, got {len(specs)} and {len(task_names)}")
     designated = draw_designated(cfg.lm.vocab, len(task_names), cfg.seed)
     entry = value("designated", "an object")
     if entry != _designated_entry(designated):
         raise ValueError(f"{manifest_path}: designated {entry} does not "
                          f"match {_designated_entry(designated)} drawn from train_config")
-    specs = read_source_specs(manifest_path, value("sources", "a list"))
     checkpoint = Checkpoint(
         config=cfg,
         source_specs=specs,
@@ -633,8 +615,8 @@ def load_checkpoint(path) -> Checkpoint:
         designated=designated,
         projectors={},
         stats={},
+        frozen=frozen,
         history=value("history", "an object of number lists"),
-        _frozen=frozen,
     )
     proj_cfgs = _projector_configs(specs, cfg.lm)
     for s in specs:
@@ -699,7 +681,7 @@ def _gradcheck_problem(seed: int):
             losses.extend(group_losses[0])
         return losses
 
-    return loss(projectors, labels_batch=labels), params, probe_losses
+    return loss([projectors], labels_batch=labels), params, probe_losses
 
 
 def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5

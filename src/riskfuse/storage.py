@@ -50,6 +50,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .encoders import SourceSpec
+from .losses import validate_labels
 
 __all__ = ["FORMAT_VERSIONS", "MODES", "KINDS", "Dataset", "payload_layout", "gather_records",
            "decode", "write_dataset", "load_dataset", "save_arrays", "load_arrays",
@@ -125,19 +126,24 @@ class Dataset:
 
     def validate(self, root="") -> None:
         """Check labels, patients, task names and every source's payload; a
-        message about the task names names the manifest, and one about a
-        payload its file, under the directory `root`."""
+        message about the sources or task names names the manifest, and one
+        about the labels or a payload its file, under the directory `root`."""
         if self.labels.ndim != 2 or self.labels.shape[0] != self.patients.shape[0]:
             raise ValueError("labels and patients disagree on the record count")
+        manifest = Path(root) / MANIFEST
+        if not self.source_specs or not self.n_tasks:
+            raise ValueError(f"{manifest}: a dataset needs at least one source and one task, "
+                             f"got {len(self.source_specs)} and {self.n_tasks}")
         if len(self.task_names) != self.n_tasks:
-            raise ValueError(f"{Path(root) / MANIFEST}: {len(self.task_names)} task names "
+            raise ValueError(f"{manifest}: {len(self.task_names)} task names "
                              f"for {self.n_tasks} label columns")
         repeated = sorted({t for t in self.task_names if self.task_names.count(t) > 1})
         if repeated:
-            raise ValueError(f"{Path(root) / MANIFEST}: duplicate task names: "
-                             f"{', '.join(repeated)}")
-        if not np.all(np.isin(self.labels, (-1, 0, 1))):
-            raise ValueError("labels must be -1, 0, or 1")
+            raise ValueError(f"{manifest}: duplicate task names: {', '.join(repeated)}")
+        try:
+            validate_labels(self.labels)
+        except ValueError as err:
+            raise ValueError(f"{Path(root) / LABELS}: {err}") from None
         names = [s.name for s in self.source_specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate source names")
@@ -243,11 +249,15 @@ def decode(cls, obj, where: str, complete: bool):
 
 def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
     """Decode the source list of the manifest at `path`; a spec that lacks a
-    field or holds an invalid one is a ValueError naming the manifest."""
+    field or holds an invalid one, or a name listed twice, is a ValueError
+    naming the manifest."""
     try:
-        return tuple(decode(SourceSpec, d, "source", complete=True) for d in items)
+        specs = tuple(decode(SourceSpec, d, "source", complete=True) for d in items)
     except ValueError as err:
         raise ValueError(f"{path}: invalid sources: {err}") from None
+    if len({s.name for s in specs}) != len(specs):
+        raise ValueError(f"{path}: duplicate source names")
+    return specs
 
 
 def read_manifest(root, kind: str) -> tuple[Path, dict]:

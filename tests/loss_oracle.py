@@ -60,7 +60,6 @@ def build_joint_loss(groups, frozen, designated, emb_batch: dict, labels_batch,
                      group_losses: list | None = None):
     """`pipeline.build_joint_loss` with one slice, product, sum and mean
     per group, joined by a chain of adds."""
-    groups = [groups] if isinstance(groups, dict) else list(groups)
 
     def computation(_params=None):
         recon, sequences = [], []
@@ -75,8 +74,7 @@ def build_joint_loss(groups, frozen, designated, emb_batch: dict, labels_batch,
                 tokens.append(t)
             recon.append(rec)
             sequences.append(tokens)
-        positions = [p[0] if len(p) == 1 else ad.concat(p, axis=0) for p in zip(*sequences)]
-        phi = _confidence_graph(positions, frozen, designated)
+        phi = _confidence_graph(sequences, frozen, designated)
         cls = classification_loss_graph(phi, labels_batch, loss_kind,
                                         weights=weights, asl=asl)
         losses = []

@@ -169,7 +169,7 @@ def _masked_task_case(case: int, flip_sanity: bool = False) -> None:
     for des in (designated, swapped):
         params = ad.ParamSet({f"{name}.{pname}": projectors[name].tensors[pname]
                               for name in dims for pname in PARAM_NAMES})
-        computation = build_joint_loss(projectors, frozen, des,
+        computation = build_joint_loss([projectors], frozen, des,
                                        emb, labels, kind, 10.0,
                                        weights=weights, asl=ASLConfig())
         loss = ad.eval_with_grads(computation, params)
@@ -201,7 +201,7 @@ def test_criterion_05_frozen_backbone_contract():
     hashes = {}
     for mode in ("joint", "isolated"):
         ck = train(ds, TrainConfig(mode=mode, epochs=2, seed=7))
-        hashes[mode] = ck.frozen().weights_hash()
+        hashes[mode] = ck.frozen.weights_hash()
         assert hashes[mode] == reference, mode
     print(f"criterion 5: PASS - backbone hash {reference[:12]}... unchanged by "
           f"2-epoch training in both modes")

@@ -54,7 +54,7 @@ def test_sequence_length_count_reads_a_real_backbone_call(monkeypatch):
     gen = np.random.default_rng(0)
     for n_sources in (1, 3):
         tokens = [ad.constant(gen.standard_normal((5, lm.d_model))) for _ in range(n_sources)]
-        pipeline._confidence_graph(tokens, frozen, designated)
+        pipeline._confidence_graph([tokens], frozen, designated)
         assert count(*calls[-1]) == n_sources
 
 

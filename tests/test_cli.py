@@ -426,6 +426,75 @@ def test_train_refuses_task_names_that_miss_the_labels_or_repeat(workspace, tmp_
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("empty", ["sources", "tasks"])
+@pytest.mark.parametrize("mode", ["joint", "isolated"])
+def test_train_refuses_a_dataset_with_no_sources_or_no_tasks(workspace, tmp_path, capsys,
+                                                             empty, mode):
+    broken = tmp_path / "data"
+    shutil.copytree(workspace["data"], broken)
+    manifest = read_json(broken / "manifest")
+    if empty == "sources":
+        manifest["sources"] = []
+    else:
+        manifest.update(n_tasks=0, task_names=[])
+        storage.save_arrays(broken / "labels.bin",
+                            np.zeros((manifest["n_records"], 0), dtype="i1"))
+    dump_json(broken / "manifest", manifest)
+    out = tmp_path / "c"
+    assert main(["train", "--mode", mode, "--data", str(broken), "--out", str(out),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    counts = "0 and 8" if empty == "sources" else "6 and 0"
+    assert capsys.readouterr().err == (f"error: {broken / 'manifest'}: a dataset needs at "
+                                       f"least one source and one task, got {counts}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["sources", "task_names"])
+@pytest.mark.parametrize("protocol", ["iso-joint", "bss"])
+def test_eval_refuses_a_checkpoint_with_no_sources_or_no_tasks(workspace, tmp_path, capsys,
+                                                               key, protocol):
+    broken = _edit_manifest(workspace, tmp_path, "iso", key, ([],))
+    out = tmp_path / "metrics.csv"
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", protocol, "--out", str(out)]) == EXIT_CONFIG
+    counts = "0 and 8" if key == "sources" else "6 and 0"
+    assert capsys.readouterr().err == (f"error: {broken / 'manifest'}: a checkpoint needs at "
+                                       f"least one source and one task, got {counts}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("artifact", ["data", "iso"])
+def test_a_manifest_listing_a_source_twice_is_refused_naming_it(workspace, tmp_path, capsys,
+                                                               artifact):
+    # a checkpoint feeds its sources in the order it lists them, so a
+    # repeated one would be fed twice
+    sources = read_json(workspace[artifact] / "manifest")["sources"]
+    broken = _edit_manifest(workspace, tmp_path, artifact, "sources", ([*sources, sources[2]],))
+    if artifact == "data":
+        command = ["train", "--data", str(broken), "--out", str(tmp_path / "c"),
+                   "--config", str(workspace["config"])]
+    else:
+        command = ["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                   "--protocol", "iso-joint"]
+    assert main(command) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {broken / 'manifest'}: duplicate source names\n"
+
+
+def test_train_refuses_a_label_outside_the_three_values_naming_labels_bin(workspace, tmp_path,
+                                                                          capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    [labels] = storage.load_arrays(data / "labels.bin", ("i1", (None, None)))
+    labels[3, 1] = 7
+    storage.save_arrays(data / "labels.bin", labels)
+    out = tmp_path / "c"
+    assert main(["train", "--data", str(data), "--out", str(out),
+                 "--config", str(workspace["config"])]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: {data / 'labels.bin'}: labels must be "
+                                       f"-1 (unknown), 0, or 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", CHECKPOINT_KEYS)
 @pytest.mark.parametrize("edit", ["deleted", "wrong-type"])
 def test_a_checkpoint_manifest_key_missing_or_of_the_wrong_type_names_the_manifest(

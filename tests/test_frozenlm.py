@@ -453,7 +453,7 @@ def test_fuse_is_mean_over_positions():
     gen = np.random.default_rng(6)
     tokens = [ad.constant(_tokens(gen, 2, 16)) for _ in range(4)]
     dv = DesignatedVocab(indices=tuple(range(32)), seed=0)
-    phi = _confidence_graph(tokens, w, dv).value
+    phi = _confidence_graph([tokens], w, dv).value
     logits = lm_forward(w, np.stack([t.value for t in tokens], axis=1)).value
     assert phi.shape == (2, 32)
     np.testing.assert_array_equal(phi, _stable_sigmoid(logits.mean(axis=1)))
@@ -487,7 +487,7 @@ def test_extract_confidence_is_sigmoid_at_designated():
     x = _tokens(np.random.default_rng(7), 3, 16)
     fused = lm_forward(w, x[:, None, :]).value[:, 0, :]
     dv = DesignatedVocab(indices=(9, 2, 30), seed=0)
-    phi = _confidence_graph([ad.constant(x)], w, dv).value
+    phi = _confidence_graph([[ad.constant(x)]], w, dv).value
     np.testing.assert_array_equal(phi, _stable_sigmoid(fused[:, [9, 2, 30]]))
 
 
@@ -501,7 +501,7 @@ def test_confidence_via_selection_matrix_matches_extract():
     onehot[list(dv.indices), np.arange(len(dv.indices))] = 1.0
 
     def by_index(tokens):
-        return _confidence_graph(tokens, w, dv)
+        return _confidence_graph([tokens], w, dv)
 
     def by_matrix(tokens):
         seq = ad.concat([t.reshape(t.shape[0], 1, SMALL.d_model) for t in tokens], axis=1)

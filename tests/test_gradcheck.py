@@ -135,7 +135,7 @@ def test_a_projector_shared_by_groups_is_evaluated_once_per_call(monkeypatch):
     common = dict(frozen=init_frozen(lm), designated=draw_designated(32, 2, 2),
                   emb_batch=emb, loss_kind="asl", beta=2.0, asl=ASLConfig())
     alone = []
-    pipeline.build_joint_loss(projectors, labels_batch=labels, group_losses=alone, **common)()
+    pipeline.build_joint_loss([projectors], labels_batch=labels, group_losses=alone, **common)()
 
     projected = []
     project = pipeline.project

@@ -199,12 +199,13 @@ def _record_loss_graphs(monkeypatch) -> list:
 
 # Six sources of 3 nodes each (project, reconstruct, reconstruction loss),
 # then the readout, the classification loss and the group losses:
-# - isolated, 18 + 5 + 1 + 6: concat, reshape, backbone, slice, sigmoid; and
-#   concat, product, add, reshape, mean, sum
-# - joint, 18 + 11 + 1 + 10: 6 reshapes, concat, backbone, position mean,
-#   slice, sigmoid; and 5 adds of the sources' errors, product, add,
-#   reshape, mean, sum
-STEP_NODES = {"isolated": 30, "joint": 40}
+# - isolated, 18 + 5 + 1 + 6: the concat of the six groups' tokens, reshape,
+#   backbone, slice, sigmoid; and concat, product, add, reshape, mean, sum
+# - joint, 18 + 6 + 1 + 10: the concat of the six positions' tokens along
+#   the feature axis, reshape, backbone, position mean, slice, sigmoid; and
+#   5 adds of the sources' errors, product, add, reshape, mean, sum
+# A concat of one tensor is that tensor and records no node.
+STEP_NODES = {"isolated": 30, "joint": 35}
 
 
 @pytest.mark.parametrize("kind", ("avg", "asl"))

@@ -197,8 +197,8 @@ def test_train_config_decode_roundtrips_and_rejects_unknown_keys():
 
 def test_backbone_weights_never_move(joint_ckpt, iso_ckpt):
     reference = init_frozen(LM_SMALL).weights_hash()
-    assert joint_ckpt.frozen().weights_hash() == reference
-    assert iso_ckpt.frozen().weights_hash() == reference
+    assert joint_ckpt.frozen.weights_hash() == reference
+    assert iso_ckpt.frozen.weights_hash() == reference
 
 
 def test_projector_weights_do_move(joint_ckpt):
@@ -240,8 +240,7 @@ def test_nonfinite_abort_names_epoch_and_batch(dataset, monkeypatch):
 def test_isolated_nonfinite_abort_names_the_source(dataset, monkeypatch, tmp_path, capsys):
     # the sources share each backbone call, so the failing batch is re-run
     # one source at a time to name the one that failed
-    third = pipeline.SEQUENCE_ORDER[2]
-    assert third in {s.name for s in dataset.source_specs}
+    third = dataset.source_specs[2].name
     real = pipeline.prepare_embeddings
 
     def poisoned(ds, rows, stats=None, sources=None):
@@ -516,6 +515,21 @@ def test_predict_records_no_graph(joint_ckpt, dataset, monkeypatch):
     monkeypatch.setattr(pipeline, "_confidence_graph", spy)
     predict(joint_ckpt, dataset, np.arange(10), "joint")
     assert seen == [False]
+
+
+def test_the_feed_order_is_the_datasets_source_order(dataset, iso_ckpt):
+    # a model feeds its sources in the order its dataset lists them, and
+    # predicts the same on a dataset listing them in another order
+    backwards = dataclasses.replace(dataset, source_specs=dataset.source_specs[::-1])
+    ckpt = train(backwards, _cfg(mode="isolated", epochs=2))
+    assert ckpt.source_order() == tuple(s.name for s in reversed(dataset.source_specs))
+    idx = np.arange(dataset.n_records)
+    for mode in ["iso-joint"] + [f"single:{name}" for name in ckpt.source_order()]:
+        phi = predict(ckpt, backwards, idx, mode)[0]
+        np.testing.assert_array_equal(phi, predict(ckpt, dataset, idx, mode)[0], err_msg=mode)
+        # each source trains alone, so only the fused sequence sees the order
+        same = np.array_equal(phi, predict(iso_ckpt, dataset, idx, mode)[0])
+        assert same == mode.startswith("single:"), mode
 
 
 # ---------------------------------------------------------------------------
