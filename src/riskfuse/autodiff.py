@@ -28,8 +28,8 @@ gradient audit runs them as lockstep groups), and both feed one scoring
 loop, so equal probe losses give the same report.
 
 Training and the gradient audit join fused layer nodes with the primitives
-here and no others; the generic ones only tests use (sub, matmul, tanh, log
-and the like) live in `tests/oracle_ops.py`.
+here and no others; the generic ones only tests use (sub, matmul, tanh, log,
+indexing and the like) live in `tests/oracle_ops.py`.
 """
 
 from __future__ import annotations
@@ -149,9 +149,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __getitem__(self, idx):
-        return _getitem(self, idx)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -301,29 +298,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     bounds = [0, *accumulate(t.shape[ax] for t in tensors)]
     return _node(out, "concat", tensors, tuple(map(part, bounds, bounds[1:])))
-
-
-def _is_basic_index(idx) -> bool:
-    """Ints, slices, Ellipsis and None never select an entry twice."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
-               for p in parts)
-
-
-def _getitem(a: Tensor, idx) -> Tensor:
-    out = a.value[idx]
-    basic = _is_basic_index(idx)
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        if basic:
-            full[idx] = g
-        else:
-            # an advanced index may repeat entries; each repeat adds its share
-            np.add.at(full, idx, g)
-        return full
-
-    return _node(out, "slice", (a,), (vjp,))
 
 
 def reshape(a, *shape) -> Tensor:

@@ -7,6 +7,13 @@ sinusoidal positions, Gaussian(0, 0.02^2) weight init, unit layer-norm
 gains, and a bias-free d_model x V output head. All weights are frozen:
 read-only float64 arrays outside any autodiff graph, so a write raises.
 
+The backbone's constants are built once. `init_frozen` draws one
+`FrozenWeights` per `LMConfig` and returns that same instance on every later
+call. The instance is immutable (read-only arrays in read-only mappings), so
+every caller can share it. Its constructor copies the arrays it is given and
+derives from them the C-contiguous transposes the VJP multiplies by, so a
+backbone built from modified arrays carries transposes that match them.
+
 `lm_forward` runs the backbone in plain numpy and enters the autodiff graph
 as one node with one vector-Jacobian product, taken with respect to the
 input only: gradients flow through the weights into the inputs but never
@@ -16,14 +23,27 @@ the query and key projections and the softmax; this is exact, since the
 softmax of one score is 1.0 and sends exact zeros back to q and k.
 
 Every product with a weight is one 2-D GEMM over all B*S rows, of at least
-two rows and with a C-contiguous right operand (the VJP multiplies by
-contiguous copies of the transposed weights). The BLAS rounds each row of
-such a product the same way whatever the row count, so a record's logits
-and input gradient do not depend on which records share the call, bit for
-bit. Against the same transformer built from generic autodiff primitives
-(kept in `tests/backbone_oracle.py`), which multiplies one record at a time,
-logits agree bit for bit from two positions on; logits at one position and
-input gradients agree to rounding.
+two rows and with a C-contiguous right operand (the VJP multiplies by the
+prebuilt transposes). The BLAS rounds each row of such a product the same
+way whatever the row count, so a record's logits and input gradient do not
+depend on which records share the call, bit for bit. Against the same
+transformer built from generic autodiff primitives (kept in
+`tests/backbone_oracle.py`), which multiplies one record at a time, logits
+agree bit for bit from two positions on; logits at one position and input
+gradients agree to rounding.
+
+The head reads only the vocabulary columns the caller asks for (the K
+designated indices; `range(vocab)` gives every logit), and both of its
+products give the bits of the full (d_model, V) product at those columns:
+- The forward multiplies the final-norm rows by the chosen head columns,
+  zero-padded to a width that is a multiple of 8. The BLAS rounds an output
+  column of such a block as it does in the full head; a narrower block need
+  not (at K = 12 it does not, and at some K it ties a row to its neighbours).
+- The VJP takes the gradient's columns in ascending vocabulary order and
+  multiplies them by the contiguous (K, d_model) rows of the head's
+  transpose at those columns. That sums the same nonzero terms in the same
+  order as the full product, whose other terms are exact zeros; taking the
+  columns in any other order rounds differently.
 
 A NaN or Inf in either pass raises NonFiniteError naming the block:
 `frozen_lm.layer<i>.attention`, `frozen_lm.layer<i>.ff` or `frozen_lm.head`.
@@ -35,7 +55,9 @@ averaged over sequence positions and phi_k = sigmoid(logit[designated_k]).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,39 +107,51 @@ def _sinusoidal_table(max_seq: int, d_model: int) -> np.ndarray:
     return table
 
 
+def _constant(a) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of `a`."""
+    out = np.array(a, dtype=np.float64, order="C")
+    out.flags.writeable = False
+    return out
+
+
+# the weights each layer's VJP multiplies by on the right, transposed
+TRANSPOSED = ("wq", "wk", "wv", "wo", "ff1", "ff2")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class FrozenWeights:
-    """The backbone's weights as read-only float64 arrays, reproducible from
-    LMConfig: a write to any of them raises."""
+    """The backbone's weights as read-only float64 arrays, and the constants
+    derived from them. Nothing in an instance can be written: an array, a
+    layer's mapping or an attribute raises on assignment.
 
-    def __init__(self, config: LMConfig):
-        self.config = config
-        gen = seeding.rng(config.seed, "frozen-lm")
-        d = config.d_model
-        hidden = 4 * d
+    `layers` holds one read-only mapping of weight name -> array per layer.
+    `transposed` holds, per layer, a C-contiguous copy of the transpose of
+    each weight in TRANSPOSED, and `head_t` that of the head: a GEMM reading
+    a transposed view rounds some row counts differently, which would tie a
+    row's gradient to its neighbours. All are copies of the arrays given, so
+    `dataclasses.replace` with modified arrays builds a separate backbone.
+    """
 
-        def w(*shape):
-            return gen.normal(0.0, 0.02, size=shape)
+    config: LMConfig
+    layers: tuple
+    ln_f_g: np.ndarray
+    ln_f_b: np.ndarray
+    head: np.ndarray
+    positions: np.ndarray
+    transposed: tuple = field(init=False)
+    head_t: np.ndarray = field(init=False)
 
-        self.layers = []
-        for _ in range(config.n_layers):
-            self.layers.append({
-                "ln1_g": np.ones(d),
-                "ln1_b": np.zeros(d),
-                "wq": w(d, d),
-                "wk": w(d, d),
-                "wv": w(d, d),
-                "wo": w(d, d),
-                "ln2_g": np.ones(d),
-                "ln2_b": np.zeros(d),
-                "ff1": w(d, hidden),
-                "ff2": w(hidden, d),
-            })
-        self.ln_f_g = np.ones(d)
-        self.ln_f_b = np.zeros(d)
-        self.head = w(d, config.vocab)
-        self.positions = _sinusoidal_table(config.max_seq, d)
-        for _, value in self.named_weights():
-            value.flags.writeable = False
+    def __post_init__(self):
+        assign = partial(object.__setattr__, self)
+        layers = tuple(MappingProxyType({key: _constant(value) for key, value in layer.items()})
+                       for layer in self.layers)
+        assign("layers", layers)
+        for name in ("ln_f_g", "ln_f_b", "head", "positions"):
+            assign(name, _constant(getattr(self, name)))
+        assign("transposed", tuple(
+            MappingProxyType({key: _constant(layer[key].T) for key in TRANSPOSED})
+            for layer in layers))
+        assign("head_t", _constant(self.head.T))
 
     def named_weights(self):
         for li, layer in enumerate(self.layers):
@@ -136,8 +170,24 @@ class FrozenWeights:
         return digest.hexdigest()
 
 
+@cache
 def init_frozen(config: LMConfig) -> FrozenWeights:
-    return FrozenWeights(config)
+    """The backbone of `config`, reproducible from it: drawn on the first
+    call, and the same immutable instance returned on every later one. The
+    cache keeps one backbone per config for the life of the process."""
+    gen = seeding.rng(config.seed, "frozen-lm")
+    d = config.d_model
+
+    def w(*shape):
+        return gen.normal(0.0, 0.02, size=shape)
+
+    layers = [{"ln1_g": np.ones(d), "ln1_b": np.zeros(d),
+               "wq": w(d, d), "wk": w(d, d), "wv": w(d, d), "wo": w(d, d),
+               "ln2_g": np.ones(d), "ln2_b": np.zeros(d),
+               "ff1": w(d, 4 * d), "ff2": w(4 * d, d)}
+              for _ in range(config.n_layers)]
+    return FrozenWeights(config, layers, np.ones(d), np.zeros(d), w(d, config.vocab),
+                         _sinusoidal_table(config.max_seq, d))
 
 
 # Each block takes and returns the (rows, d_model) residual stream; attention
@@ -147,13 +197,6 @@ def init_frozen(config: LMConfig) -> FrozenWeights:
 # order `ad.backward` sums them. One function per block frees its
 # temporaries on return; `tape` is None unless a backward will run, and
 # otherwise receives what that block's VJP reads.
-
-
-def _transposed(weight: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of the weight's transpose: a GEMM reading a
-    transposed view rounds some row counts differently, which would tie a
-    row's gradient to its neighbours."""
-    return np.ascontiguousarray(weight.T)
 
 
 def _layer_norm(x, gain, offset, tape):
@@ -221,12 +264,12 @@ def _attention_block(h, layer, seq_len, n_heads, tape, block):
     return out
 
 
-def _attention_vjp(g, layer, saved):
+def _attention_vjp(g, layer_t, saved):
     """Gradient with respect to ln1's output, from the gradient of the
-    attention block's output."""
-    g_cat = g @ _transposed(layer["wo"])
+    attention block's output; `layer_t` holds the layer's transposes."""
+    g_cat = g @ layer_t["wo"]
     if saved is None:
-        return g_cat @ _transposed(layer["wv"])
+        return g_cat @ layer_t["wv"]
     q, k, v, probs = saved
     dh = q.shape[-1] // len(probs)
     scale = 1.0 / np.sqrt(dh)
@@ -241,9 +284,9 @@ def _attention_vjp(g, layer, saved):
         g_q[sl] = g_scores @ k[sl]
         g_k[sl] = np.swapaxes(np.swapaxes(q[sl], -1, -2) @ g_scores, -1, -2)
     by_row = g.shape
-    return ((g_q.reshape(by_row) @ _transposed(layer["wq"])
-             + g_k.reshape(by_row) @ _transposed(layer["wk"]))
-            + g_v.reshape(by_row) @ _transposed(layer["wv"]))
+    return ((g_q.reshape(by_row) @ layer_t["wq"]
+             + g_k.reshape(by_row) @ layer_t["wk"])
+            + g_v.reshape(by_row) @ layer_t["wv"])
 
 
 def _ff_block(h, layer, tape, block):
@@ -262,13 +305,13 @@ def _ff_block(h, layer, tape, block):
     return out
 
 
-def _ff_vjp(g, layer, relu_mask):
+def _ff_vjp(g, layer_t, relu_mask):
     """Gradient with respect to ln2's output, from the gradient of the ff
-    block's output."""
-    g_hidden = g @ _transposed(layer["ff2"])
+    block's output; `layer_t` holds the layer's transposes."""
+    g_hidden = g @ layer_t["ff2"]
     # the mask is boolean: each entry is multiplied by exactly 1.0 or 0.0
     g_hidden *= relu_mask
-    return g_hidden @ _transposed(layer["ff1"])
+    return g_hidden @ layer_t["ff1"]
 
 
 def _as_gemm_rows(a: np.ndarray, rows: int) -> np.ndarray:
@@ -279,15 +322,36 @@ def _as_gemm_rows(a: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate((a, a)) if rows == 1 else a
 
 
-def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
-    """Logits over the vocabulary at each position, as one autodiff node.
+def _head_columns(columns, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the columns as an int array, the order that sorts them); refuses an
+    empty or repeated column set, or a column outside [0, vocab)."""
+    cols = np.asarray(columns)
+    if cols.ndim != 1 or cols.size == 0 or cols.dtype.kind not in "iu":
+        raise ValueError(f"columns must be a nonempty sequence of vocabulary indices, "
+                         f"got {columns!r}")
+    order = np.argsort(cols)
+    ascending = cols[order]
+    if ascending[0] < 0 or ascending[-1] >= vocab:
+        bad = ascending[0] if ascending[0] < 0 else ascending[-1]
+        raise ValueError(f"column {bad} lies outside the vocabulary [0, {vocab})")
+    repeated = ascending[1:][ascending[1:] == ascending[:-1]]
+    if repeated.size:
+        raise ValueError(f"column {repeated[0]} is repeated")
+    return cols, order
 
-    Accepts (S, d_model) or batched (B, S, d_model); the causal mask keeps
+
+def lm_forward(weights: FrozenWeights, x, columns) -> ad.Tensor:
+    """Logits at the vocabulary `columns`, in the order given, at each
+    position, as one autodiff node.
+
+    Accepts (S, d_model) or batched (B, S, d_model) and returns (..., S, K)
+    for K columns; `range(vocab)` gives every logit. The causal mask keeps
     position i blind to positions j > i exactly (masked scores underflow to
     zero attention weight, not merely something small). The weights are
     constants, so the node's one VJP maps the logits' gradient to the
     input's. Activations are kept only when that VJP can run. Each record's
-    logits and input gradient are those it gets alone, bit for bit.
+    logits and input gradient are those it gets alone, bit for bit, and
+    those of the full head at the same columns.
     """
     t = x if isinstance(x, ad.Tensor) else ad.constant(x)
     if t.ndim not in (2, 3):
@@ -300,6 +364,8 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         raise ValueError("empty sequence")
     if seq_len > cfg.max_seq:
         raise ValueError(f"sequence length {seq_len} exceeds max_seq {cfg.max_seq}")
+    cols, order = _head_columns(columns, cfg.vocab)
+    k = cols.size
     rows = t.size // cfg.d_model
     recorded = ad.records(t)
     tape = [] if recorded else None
@@ -310,26 +376,30 @@ def lm_forward(weights: FrozenWeights, x) -> ad.Tensor:
         h = _ff_block(h, layer, tape, f"frozen_lm.layer{i}.ff")
     h, shifted_var = _layer_norm(h, weights.ln_f_g, weights.ln_f_b, tape)
     ad.check_finite(HEAD_BLOCK, shifted_var)
+    # the columns, zero-padded to a multiple of 8 wide: see the module notes
+    block = np.zeros((cfg.d_model, -(-k // 8) * 8))
+    block[:, :k] = weights.head[:, cols]
     # the Tensor built below checks the logits under the same name
-    logits = (h @ weights.head)[:rows].reshape(t.shape[:-1] + (cfg.vocab,))
+    logits = (h @ block)[:rows, :k].reshape(t.shape[:-1] + (k,))
     if not recorded:
         return ad.Tensor(logits, op=HEAD_BLOCK)
 
     def vjp(g):
         # the tape is read back to front, and each block's activations are
-        # dropped as soon as its VJP has read them; so is the logits' gradient
-        g = _as_gemm_rows(g, rows) @ _transposed(weights.head)
+        # dropped as soon as its VJP has read them; so is the logits' gradient.
+        # The head's columns are taken in ascending order: see the module notes
+        g = _as_gemm_rows(g, rows)[:, order] @ weights.head_t[cols[order]]
         g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g, tape.pop())
         g = g_centered + g_mean
         ad.check_finite(HEAD_BLOCK, g, context="backward")
         for i in reversed(range(cfg.n_layers)):
-            layer = weights.layers[i]
-            g_centered, g_mean = _layer_norm_vjp(_ff_vjp(g, layer, tape.pop()),
+            layer, layer_t = weights.layers[i], weights.transposed[i]
+            g_centered, g_mean = _layer_norm_vjp(_ff_vjp(g, layer_t, tape.pop()),
                                                  layer["ln2_g"], tape.pop())
             g = (g + g_centered) + g_mean
             ad.check_finite(f"frozen_lm.layer{i}.ff", g, context="backward")
             g_centered, g_mean = _layer_norm_vjp(
-                _attention_vjp(g, layer, tape.pop() if seq_len > 1 else None),
+                _attention_vjp(g, layer_t, tape.pop() if seq_len > 1 else None),
                 layer["ln1_g"], tape.pop())
             g = (g + g_centered) + g_mean
             ad.check_finite(f"frozen_lm.layer{i}.attention", g, context="backward")

@@ -193,20 +193,18 @@ def _confidence_graph(sequences: list[list[ad.Tensor]], frozen: FrozenWeights,
     per-position (N, d_t) token batches: the sigmoid of the position-mean
     logits at the designated indices, group by group.
 
-    The groups' rows are stacked into one (G·N, S, d_t) call. The backbone
-    treats rows independently, bit for bit, so each row gets the value and
-    input gradient it would get alone. That rests on `lm_forward` running
-    every weight product as one GEMM of at least two rows against a
-    contiguous weight, whose rows the BLAS rounds alike at any row count.
-    At one position the mean is that position's logits, so it is skipped.
+    The groups' rows are stacked into one (G·N, S, d_t) call, and the
+    backbone's head reads only the designated columns. The backbone treats
+    rows independently, bit for bit, so each row gets the value and input
+    gradient it would get alone. That rests on `lm_forward` running every
+    weight product as one GEMM of at least two rows against a contiguous
+    weight, whose rows the BLAS rounds alike at any row count. The mean of
+    one position is that position's logits, exactly.
     """
     positions = [ad.concat(tokens, axis=0) for tokens in zip(*sequences)]
     rows, width = positions[0].shape
     seq = ad.concat(positions, axis=-1).reshape(rows, len(positions), width)
-    logits = lm_forward(frozen, seq)
-    if len(positions) == 1:
-        return ad.sigmoid(logits[:, 0, list(designated.indices)])
-    return ad.sigmoid(logits.mean(axis=-2)[:, list(designated.indices)])
+    return ad.sigmoid(lm_forward(frozen, seq, designated.indices).mean(axis=-2))
 
 
 def build_joint_loss(groups: list[dict], frozen: FrozenWeights, designated: DesignatedVocab,

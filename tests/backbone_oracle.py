@@ -13,7 +13,7 @@ import numpy as np
 import riskfuse.autodiff as ad
 from riskfuse.frozenlm import LN_EPS, MASK_NEG, FrozenWeights
 
-from oracle_ops import matmul, power_const, relu, softmax_last, sub, swapaxes
+from oracle_ops import getitem, matmul, power_const, relu, softmax_last, sub, swapaxes
 
 
 def _layer_norm(x: ad.Tensor, gain: np.ndarray, offset: np.ndarray) -> ad.Tensor:
@@ -33,7 +33,7 @@ def _attention(x: ad.Tensor, layer: dict, n_heads: int, mask: np.ndarray) -> ad.
     heads = []
     for h in range(n_heads):
         sl = (..., slice(h * dh, (h + 1) * dh))
-        qh, kh, vh = q[sl], k[sl], v[sl]
+        qh, kh, vh = getitem(q, sl), getitem(k, sl), getitem(v, sl)
         scores = matmul(qh, swapaxes(kh, -1, -2)) * scale + mask
         heads.append(matmul(softmax_last(scores), vh))
     return matmul(ad.concat(heads, axis=-1), layer["wo"])

@@ -19,7 +19,8 @@ from riskfuse.losses import PROB_EPS, UNKNOWN, ASLConfig, ClassWeights, validate
 from riskfuse.pipeline import _confidence_graph
 from riskfuse.projector import _rows
 
-from oracle_ops import clip, log, matmul, maximum_const, neg, power_const, sub, swapaxes, tanh
+from oracle_ops import (clip, getitem, log, matmul, maximum_const, neg, power_const, sub,
+                        swapaxes, tanh)
 
 
 def project(pp, e) -> ad.Tensor:
@@ -80,7 +81,7 @@ def build_joint_loss(groups, frozen, designated, emb_batch: dict, labels_batch,
         losses = []
         start = 0
         for rec in recon:
-            rows = cls if len(recon) == 1 else cls[start:start + rec.shape[0]]
+            rows = cls if len(recon) == 1 else getitem(cls, np.s_[start:start + rec.shape[0]])
             start += rec.shape[0]
             losses.append((rec + beta * rows).mean())
         if group_losses is not None:

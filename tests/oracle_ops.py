@@ -108,3 +108,28 @@ def softmax_last(a) -> ad.Tensor:
         return (g - inner) * out
 
     return _node(out, "softmax", (a,), (vjp,))
+
+
+def _is_basic_index(idx) -> bool:
+    """Ints, slices, Ellipsis and None never select an entry twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
+               for p in parts)
+
+
+def getitem(a, idx) -> ad.Tensor:
+    """a[idx] as a node: numpy indexing, basic or advanced."""
+    a = _wrap(a)
+    out = a.value[idx]
+    basic = _is_basic_index(idx)
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        if basic:
+            full[idx] = g
+        else:
+            # an advanced index may repeat entries; each repeat adds its share
+            np.add.at(full, idx, g)
+        return full
+
+    return _node(out, "slice", (a,), (vjp,))

@@ -1,6 +1,7 @@
 """Command-line behavior: in-process main() calls against temp directories,
 covering the documented exit codes, lock files, and artifact formats."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -679,9 +680,11 @@ def test_train_exits_numeric_naming_the_backbone_block(workspace, tmp_path, caps
     real = pipeline.init_frozen
 
     def overflowing(config):
+        # a fresh backbone: the one init_frozen shares stays as it is
         weights = real(config)
-        weights.layers[1]["ff1"] = np.full_like(weights.layers[1]["ff1"], 1e308)
-        return weights
+        layers = [dict(layer) for layer in weights.layers]
+        layers[1]["ff1"] = np.full_like(layers[1]["ff1"], 1e308)
+        return dataclasses.replace(weights, layers=layers)
 
     monkeypatch.setattr(pipeline, "init_frozen", overflowing)
     with np.errstate(all="ignore"):

@@ -113,9 +113,9 @@ def test_the_suite_makes_a_pinned_number_of_backbone_calls(monkeypatch):
     calls = []
     lm_forward = pipeline.lm_forward
 
-    def counting(weights, x):
+    def counting(weights, x, columns):
         calls.append(x.shape[0])
-        return lm_forward(weights, x)
+        return lm_forward(weights, x, columns)
 
     monkeypatch.setattr(pipeline, "lm_forward", counting)
     pipeline.gradcheck_suite(0)
