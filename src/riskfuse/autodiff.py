@@ -341,18 +341,13 @@ def backward(out: Tensor) -> float:
 
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.value)}
     for node in reversed(topo):
-        if id(node) not in grads:
-            continue
+        # a node's consumers in topo come before it and all reach `out`, so
+        # its whole gradient is in by now
+        g = grads.pop(id(node))
         if not node._parents:
             # requires_grad leaf
-            node.grad += grads.pop(id(node))
+            node.grad += g
             continue
-        if len(node._parents) == 1:
-            # a recorded node's only parent needs a gradient; its VJP is handed
-            # the only reference to the node's gradient and may free it early
-            _accumulate(grads, node._parents[0], node._vjps[0](grads.pop(id(node))), node.op)
-            continue
-        g = grads.pop(id(node))
         for parent, vjp in zip(node._parents, node._vjps):
             if parent.requires_grad:
                 _accumulate(grads, parent, vjp(g), node.op)

@@ -7,11 +7,13 @@ and saves a checkpoint, `eval` scores a protocol on the held-out split,
 
 Exit codes: 0 success, 1 bad arguments / configuration / inputs (a file
 that cannot be read or written included), 2 numerical failure (non-finite
-values or a failed gradient check). Training settings can
-come from a JSON config file (--config); flags override it, and unknown keys
-are rejected rather than ignored. Each artifact-producing command drops a
-lock file with the fully resolved settings next to its output so a run can
-be reproduced from the artifacts alone.
+values or a failed gradient check). Training settings can come from a JSON
+config file (--config); `train` has one flag per scalar `TrainConfig` field,
+which overrides it, and unknown keys are rejected rather than ignored.
+`eval --threshold` is the one threshold a protocol both selects (`bss`) and
+scores at. Each artifact-producing command drops a lock file with the fully
+resolved settings next to its output so a run can be reproduced from the
+artifacts alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from pathlib import Path
 from . import __version__
 from . import autodiff as ad
 from . import datagen, metrics, pipeline
-from .storage import MODES, check_replaceable, decode, dump_json, load_dataset, write_dataset
+from .storage import (MODES, _field_kinds, check_replaceable, decode, dump_json, load_dataset,
+                      write_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -107,18 +110,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    overrides = {
-        "mode": args.mode,
-        "loss_kind": args.loss,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-        "weight_decay": args.weight_decay,
-        "beta": args.beta,
-        "threshold": args.threshold,
-        "split_ratio": args.split_ratio,
-        "seed": args.seed,
-    }
+    overrides = {name: getattr(args, name) for name in _TRAIN_FLAGS}
     cfg = resolve_train_config(file_cfg, overrides)
     dataset = load_dataset(args.data)
     check_replaceable(args.out, "checkpoint")
@@ -196,6 +188,13 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# a `train` flag per scalar TrainConfig field, typed by the kind its
+# annotation names, named after the field unless it keeps a short name
+_TRAIN_FLAGS = {name: kind for name, kind in _field_kinds(pipeline.TrainConfig).items()
+                if isinstance(kind, str)}
+_FLAG_TYPES = {"an integer": int, "a number": float, "a string": str}
+_SHORT_FLAGS = {"loss_kind": "loss", "learning_rate": "lr"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="riskfuse",
@@ -218,16 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--config", default=None, help="JSON file with training settings")
-    p.add_argument("--mode", choices=pipeline.TRAIN_MODES, default=None)
-    p.add_argument("--loss", choices=pipeline.LOSS_KINDS, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--split-ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name, kind in _TRAIN_FLAGS.items():
+        flag = _SHORT_FLAGS.get(name, name.replace("_", "-"))
+        p.add_argument(f"--{flag}", dest=name, type=_FLAG_TYPES[kind])
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a protocol on the held-out split")

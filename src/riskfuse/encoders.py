@@ -244,9 +244,8 @@ def aggregate_images(counts, times, vectors) -> np.ndarray:
 # stand-in encoders (fixed random linear maps)
 #
 # A stub is a pure function of (spec, seed), so each is drawn once and then
-# shared, read-only, by every featurization call.
-
-STUB_CACHE_SIZE = 64
+# shared, read-only, by every featurization call, for the life of the
+# process (as `frozenlm.init_frozen` keeps its backbones).
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -254,7 +253,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=STUB_CACHE_SIZE)
+@functools.cache
 def image_stub_matrix(spec: SourceSpec, seed: int) -> np.ndarray:
     if spec.modality != "image":
         raise ValueError(f"source {spec.name!r} is not an image source")
@@ -263,7 +262,7 @@ def image_stub_matrix(spec: SourceSpec, seed: int) -> np.ndarray:
                                  size=(spec.dim, spec.raw_dim)))
 
 
-@functools.lru_cache(maxsize=STUB_CACHE_SIZE)
+@functools.cache
 def text_stub_table(spec: SourceSpec, seed: int) -> np.ndarray:
     if spec.modality != "text":
         raise ValueError(f"source {spec.name!r} is not a text source")

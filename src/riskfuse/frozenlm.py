@@ -386,8 +386,8 @@ def lm_forward(weights: FrozenWeights, x, columns) -> ad.Tensor:
 
     def vjp(g):
         # the tape is read back to front, and each block's activations are
-        # dropped as soon as its VJP has read them; so is the logits' gradient.
-        # The head's columns are taken in ascending order: see the module notes
+        # dropped as soon as its VJP has read them. The head's columns are
+        # taken in ascending order: see the module notes
         g = _as_gemm_rows(g, rows)[:, order] @ weights.head_t[cols[order]]
         g_centered, g_mean = _layer_norm_vjp(g, weights.ln_f_g, tape.pop())
         g = g_centered + g_mean

@@ -16,6 +16,10 @@ The backbone treats rows independently, bit for bit, and a group's loss
 reads only its own rows, so the gradients stay independent and each group
 trains exactly as it would alone.
 
+Every evaluation protocol ends in one `metrics_for_run` call over a
+(records, tasks) prediction matrix; `bss` selects each task's source at the
+threshold it scores at, and fills the task's column from that source.
+
 Splits are patient-grouped: a seeded shuffle of patient ids fills the
 training side with whole patients until it reaches the requested fraction
 of records. Only projector parameters ever receive gradients; the backbone
@@ -39,9 +43,9 @@ from .encoders import (FeatureStats, SourceSpec, aggregate_images,
                        timeseries_feature_matrix)
 from .frozenlm import (DesignatedVocab, FrozenWeights, LMConfig, draw_designated,
                        init_frozen, lm_forward)
-from .losses import (ASLConfig, ClassWeights, class_weights,
+from .losses import (UNKNOWN, ASLConfig, ClassWeights, class_weights,
                      classification_loss_graph, reconstruction_loss_graph)
-from .metrics import TaskMetrics, f1_score, metrics_for_run, precision_recall
+from .metrics import TaskMetrics, f1_score, metrics_for_run
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
 from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, decode, dump_json, gather_records,
@@ -475,8 +479,10 @@ class BssSelection:
     validation_f1: dict     # task name -> {source name -> f1}
 
 
-def bss_select(ckpt: Checkpoint, dataset: Dataset, val_idx) -> BssSelection:
-    """Per-task best single source by F1 on a labeled validation slice.
+def bss_select(ckpt: Checkpoint, dataset: Dataset, val_idx,
+               threshold: float | None = None) -> BssSelection:
+    """Per-task best single source by F1 on a labeled validation slice, each
+    source predicting at `threshold` (default: the checkpoint's).
 
     Ties prefer higher recall, then the earlier source in the feed order.
     Tasks without any labeled validation record stay unselected.
@@ -486,29 +492,17 @@ def bss_select(ckpt: Checkpoint, dataset: Dataset, val_idx) -> BssSelection:
     val_idx = np.asarray(val_idx)
     names = ckpt.source_order()
     labels = dataset.labels[val_idx]
-    per_source = {}
-    for name in names:
-        _, yhat = predict(ckpt, dataset, val_idx, f"single:{name}")
-        per_source[name] = yhat
-    assignment: dict = {}
-    scores: dict = {}
+    yhat = {name: predict(ckpt, dataset, val_idx, f"single:{name}", threshold)[1]
+            for name in names}
+    scored = {name: metrics_for_run(yhat[name], labels, ckpt.task_names) for name in names}
+    assignment, scores = {}, {}
     for k, task in enumerate(ckpt.task_names):
-        if not np.any(labels[:, k] != -1):
-            assignment[task] = None
-            scores[task] = {}
+        if not np.any(labels[:, k] != UNKNOWN):
+            assignment[task], scores[task] = None, {}
             continue
-        best = None
-        best_key = None
-        f1s = {}
-        for pos, name in enumerate(names):
-            m = precision_recall(per_source[name][:, k], labels[:, k], task=task)
-            f1 = f1_score(m)
-            f1s[name] = f1
-            key = (f1, m.recall, -pos)
-            if best_key is None or key > best_key:
-                best, best_key = name, key
-        assignment[task] = best
-        scores[task] = f1s
+        f1 = scores[task] = {name: f1_score(scored[name][k]) for name in names}
+        assignment[task] = max(names, key=lambda name: (f1[name], scored[name][k].recall,
+                                                         -names.index(name)))
     return BssSelection(assignment=assignment, validation_f1=scores)
 
 
@@ -526,22 +520,23 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
                                            ckpt.config.seed)
     if test_idx.size == 0:
         raise ValueError("empty test split")
+    labels, selection = dataset.labels[test_idx], None
     if protocol != "bss":
         _, yhat = predict(ckpt, dataset, test_idx, protocol, threshold)
-        return metrics_for_run(yhat, dataset.labels[test_idx], ckpt.task_names), None
-
-    core, val = split_by_patient(dataset.patients[train_idx], BSS_VALIDATION_RATIO,
-                                 ckpt.config.seed)
-    selection = bss_select(ckpt, dataset, train_idx[val])
-    per_source = {name: predict(ckpt, dataset, test_idx, f"single:{name}", threshold)[1]
-                  for name in set(selection.assignment.values()) - {None}}
-    labels, results = dataset.labels[test_idx], []
-    for k, task in enumerate(ckpt.task_names):
-        source = selection.assignment[task]
-        # a task no source was selected for is scored over zero records
-        yhat, true = (per_source[source][:, k], labels[:, k]) if source else ([], [])
-        results.append(precision_recall(yhat, true, task=task))
-    return results, selection
+    else:
+        _, val = split_by_patient(dataset.patients[train_idx], BSS_VALIDATION_RATIO,
+                                  ckpt.config.seed)
+        selection = bss_select(ckpt, dataset, train_idx[val], threshold)
+        per_source = {name: predict(ckpt, dataset, test_idx, f"single:{name}", threshold)[1]
+                      for name in set(selection.assignment.values()) - {None}}
+        yhat = np.zeros(labels.shape, dtype=np.int64)
+        for k, task in enumerate(ckpt.task_names):
+            source = selection.assignment[task]
+            if source:
+                yhat[:, k] = per_source[source][:, k]
+            else:  # no source was selected: scored over zero records
+                labels[:, k] = UNKNOWN
+    return metrics_for_run(yhat, labels, ckpt.task_names), selection
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,8 @@ def test_criterion_04_masking_is_inert():
 
 def test_criterion_05_frozen_backbone_contract():
     ds = build(planted_profile(n_records=300, seed=7))
-    reference = init_frozen(LMConfig()).weights_hash()
+    # a fresh draw, not the shared instance, which a write would move too
+    reference = init_frozen.__wrapped__(LMConfig()).weights_hash()
     hashes = {}
     for mode in ("joint", "isolated"):
         ck = train(ds, TrainConfig(mode=mode, epochs=2, seed=7))

@@ -269,6 +269,30 @@ def test_train_invalid_hyperparameter(workspace, tmp_path, capsys):
     assert "invalid training configuration" in capsys.readouterr().err
 
 
+# every scalar TrainConfig field's flag, and a value other than its default
+TRAIN_FLAGS = {"mode": ("--mode", "isolated"), "loss_kind": ("--loss", "avg"),
+               "epochs": ("--epochs", 2), "batch_size": ("--batch-size", 16),
+               "learning_rate": ("--lr", 1e-3), "weight_decay": ("--weight-decay", 1e-4),
+               "beta": ("--beta", 5.0), "threshold": ("--threshold", 0.4),
+               "split_ratio": ("--split-ratio", 0.7), "seed": ("--seed", 2)}
+
+
+def test_every_scalar_config_field_has_a_train_flag_that_reaches_the_config(workspace,
+                                                                            tmp_path):
+    scalar = {f.name for f in dataclasses.fields(pipeline.TrainConfig)
+              if not dataclasses.is_dataclass(f.default)}
+    assert set(TRAIN_FLAGS) == scalar
+    assert all(getattr(pipeline.TrainConfig(), name) != value
+               for name, (_, value) in TRAIN_FLAGS.items())
+    flags = [arg for flag, value in TRAIN_FLAGS.values() for arg in (flag, str(value))]
+    out = tmp_path / "ckpt"
+    assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                 "--config", str(workspace["config"])] + flags) == EXIT_OK
+    settings = json.loads((out / "run.lock").read_text())["settings"]
+    assert {name: settings[name] for name in TRAIN_FLAGS} == {
+        name: value for name, (_, value) in TRAIN_FLAGS.items()}
+
+
 # a training-config value of the wrong type for its field, or that training
 # cannot run, at the top level and in lm and asl, with the message that
 # names it
@@ -314,7 +338,10 @@ def test_train_rejects_a_config_value_of_the_wrong_type(workspace, tmp_path, cap
     ("--weight-decay", "nan", "weight_decay must be finite, got nan"),
     ("--beta", "inf", "beta must be finite, got inf"),
     ("--seed", "-3", "seed must be nonnegative, got -3"),
-], ids=["lr-nan", "lr-inf", "weight-decay-nan", "beta-inf", "seed-negative"])
+    ("--mode", "bogus", "unknown training mode 'bogus'"),
+    ("--loss", "bogus", "unknown loss kind 'bogus'"),
+], ids=["lr-nan", "lr-inf", "weight-decay-nan", "beta-inf", "seed-negative", "mode-bogus",
+        "loss-bogus"])
 def test_train_refuses_an_unrunnable_flag(workspace, tmp_path, capsys, flag, value, message):
     assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "c"),
                  "--config", str(workspace["config"]), flag, value]) == EXIT_CONFIG
@@ -354,6 +381,24 @@ def test_eval_bss_reports_selection(workspace, capsys):
     assert main(["eval", "--data", str(workspace["data"]),
                  "--ckpt", str(workspace["iso"]), "--protocol", "bss"]) == EXIT_OK
     assert "selected sources:" in capsys.readouterr().out
+
+
+def test_eval_bss_selects_at_the_threshold_override(workspace, tmp_path, capsys):
+    dataset = load_dataset(workspace["data"])
+    ckpt = pipeline.load_checkpoint(workspace["iso"])
+    train_idx, _ = pipeline.split_by_patient(dataset.patients, ckpt.config.split_ratio,
+                                             ckpt.config.seed)
+    _, val = pipeline.split_by_patient(dataset.patients[train_idx],
+                                       pipeline.BSS_VALIDATION_RATIO, ckpt.config.seed)
+    picked = pipeline.bss_select(ckpt, dataset, train_idx[val], threshold=0.45).assignment
+    # the override moves the selection on this checkpoint
+    assert picked != pipeline.bss_select(ckpt, dataset, train_idx[val]).assignment
+    out = tmp_path / "bss.csv"
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["iso"]),
+                 "--protocol", "bss", "--threshold", "0.45", "--out", str(out)]) == EXIT_OK
+    picks = ", ".join(f"{t}={s or '-'}" for t, s in picked.items())
+    assert f"selected sources: {picks}\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "bss.csv.lock").read_text())["threshold"] == 0.45
 
 
 def test_eval_protocol_checkpoint_mismatch(workspace, capsys):

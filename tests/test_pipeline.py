@@ -196,7 +196,8 @@ def test_train_config_decode_roundtrips_and_rejects_unknown_keys():
 
 
 def test_backbone_weights_never_move(joint_ckpt, iso_ckpt):
-    reference = init_frozen(LM_SMALL).weights_hash()
+    # a fresh draw, not the shared instance, which a write would move too
+    reference = init_frozen.__wrapped__(LM_SMALL).weights_hash()
     assert joint_ckpt.frozen.weights_hash() == reference
     assert iso_ckpt.frozen.weights_hash() == reference
 
@@ -496,6 +497,36 @@ def test_evaluate_bss_protocol(iso_ckpt, dataset, monkeypatch):
             _, yhat = predict(iso_ckpt, dataset, test_idx, f"single:{source}")
             assert m == precision_recall(yhat[:, k], labels[:, k], task=task)
     assert sel.assignment[iso_ckpt.task_names[0]] is None
+
+
+def test_bss_selects_at_the_threshold_it_scores_at(iso_ckpt, dataset, monkeypatch):
+    names = iso_ckpt.source_order()
+    n_tasks = len(iso_ckpt.task_names)
+    labels = np.full((dataset.n_records, n_tasks), -1, dtype=np.int64)
+    labels[:, 0] = np.arange(dataset.n_records) % 2
+    crafted = dataclasses.replace(dataset, labels=labels)
+    # the first source separates the classes at 0.5, the second at 0.3
+    levels = {names[0]: (0.4, 0.6), names[1]: (0.1, 0.35)}
+
+    def fake_predict(ckpt, ds, idx, mode, threshold=None):
+        threshold = ckpt.config.threshold if threshold is None else threshold
+        neg, pos = levels.get(mode.split(":", 1)[1], (0.0, 0.0))
+        phi = np.zeros((len(idx), n_tasks))
+        phi[:, 0] = np.where(ds.labels[idx, 0] == 1, pos, neg)
+        return phi, (phi >= threshold).astype(np.int64)
+
+    monkeypatch.setattr(pipeline, "predict", fake_predict)
+    rows, sel = evaluate_protocol(iso_ckpt, crafted, "bss", threshold=0.3)
+    train_idx, _ = split_by_patient(crafted.patients, iso_ckpt.config.split_ratio,
+                                    iso_ckpt.config.seed)
+    _, val = split_by_patient(crafted.patients[train_idx], pipeline.BSS_VALIDATION_RATIO,
+                              iso_ckpt.config.seed)
+    task = iso_ckpt.task_names[0]
+    assert sel == bss_select(iso_ckpt, crafted, train_idx[val], threshold=0.3)
+    assert sel.assignment[task] == names[1]
+    assert bss_select(iso_ckpt, crafted, train_idx[val]).assignment[task] == names[0]
+    # the selected source separates the test split at 0.3 too
+    assert (rows[0].precision, rows[0].recall) == (1.0, 1.0)
 
 
 def test_evaluate_rejects_wrong_pairing(iso_ckpt, dataset):
