@@ -24,8 +24,8 @@ a single-threaded process.
 finite_diff_check compares analytic gradients with central differences.
 By default it evaluates each probe on its own; a caller that can evaluate
 many probes in one pass hands it a parameter's probe losses instead (the
-gradient audit runs them as lockstep groups), and both feed one scoring
-loop, so equal probe losses give the same report.
+gradient audit runs them as lockstep groups), and both feed one array
+pass that scores every entry, so equal probe losses give the same report.
 
 Training and the gradient audit join fused layer nodes with the primitives
 here and no others; the generic ones only tests use (sub, matmul, tanh, log,
@@ -442,9 +442,9 @@ class ParamCheck:
 
 @dataclass
 class GradCheckReport:
+    h: float
+    tol: float
     checks: list[ParamCheck] = field(default_factory=list)
-    h: float = 0.0
-    tol: float = 0.0
 
     @property
     def max_rel_err(self) -> float:
@@ -485,7 +485,8 @@ def finite_diff_check(computation, params: ParamSet, *, h: float = 1e-5, tol: fl
     For each scalar parameter entry the symmetric difference
     (f(x+h) - f(x-h)) / 2h is compared to the analytic gradient; entries
     where both magnitudes fall below FD_FLOOR are counted as negligible and
-    skipped (the difference quotient carries no signal there). `analytic`
+    skipped (the difference quotient carries no signal there); a NaN error
+    fails its parameter. `analytic`
     overrides the freshly computed gradients, which lets callers check a
     gradient they obtained elsewhere. `h` and `tol` must be positive and
     finite.
@@ -518,25 +519,21 @@ def finite_diff_check(computation, params: ParamSet, *, h: float = 1e-5, tol: fl
             if losses.shape != (2 * values.size,):
                 raise ValueError(f"probe_losses for {name!r} returned shape {losses.shape}, "
                                  f"expected ({2 * values.size},)")
-        max_rel = 0.0
-        worst = None
-        negligible = 0
-        for i in range(values.size):
-            numeric = (float(losses[2 * i]) - float(losses[2 * i + 1])) / (2.0 * h)
-            scale = max(abs(an[i]), abs(numeric))
-            if scale < FD_FLOOR:
-                negligible += 1
-                continue
-            rel = abs(an[i] - numeric) / scale
-            if rel > max_rel:
-                max_rel = rel
-                worst = i
+        numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
+        scale = np.maximum(np.abs(an), np.abs(numeric))
+        negligible = scale < FD_FLOOR
+        rel = np.divide(np.abs(an - numeric), scale, out=np.zeros_like(scale),
+                        where=~negligible)
+        # the first entry of largest error, or the first NaN one, which fails
+        # the check; none when every error is 0
+        worst = int(np.argmax(rel)) if np.any(rel != 0.0) else None
+        max_rel = 0.0 if worst is None else float(rel[worst])
         report.checks.append(ParamCheck(
             name=name,
             max_rel_err=max_rel,
             worst_index=worst,
             n_checked=values.size,
-            n_negligible=negligible,
+            n_negligible=int(np.count_nonzero(negligible)),
             passed=max_rel < tol,
         ))
     return report

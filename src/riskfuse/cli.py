@@ -251,10 +251,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError) as err:
+    except (CliError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ad.NonFiniteError as err:

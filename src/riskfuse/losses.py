@@ -8,6 +8,10 @@ fold the sign into a single overall negation so every term is nonnegative.
 
 Confidences are clamped to [1e-7, 1 - 1e-7] before any logarithm.
 
+A classification loss is one value that names its family and carries its
+parameters: a `ClassWeights` selects weighted BCE (`avg`, the weights from
+`class_weights`), an `ASLConfig` the asymmetric loss (`asl`).
+
 Training takes the loss batched, through the graph builders
 `classification_loss_graph` and `reconstruction_loss_graph`. Each is one
 autodiff node with a hand-written VJP. It does the arithmetic of the
@@ -114,11 +118,9 @@ def class_weights(labels) -> ClassWeights:
 # graph builders used by training (batched, differentiable)
 
 
-def classification_loss_graph(phi: ad.Tensor, labels, kind: str, *,
-                              weights: ClassWeights | None = None,
-                              asl: ASLConfig | None = None) -> ad.Tensor:
+def classification_loss_graph(phi: ad.Tensor, labels, loss: ClassWeights | ASLConfig) -> ad.Tensor:
     """Per-record masked classification sums for a (B, K) confidence tensor,
-    as one node.
+    as one node, of the family `loss` names by its type.
 
     Unknown labels enter as multiplicative zero masks, which keeps their
     gradient contribution exactly zero. `labels` must already pass
@@ -132,25 +134,22 @@ def classification_loss_graph(phi: ad.Tensor, labels, kind: str, *,
     neg_mask = (y == 0).astype(np.float64)
     p = np.clip(phi.value, PROB_EPS, 1.0 - PROB_EPS)
     log_p = np.log(p)
-    if kind == "avg":
-        if weights is None:
-            raise ValueError("avg loss needs class weights")
-        if weights.pos.size != y.shape[-1]:
+    if isinstance(loss, ClassWeights):
+        if loss.pos.size != y.shape[-1]:
             raise ValueError("class weight length does not match the task count")
-        pos_w, neg_w = pos_mask * weights.pos, neg_mask * weights.neg
+        pos_w, neg_w = pos_mask * loss.pos, neg_mask * loss.neg
         q = 1.0 - p
         terms = pos_w * log_p + neg_w * np.log(q)
-    elif kind == "asl":
-        cfg = asl or ASLConfig()
-        shifted = p - cfg.margin
+    elif isinstance(loss, ASLConfig):
+        shifted = p - loss.margin
         p_m = np.maximum(shifted, 0.0)
         q, q_m = 1.0 - p, 1.0 - p_m
         pos_w = pos_mask * q
-        neg_w = neg_mask * np.power(p_m, cfg.gamma_neg)
+        neg_w = neg_mask * np.power(p_m, loss.gamma_neg)
         log_q_m = np.log(q_m)
         terms = pos_w * log_p + neg_w * log_q_m
     else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        raise TypeError(f"loss must be ClassWeights or ASLConfig, got {type(loss).__name__}")
     out = -terms.sum(axis=-1)
     if not ad.records(phi):
         return ad.Tensor(out, op=CLASSIFICATION)
@@ -158,13 +157,13 @@ def classification_loss_graph(phi: ad.Tensor, labels, kind: str, *,
 
     def vjp(g):
         g = (-g)[..., np.newaxis]
-        if kind == "avg":
+        if isinstance(loss, ClassWeights):
             g_p = (g * pos_w) * (1.0 / p) + -((g * neg_w) * (1.0 / q))
             return g_p * in_clip
         # p reaches the terms three ways: through 1 - p, log p and p - margin;
         # their gradients are summed in that order, as `ad.backward` sums them
         g_p = -((g * log_p) * pos_mask) + (g * pos_w) * (1.0 / p)
-        gamma = cfg.gamma_neg
+        gamma = loss.gamma_neg
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.zeros_like(p_m) if gamma == 0.0 else gamma * np.power(p_m, gamma - 1.0)
         g_p_m = ((g * log_q_m) * neg_mask) * slope + -((g * neg_w) * (1.0 / q_m))

@@ -1,5 +1,7 @@
 """Per-task precision/recall over labeled records, CSV output, reports.
 
+`metrics_for_run` counts tp, fp, fn and tn for every task of a (records,
+tasks) matrix in one pass; `precision_recall` is its one-column case.
 Unknown labels (-1) are excluded from every count. Zero-denominator cases
 return 0.0 and set the degenerate flag rather than raising, since heavily
 imbalanced evaluation splits hit them routinely.
@@ -14,11 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import UNKNOWN
-
 __all__ = [
     "TaskMetrics",
-    "confusion",
     "precision_recall",
     "f1_score",
     "metrics_for_run",
@@ -53,29 +52,13 @@ class TaskMetrics:
     degenerate: bool
 
 
-def confusion(y_pred, y_true) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) over entries whose true label is 0 or 1."""
-    pred = np.asarray(y_pred).astype(np.int64)
-    true = np.asarray(y_true).astype(np.int64)
+def precision_recall(y_pred, y_true, task: str = "") -> TaskMetrics:
+    """One task's scores over two arrays of one shape: the one-column case
+    of `metrics_for_run`."""
+    pred, true = np.asarray(y_pred), np.asarray(y_true)
     if pred.shape != true.shape:
         raise ValueError(f"prediction shape {pred.shape} does not match labels {true.shape}")
-    labeled = true != UNKNOWN
-    p, t = pred[labeled], true[labeled]
-    tp = int(np.sum((p == 1) & (t == 1)))
-    fp = int(np.sum((p == 1) & (t == 0)))
-    fn = int(np.sum((p == 0) & (t == 1)))
-    tn = int(np.sum((p == 0) & (t == 0)))
-    return tp, fp, fn, tn
-
-
-def precision_recall(y_pred, y_true, task: str = "") -> TaskMetrics:
-    tp, fp, fn, tn = confusion(y_pred, y_true)
-    degenerate = (tp + fp == 0) or (tp + fn == 0)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return TaskMetrics(task=task, tp=tp, fp=fp, fn=fn, tn=tn,
-                       precision=precision, recall=recall,
-                       n_labeled=tp + fp + fn + tn, degenerate=degenerate)
+    return metrics_for_run(pred.reshape(-1, 1), true.reshape(-1, 1), (task,))[0]
 
 
 def f1_score(m: TaskMetrics) -> float:
@@ -85,14 +68,24 @@ def f1_score(m: TaskMetrics) -> float:
 
 
 def metrics_for_run(y_pred, labels, task_names) -> list[TaskMetrics]:
-    pred = np.asarray(y_pred)
-    true = np.asarray(labels)
+    """Per-task scores of a (records, tasks) prediction matrix against its
+    labels, both cast to int64 and counted for every task at once."""
+    pred, true = np.asarray(y_pred), np.asarray(labels)
     if pred.shape != true.shape or pred.ndim != 2:
         raise ValueError("need matching (records, tasks) prediction and label matrices")
     if pred.shape[1] != len(task_names):
         raise ValueError("task name count does not match the matrices")
-    return [precision_recall(pred[:, k], true[:, k], task=name)
-            for k, name in enumerate(task_names)]
+    pred, true = pred.astype(np.int64), true.astype(np.int64)
+    # every cell needs a label of 1 or 0, so none counts an unknown one
+    pos, neg = pred == 1, pred == 0
+    cells = [np.count_nonzero(p & (true == t), axis=0).tolist()
+             for p, t in ((pos, 1), (pos, 0), (neg, 1), (neg, 0))]
+    return [TaskMetrics(task=name, tp=tp, fp=fp, fn=fn, tn=tn,
+                        precision=tp / (tp + fp) if tp + fp else 0.0,
+                        recall=tp / (tp + fn) if tp + fn else 0.0,
+                        n_labeled=tp + fp + fn + tn,
+                        degenerate=(tp + fp == 0) or (tp + fn == 0))
+            for name, tp, fp, fn, tn in zip(task_names, *cells)]
 
 
 def write_metrics_csv(path, run: str, metrics: list[TaskMetrics]) -> None:

@@ -28,12 +28,12 @@ class AdamWState:
     names: tuple[str, ...]
     m: np.ndarray
     v: np.ndarray
-    lr: float = 5e-4
-    weight_decay: float = 3e-4
+    lr: float
+    weight_decay: float
     step_count: int = 0
 
 
-def init_adamw(params: ParamSet, lr: float = 5e-4, weight_decay: float = 3e-4) -> AdamWState:
+def init_adamw(params: ParamSet, lr: float, weight_decay: float) -> AdamWState:
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     if weight_decay < 0:

@@ -110,8 +110,7 @@ class TrainConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def split_by_patient(patients, ratio: float = 0.75, seed: int = 0
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def split_by_patient(patients, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy whole-patient split: shuffled patients fill the train side
     until it holds at least ratio * n records; the rest is the test side."""
     arr = np.asarray(patients)
@@ -212,9 +211,8 @@ def _confidence_graph(sequences: list[list[ad.Tensor]], frozen: FrozenWeights,
 
 
 def build_joint_loss(groups: list[dict], frozen: FrozenWeights, designated: DesignatedVocab,
-                     emb_batch: dict, labels_batch, loss_kind: str,
-                     beta: float, weights: ClassWeights | None = None,
-                     asl: ASLConfig | None = None, group_losses: list | None = None):
+                     emb_batch: dict, labels_batch, loss: ClassWeights | ASLConfig,
+                     beta: float, group_losses: list | None = None):
     """Closure for eval_with_grads: the sum over groups of each group's
     batch-mean objective.
 
@@ -252,12 +250,11 @@ def build_joint_loss(groups: list[dict], frozen: FrozenWeights, designated: Desi
             recon.append(rec)
             sequences.append(tokens)
         phi = _confidence_graph(sequences, frozen, designated)
-        cls = classification_loss_graph(phi, labels_batch, loss_kind,
-                                        weights=weights, asl=asl)
+        cls = classification_loss_graph(phi, labels_batch, loss)
         # row r of group i is row i * B + r of the stack
         losses = (ad.concat(recon) + beta * cls).reshape(len(recon), -1).mean(axis=-1)
         if group_losses is not None:
-            group_losses.append([float(loss) for loss in losses.value])
+            group_losses.append([float(v) for v in losses.value])
         return losses.sum()
 
     return computation
@@ -265,12 +262,11 @@ def build_joint_loss(groups: list[dict], frozen: FrozenWeights, designated: Desi
 
 def build_isolated_loss(pp: ProjectorParams, frozen: FrozenWeights,
                         designated: DesignatedVocab, emb_batch, labels_batch,
-                        loss_kind: str, beta: float, weights: ClassWeights | None = None,
-                        asl: ASLConfig | None = None):
+                        loss: ClassWeights | ASLConfig, beta: float):
     """Single-source objective: the joint objective of a one-source group,
     i.e. on the length-1 sequence of that source's token."""
     return build_joint_loss([{"source": pp}], frozen, designated, {"source": emb_batch},
-                            labels_batch, loss_kind, beta, weights, asl)
+                            labels_batch, loss, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +322,7 @@ class _Group:
 
 
 def _run_epochs(groups: list[_Group], emb: dict, labels: np.ndarray, frozen: FrozenWeights,
-                designated: DesignatedVocab, weights: ClassWeights | None,
+                designated: DesignatedVocab, loss: ClassWeights | ASLConfig,
                 cfg: TrainConfig) -> dict:
     """Train every group in lockstep: each step stacks every group's batch
     into one loss graph and one backward, and one AdamW step updates all
@@ -342,7 +338,7 @@ def _run_epochs(groups: list[_Group], emb: dict, labels: np.ndarray, frozen: Fro
                  for name in g.projectors}
         return build_joint_loss([g.projectors for g in members], frozen, designated, emb_b,
                                 np.concatenate([labels[batch] for batch in batches]),
-                                cfg.loss_kind, cfg.beta, weights, cfg.asl, group_losses)
+                                loss, cfg.beta, group_losses)
 
     for epoch in range(cfg.epochs):
         batch_losses = []
@@ -381,7 +377,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     emb, stats = prepare_embeddings(dataset, train_idx)
     labels = dataset.labels[train_idx]
 
-    weights = class_weights(labels) if cfg.loss_kind == "avg" else None
+    loss = class_weights(labels) if cfg.loss_kind == "avg" else cfg.asl
     designated = draw_designated(cfg.lm.vocab, dataset.n_tasks, cfg.seed)
     frozen = init_frozen(cfg.lm)
     projectors = {name: init_projector(pc, cfg.seed, name) for name, pc in proj_cfgs.items()}
@@ -391,7 +387,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Checkpoint:
     else:
         groups = [_Group(name, {name: pp}, ("batches", name), f"isolated training ({name})")
                   for name, pp in projectors.items()]
-    history = _run_epochs(groups, emb, labels, frozen, designated, weights, cfg)
+    history = _run_epochs(groups, emb, labels, frozen, designated, loss, cfg)
 
     return Checkpoint(
         config=cfg,
@@ -655,8 +651,8 @@ def _gradcheck_problem(seed: int):
     frozen = init_frozen(lm)
     designated = draw_designated(lm.vocab, 4, seed)
     params = _param_set(projectors)
-    loss = partial(build_joint_loss, frozen=frozen, designated=designated, emb_batch=emb,
-                   loss_kind="asl", beta=10.0, asl=ASLConfig())
+    objective = partial(build_joint_loss, frozen=frozen, designated=designated, emb_batch=emb,
+                        loss=ASLConfig(), beta=10.0)
 
     def probe_losses(name: str, stack: np.ndarray) -> list[float]:
         source, tensor = name.split(".")
@@ -669,12 +665,12 @@ def _gradcheck_problem(seed: int):
                       for value in stack[start:start + GRADCHECK_PROBES_PER_CALL]]
             group_losses = []
             with ad.no_graph():
-                loss(groups, labels_batch=np.tile(labels, (len(groups), 1)),
-                     group_losses=group_losses)(params)
+                objective(groups, labels_batch=np.tile(labels, (len(groups), 1)),
+                          group_losses=group_losses)(params)
             losses.extend(group_losses[0])
         return losses
 
-    return loss([projectors], labels_batch=labels), params, probe_losses
+    return objective([projectors], labels_batch=labels), params, probe_losses
 
 
 def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5

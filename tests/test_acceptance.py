@@ -114,6 +114,7 @@ def _masked_phi_case(case: int) -> None:
     B, K = 3, 4
     kind = "avg" if case % 2 == 0 else "asl"
     weights = ClassWeights(pos=gen.uniform(0.2, 2.0, K), neg=gen.uniform(0.2, 2.0, K))
+    cls_loss = weights if kind == "avg" else ASLConfig()
     labels = gen.integers(-1, 2, size=(B, K))
     labels[0, 0] = 1                # at least one live entry
     labels[1, 1] = -1               # and at least one masked entry
@@ -122,8 +123,7 @@ def _masked_phi_case(case: int) -> None:
     params = ad.ParamSet({"phi": phi})
 
     def computation(_params=None):
-        return classification_loss_graph(phi, labels, kind,
-                                         weights=weights, asl=ASLConfig()).sum()
+        return classification_loss_graph(phi, labels, cls_loss).sum()
 
     loss = ad.eval_with_grads(computation, params)
     reference = sum(
@@ -156,8 +156,7 @@ def _masked_task_case(case: int, flip_sanity: bool = False) -> None:
     else:
         labels[:, kc] = -1
     labels[0, (kc + 1) % K] = 1          # keep at least one live entry
-    kind = "avg" if case % 2 == 0 else "asl"
-    weights = ClassWeights(pos=np.ones(K), neg=np.ones(K))
+    cls_loss = ClassWeights(pos=np.ones(K), neg=np.ones(K)) if case % 2 == 0 else ASLConfig()
 
     designated = draw_designated(lm.vocab, K, case)
     spare = next(i for i in range(lm.vocab) if i not in designated.indices)
@@ -170,8 +169,7 @@ def _masked_task_case(case: int, flip_sanity: bool = False) -> None:
         params = ad.ParamSet({f"{name}.{pname}": projectors[name].tensors[pname]
                               for name in dims for pname in PARAM_NAMES})
         computation = build_joint_loss([projectors], frozen, des,
-                                       emb, labels, kind, 10.0,
-                                       weights=weights, asl=ASLConfig())
+                                       emb, labels, cls_loss, 10.0)
         loss = ad.eval_with_grads(computation, params)
         grads = {n: params[n].grad.copy() for n in params.names()}
         results.append((loss, grads))

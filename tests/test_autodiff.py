@@ -471,6 +471,84 @@ def test_batched_probe_losses_feed_the_same_scoring_as_the_serial_loop():
     assert batched.format() == serial.format()
 
 
+def _scored_entry_by_entry(an, losses, h):
+    """(max_rel_err, worst_index, n_negligible) of one parameter, scored one
+    entry at a time: the reference for `finite_diff_check`'s array pass."""
+    max_rel, worst, negligible = 0.0, None, 0
+    for i in range(len(an)):
+        numeric = (float(losses[2 * i]) - float(losses[2 * i + 1])) / (2.0 * h)
+        scale = max(abs(an[i]), abs(numeric))
+        if scale < ad.FD_FLOOR:
+            negligible += 1
+            continue
+        rel = abs(an[i] - numeric) / scale
+        if rel > max_rel:
+            max_rel, worst = rel, i
+    return max_rel, worst, negligible
+
+
+def _check_crafted(cases: dict, h: float, tol: float) -> ad.GradCheckReport:
+    """finite_diff_check on parameters whose analytic gradients and probe
+    losses are given: `cases` maps a name to (analytic, losses)."""
+    params = ad.ParamSet({name: ad.parameter(np.zeros(len(an)))
+                          for name, (an, _) in cases.items()})
+    report = ad.finite_diff_check(None, params, h=h, tol=tol,
+                                  analytic={name: np.array(an) for name, (an, _) in cases.items()},
+                                  probe_losses=lambda name, stack: cases[name][1])
+    for check in report.checks:
+        an, losses = cases[check.name]
+        want = _scored_entry_by_entry(np.array(an), np.array(losses), h)
+        assert (check.max_rel_err, check.worst_index, check.n_negligible) == want, check.name
+        assert check.n_checked == len(an)
+        assert check.passed == (want[0] < tol)
+    return report
+
+
+def _probes(numeric):
+    """Probe losses whose central differences at h = 0.5 are `numeric`."""
+    return [v for n in numeric for v in (n, 0.0)]
+
+
+def test_finite_diff_scores_crafted_probes_as_an_entry_by_entry_loop():
+    floor = ad.FD_FLOOR
+    cases = {
+        # rel 0, 0.5, 0.5, 0.5: the first of the tied maxima is the worst
+        "tied": ([0.5, 1.0, 2.0, 1.0], _probes([0.5, 2.0, 1.0, 2.0])),
+        # both magnitudes under the floor are negligible, one at it is not;
+        # the other three errors tie at 1
+        "negligible": ([floor / 2, 0.0, 0.1, floor, 0.0],
+                       _probes([-floor / 4, floor / 2, 0.0, 0.0, 0.3])),
+        "all_negligible": ([0.0, floor / 2, -floor / 3], _probes([floor / 3, 0.0, floor / 2])),
+        "exact": ([1.5, -2.0, 0.25], _probes([1.5, -2.0, 0.25])),
+    }
+    report = _check_crafted(cases, h=0.5, tol=1e-3)
+    got = {c.name: (c.max_rel_err, c.worst_index, c.n_negligible) for c in report.checks}
+    assert got == {"tied": (0.5, 1, 0), "negligible": (1.0, 2, 2),
+                   "all_negligible": (0.0, None, 3), "exact": (0.0, None, 0)}
+    assert [c.passed for c in report.checks] == [False, False, True, True]
+
+
+_ENTRY_VALUES = st.sampled_from([0.0, 5e-7, -5e-7, 1e-6, -1e-6, 0.3, -0.3, 1.0, 2.0, 1e-3])
+
+
+@given(st.lists(st.lists(st.tuples(_ENTRY_VALUES, _ENTRY_VALUES, _ENTRY_VALUES),
+                         min_size=1, max_size=8), min_size=1, max_size=3),
+       st.sampled_from([1e-5, 0.5]))
+def test_finite_diff_scores_random_probes_as_an_entry_by_entry_loop(params, h):
+    _check_crafted({f"p{j}": ([an for an, _, _ in entries],
+                              [v for _, plus, minus in entries for v in (plus, minus)])
+                    for j, entries in enumerate(params)}, h=h, tol=1e-4)
+
+
+@pytest.mark.parametrize("analytic, worst", [([np.nan, np.nan], 0), ([1.0, np.nan], 1)])
+def test_finite_diff_fails_a_nan_analytic_gradient(analytic, worst):
+    params = ad.ParamSet({"x": ad.parameter(np.array([0.5, -0.3]))})
+    report = ad.finite_diff_check(lambda p: (p["x"] * p["x"]).sum(), params,
+                                  analytic={"x": np.array(analytic)})
+    check = report.checks[0]
+    assert not report.passed and np.isnan(check.max_rel_err) and check.worst_index == worst
+
+
 def test_finite_diff_rejects_probe_losses_of_the_wrong_length():
     params = ad.ParamSet({"x": ad.parameter(np.array([0.5, -0.3]))})
     with pytest.raises(ValueError, match=r"probe_losses for 'x' returned shape \(3,\)"):

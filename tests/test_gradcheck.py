@@ -133,7 +133,7 @@ def test_a_projector_shared_by_groups_is_evaluated_once_per_call(monkeypatch):
     emb = {name: gen.standard_normal((3, 8)) for name in "ab"}
     labels = np.array([[1, 0], [0, 1], [-1, 1]])
     common = dict(frozen=init_frozen(lm), designated=draw_designated(32, 2, 2),
-                  emb_batch=emb, loss_kind="asl", beta=2.0, asl=ASLConfig())
+                  emb_batch=emb, loss=ASLConfig(), beta=2.0)
     alone = []
     pipeline.build_joint_loss([projectors], labels_batch=labels, group_losses=alone, **common)()
 

@@ -99,10 +99,11 @@ def test_classification_loss_equals_the_oracle_bit_for_bit(rows):
     phi, labels = _confidences_and_labels(gen, rows)
     weights = ClassWeights(pos=gen.uniform(0.1, 3.0, 12), neg=gen.uniform(0.1, 3.0, 12))
     mix = gen.standard_normal(rows)
-    cases = [("avg", dict(weights=weights))] + [("asl", dict(asl=cfg)) for cfg in ASL_CONFIGS]
-    for kind, kw in cases:
+    cases = [(weights, "avg", dict(weights=weights))]
+    cases += [(cfg, "asl", dict(asl=cfg)) for cfg in ASL_CONFIGS]
+    for loss, kind, kw in cases:
         _assert_bit_identical(
-            _value_and_grads(lambda p: classification_loss_graph(p, labels, kind, **kw),
+            _value_and_grads(lambda p: classification_loss_graph(p, labels, loss),
                              [phi], mix),
             _value_and_grads(lambda p: oracle.classification_loss_graph(p, labels, kind, **kw),
                              [phi], mix),
@@ -128,11 +129,15 @@ def _step(build_loss, grouping, kind, batch=32):
         groups = [projectors]
     labels = gen.integers(-1, 2, size=(batch * len(groups), 12))
     weights = ClassWeights(pos=gen.uniform(0.1, 3.0, 12), neg=gen.uniform(0.1, 3.0, 12))
+    if build_loss is pipeline.build_joint_loss:
+        loss_args = (weights if kind == "avg" else ASLConfig(), 10.0)
+    else:   # the oracle keeps the (kind, beta, weights, asl) form
+        loss_args = (kind, 10.0, weights, ASLConfig())
     group_losses = []
     params = pipeline._param_set(projectors)
     loss = ad.eval_with_grads(
         build_loss(groups, init_frozen(LM), draw_designated(LM.vocab, 12, 0), emb, labels,
-                   kind, 10.0, weights, ASLConfig(), group_losses), params)
+                   *loss_args, group_losses=group_losses), params)
     return loss, group_losses, {name: params.grad(name).copy() for name in params.names()}
 
 
@@ -156,7 +161,7 @@ def test_groups_of_unequal_batches_are_refused():
     with pytest.raises(ValueError, match="same number of rows"):
         pipeline.build_joint_loss([{"a": projectors["a"]}, {"b": projectors["b"]}],
                                   init_frozen(LM), draw_designated(LM.vocab, 2, 0), emb,
-                                  np.zeros((7, 2)), "asl", 1.0)
+                                  np.zeros((7, 2)), ASLConfig(), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +301,12 @@ def test_classification_loss_names_itself_in_both_passes():
     weights = ClassWeights(pos=np.ones(2), neg=np.ones(2))
     weights.pos[0] = np.inf
     _raises("classification_loss",
-            lambda: classification_loss_graph(ad.parameter([[0.3, 0.4]]), labels, "avg",
-                                              weights=weights))
+            lambda: classification_loss_graph(ad.parameter([[0.3, 0.4]]), labels, weights))
     # -1e305 * log(1e-7) is finite; its gradient, 1e305 / 1e-7, is not
     weights.pos[0] = 1e305
-    loss = classification_loss_graph(ad.parameter([[PROB_EPS, 0.4]]), labels, "avg",
-                                     weights=weights).sum()
+    loss = classification_loss_graph(ad.parameter([[PROB_EPS, 0.4]]), labels, weights).sum()
     _raises("classification_loss", lambda: ad.backward(loss), backward=True)
-    loss = (classification_loss_graph(ad.parameter([[PROB_EPS, 0.4]]), labels, "asl")
+    loss = (classification_loss_graph(ad.parameter([[PROB_EPS, 0.4]]), labels, ASLConfig())
             * 1e302).sum()
     _raises("classification_loss", lambda: ad.backward(loss), backward=True)
 
@@ -314,6 +317,6 @@ def test_fused_nodes_keep_no_graph_under_no_graph():
     with ad.no_graph():
         t = project(pp, e)
         outs = [t, reconstruct(pp, t), reconstruction_loss_graph(e, reconstruct(pp, t)),
-                classification_loss_graph(ad.parameter([[0.3]]), np.array([[1]]), "asl")]
+                classification_loss_graph(ad.parameter([[0.3]]), np.array([[1]]), ASLConfig())]
     for out in outs:
         assert not out.requires_grad and out._parents == () and out._vjps == ()

@@ -115,7 +115,7 @@ def test_all_unknown_record_has_zero_loss():
 def test_unknown_gradient_is_exactly_zero():
     phi = ad.parameter(np.array([[0.7, 0.2, 0.4]]))
     labels = np.array([[1, UNKNOWN, 0]])
-    out = classification_loss_graph(phi, labels, "asl", asl=ASLConfig()).sum()
+    out = classification_loss_graph(phi, labels, ASLConfig()).sum()
     ad.backward(out)
     assert phi.grad[0, 1] == 0.0          # bitwise zero, not merely small
     assert phi.grad[0, 0] != 0.0
@@ -141,12 +141,17 @@ def test_graph_matches_reference_per_record(kind):
     labels[0] = [1, 0, 1, 0]  # at least one fully labeled record
     w = ClassWeights(pos=gen.uniform(0.5, 2.0, 4), neg=gen.uniform(0.5, 2.0, 4))
     cfg = ASLConfig(margin=0.07, gamma_neg=3.0)
-    out = classification_loss_graph(ad.constant(phis), labels, kind,
-                                    weights=w, asl=cfg)
+    out = classification_loss_graph(ad.constant(phis), labels, w if kind == "avg" else cfg)
     assert out.shape == (6,)
     for i in range(6):
         ref = masked_multilabel_loss(labels[i], phis[i], kind, weights=w, asl=cfg)
         assert out.value[i] == pytest.approx(ref, abs=1e-12), f"record {i}"
+
+
+@pytest.mark.parametrize("loss, type_name", [("avg", "str"), (None, "NoneType")])
+def test_a_loss_of_another_type_is_refused_by_name(loss, type_name):
+    with pytest.raises(TypeError, match=f"got {type_name}$"):
+        classification_loss_graph(ad.parameter([[0.3]]), np.array([[1]]), loss)
 
 
 def test_reconstruction_graph_matches_reference():
@@ -174,11 +179,10 @@ def test_graph_gradients_match_finite_differences():
     w = ClassWeights(pos=np.array([1.5, 0.7, 1.0]), neg=np.array([0.9, 1.1, 2.0]))
     params = ad.ParamSet({"logits": ad.parameter(gen.standard_normal((2, 3)) * 0.5)})
 
-    for kind in ("avg", "asl"):
+    for kind, loss in (("avg", w), ("asl", ASLConfig())):
         def build(p):
             phi = ad.sigmoid(p["logits"])
-            return classification_loss_graph(phi, labels, kind,
-                                             weights=w, asl=ASLConfig()).mean()
+            return classification_loss_graph(phi, labels, loss).mean()
         report = ad.finite_diff_check(build, params, tol=1e-6)
         assert report.passed, f"{kind}: {report.format()}"
 
@@ -187,7 +191,7 @@ def test_clamp_keeps_log_finite_at_extreme_confidence():
     phi = ad.constant(np.array([[1.0, 0.0]]))
     labels = np.array([[1, 0]])
     w = ClassWeights(pos=np.ones(2), neg=np.ones(2))
-    out = classification_loss_graph(phi, labels, "avg", weights=w).sum()
+    out = classification_loss_graph(phi, labels, w).sum()
     # clamped at [eps, 1-eps]: -ln(1-eps) - ln(1-eps), tiny but finite
     expected = -2.0 * math.log(1.0 - PROB_EPS)
     assert out.value == pytest.approx(expected, rel=1e-6)
@@ -196,8 +200,7 @@ def test_clamp_keeps_log_finite_at_extreme_confidence():
 def test_asl_margin_kink_yields_zero_negative_term_in_graph():
     phi = ad.parameter(np.array([[0.03]]))
     labels = np.array([[0]])
-    out = classification_loss_graph(phi, labels, "asl",
-                                    asl=ASLConfig(margin=0.05, gamma_neg=4.0)).sum()
+    out = classification_loss_graph(phi, labels, ASLConfig(margin=0.05, gamma_neg=4.0)).sum()
     assert ad.backward(out) == 0.0
     assert phi.grad[0, 0] == 0.0
 

@@ -6,27 +6,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riskfuse.metrics import (TABLE_TASK_ORDER, TaskMetrics, confusion,
-                              f1_score, metrics_for_run, precision_recall,
-                              read_metrics_csv, render_report, write_metrics_csv,
-                              write_report)
+from riskfuse.metrics import (TABLE_TASK_ORDER, TaskMetrics, f1_score, metrics_for_run,
+                              precision_recall, read_metrics_csv, render_report,
+                              write_metrics_csv, write_report)
 
 # one column each of tp, fp, fn, tn, plus two unknowns that must not count
 PRED = np.array([1, 1, 0, 0, 1, 0])
 TRUE = np.array([1, 0, 1, 0, -1, -1])
 
 
-def test_confusion_hand_count():
-    assert confusion(PRED, TRUE) == (1, 1, 1, 1)
+def _counts(m: TaskMetrics) -> tuple[int, int, int, int]:
+    return m.tp, m.fp, m.fn, m.tn
 
 
-def test_confusion_ignores_unknown_rows():
-    assert confusion([1, 0], [-1, -1]) == (0, 0, 0, 0)
+def test_precision_recall_hand_count():
+    assert _counts(precision_recall(PRED, TRUE)) == (1, 1, 1, 1)
 
 
-def test_confusion_shape_mismatch():
+def test_precision_recall_ignores_unknown_rows():
+    assert _counts(precision_recall([1, 0], [-1, -1])) == (0, 0, 0, 0)
+
+
+def test_precision_recall_shape_mismatch():
     with pytest.raises(ValueError):
-        confusion([1, 0, 1], [1, 0])
+        precision_recall([1, 0, 1], [1, 0])
 
 
 def test_precision_recall_hand_values():
@@ -69,6 +72,36 @@ def test_metrics_for_run_column_order():
         metrics_for_run(pred, true, ("a",))
     with pytest.raises(ValueError):
         metrics_for_run(pred[:2], true, ("a", "b"))
+
+
+def _scored_column_by_column(pred, true, task_names) -> list[TaskMetrics]:
+    """The reference for `metrics_for_run`: each task counted on its own,
+    over its labeled rows only."""
+    rows = []
+    for k, name in enumerate(task_names):
+        p, t = pred[:, k].astype(np.int64), true[:, k].astype(np.int64)
+        p, t = p[t != -1], t[t != -1]
+        tp, fp = int(np.sum((p == 1) & (t == 1))), int(np.sum((p == 1) & (t == 0)))
+        fn, tn = int(np.sum((p == 0) & (t == 1))), int(np.sum((p == 0) & (t == 0)))
+        rows.append(TaskMetrics(task=name, tp=tp, fp=fp, fn=fn, tn=tn,
+                                precision=tp / (tp + fp) if tp + fp else 0.0,
+                                recall=tp / (tp + fn) if tp + fn else 0.0,
+                                n_labeled=tp + fp + fn + tn,
+                                degenerate=tp + fp == 0 or tp + fn == 0))
+    return rows
+
+
+@given(st.integers(0, 40), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_metrics_for_run_counts_every_task_as_a_per_column_loop(n_records, n_tasks, seed):
+    gen = np.random.default_rng(seed)
+    # predictions that are not exactly 0 or 1 count in no cell once read as int64
+    pred = gen.choice([0.0, 1.0, 0.7, 2.0, -1.0], size=(n_records, n_tasks),
+                      p=[0.4, 0.4, 0.1, 0.05, 0.05])
+    true = gen.integers(0, 2, size=(n_records, n_tasks))
+    # each task has its own share of unknown labels, from none to all
+    true[gen.random((n_records, n_tasks)) < gen.random(n_tasks)] = -1
+    names = [f"t{k}" for k in range(n_tasks)]
+    assert metrics_for_run(pred, true, names) == _scored_column_by_column(pred, true, names)
 
 
 def test_csv_roundtrip(tmp_path):
