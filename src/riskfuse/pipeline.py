@@ -16,9 +16,11 @@ The backbone treats rows independently, bit for bit, and a group's loss
 reads only its own rows, so the gradients stay independent and each group
 trains exactly as it would alone.
 
-Every evaluation protocol ends in one `metrics_for_run` call over a
-(records, tasks) prediction matrix; `bss` selects each task's source at the
-threshold it scores at, and fills the task's column from that source.
+Prediction stacks the same way: `bss` reads all its sources of a slice as
+one-source groups of one backbone call, each exactly as its `single:<src>`
+prediction. Every evaluation protocol ends in one `metrics_for_run` call
+over a (records, tasks) prediction matrix; `bss` selects each task's source
+at the threshold it scores at, and fills the task's column from that source.
 
 Splits are patient-grouped: a seeded shuffle of patient ids fills the
 training side with whole patients until it reaches the requested fraction
@@ -443,6 +445,36 @@ def _mode_sources(ckpt: Checkpoint, mode: str) -> tuple[str, ...]:
     raise ValueError(f"unknown prediction mode {mode!r}")
 
 
+def _threshold(ckpt: Checkpoint, threshold: float | None) -> float:
+    threshold = ckpt.config.threshold if threshold is None else threshold
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+    return threshold
+
+
+def _readout(ckpt: Checkpoint, dataset: Dataset, indices, groups) -> np.ndarray:
+    """(G, len(indices), K) confidences of G equally long groups of sources
+    on the given record rows. Each source is featurized once and projected
+    once per PREDICT_CHUNK rows, and a chunk's groups share one backbone
+    call, which reads each group's rows exactly as it would alone."""
+    check_compatible(ckpt, dataset)
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        raise ValueError("no records to predict")
+    names = list(dict.fromkeys(name for group in groups for name in group))
+    emb, _ = prepare_embeddings(dataset, idx, stats=ckpt.stats, sources=names)
+    out = np.empty((len(groups), idx.size, len(ckpt.task_names)))
+    with ad.no_graph():
+        for start in range(0, idx.size, PREDICT_CHUNK):
+            chunk = slice(start, start + PREDICT_CHUNK)
+            tokens = {name: project(ckpt.projectors[name], emb[name][chunk]) for name in names}
+            phi = _confidence_graph([[tokens[name] for name in group] for group in groups],
+                                    ckpt.frozen, ckpt.designated).value
+            # row r of group i is row i * chunk rows + r of the stack
+            out[:, chunk] = phi.reshape(len(groups), -1, phi.shape[-1])
+    return out
+
+
 def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
             threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Confidences and thresholded predictions for the given record rows.
@@ -450,22 +482,9 @@ def predict(ckpt: Checkpoint, dataset: Dataset, indices, mode: str,
     mode is "joint", "iso-joint", or "single:<source>"; the decision rule is
     boundary-inclusive, yhat = 1 wherever phi >= threshold.
     """
-    check_compatible(ckpt, dataset)
     names = _mode_sources(ckpt, mode)
-    if threshold is None:
-        threshold = ckpt.config.threshold
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    idx = np.asarray(indices)
-    if idx.size == 0:
-        raise ValueError("no records to predict")
-    emb, _ = prepare_embeddings(dataset, idx, stats=ckpt.stats, sources=names)
-    out = np.empty((idx.size, len(ckpt.task_names)))
-    with ad.no_graph():
-        for start in range(0, idx.size, PREDICT_CHUNK):
-            chunk = slice(start, start + PREDICT_CHUNK)
-            tokens = [project(ckpt.projectors[name], emb[name][chunk]) for name in names]
-            out[chunk] = _confidence_graph([tokens], ckpt.frozen, ckpt.designated).value
+    threshold = _threshold(ckpt, threshold)
+    (out,) = _readout(ckpt, dataset, indices, [names])
     return out, (out >= threshold).astype(np.int64)
 
 
@@ -481,16 +500,18 @@ def bss_select(ckpt: Checkpoint, dataset: Dataset, val_idx,
     source predicting at `threshold` (default: the checkpoint's).
 
     Ties prefer higher recall, then the earlier source in the feed order.
-    Tasks without any labeled validation record stay unselected.
+    Tasks without any labeled validation record stay unselected. Every
+    source is read in one backbone call per chunk, as a one-source group.
     """
     if ckpt.config.mode != "isolated":
         raise ValueError("best-single-source selection needs an isolation-trained checkpoint")
+    threshold = _threshold(ckpt, threshold)
     val_idx = np.asarray(val_idx)
     names = ckpt.source_order()
     labels = dataset.labels[val_idx]
-    yhat = {name: predict(ckpt, dataset, val_idx, f"single:{name}", threshold)[1]
-            for name in names}
-    scored = {name: metrics_for_run(yhat[name], labels, ckpt.task_names) for name in names}
+    phi = _readout(ckpt, dataset, val_idx, [[name] for name in names])
+    scored = {name: metrics_for_run((p >= threshold).astype(np.int64), labels, ckpt.task_names)
+              for name, p in zip(names, phi)}
     assignment, scores = {}, {}
     for k, task in enumerate(ckpt.task_names):
         if not np.any(labels[:, k] != UNKNOWN):
@@ -511,7 +532,6 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
     """Test-split metrics for one protocol: joint, iso-joint, single:<src>,
     or bss (which carves a patient-grouped validation slice out of the
     training split to pick sources, then scores them on the test split)."""
-    check_compatible(ckpt, dataset)
     train_idx, test_idx = split_by_patient(dataset.patients, ckpt.config.split_ratio,
                                            ckpt.config.seed)
     if test_idx.size == 0:
@@ -523,8 +543,11 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
         _, val = split_by_patient(dataset.patients[train_idx], BSS_VALIDATION_RATIO,
                                   ckpt.config.seed)
         selection = bss_select(ckpt, dataset, train_idx[val], threshold)
-        per_source = {name: predict(ckpt, dataset, test_idx, f"single:{name}", threshold)[1]
-                      for name in set(selection.assignment.values()) - {None}}
+        picked = [name for name in ckpt.source_order() if name in selection.assignment.values()]
+        per_source = {}
+        if picked:
+            phi = _readout(ckpt, dataset, test_idx, [[name] for name in picked])
+            per_source = dict(zip(picked, phi >= _threshold(ckpt, threshold)))
         yhat = np.zeros(labels.shape, dtype=np.int64)
         for k, task in enumerate(ckpt.task_names):
             source = selection.assignment[task]

@@ -12,6 +12,7 @@ import pytest
 from riskfuse import metrics, pipeline, storage
 from riskfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from riskfuse.metrics import metrics_for_run, read_metrics_csv, write_metrics_csv
+from riskfuse.projector import PARAM_NAMES, ProjectorParams
 from riskfuse.storage import dump_json, load_dataset, read_json
 
 SMALL_LM = {"d_model": 48, "n_layers": 2, "n_heads": 2, "vocab": 32,
@@ -738,6 +739,25 @@ def test_train_exits_numeric_naming_the_backbone_block(workspace, tmp_path, caps
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numerical failure" in err and "'frozen_lm.layer1.ff'" in err
+
+
+def test_bss_eval_exits_numeric_naming_the_projection(workspace, tmp_path, capsys):
+    # bss reads every source in one stacked backbone call; one source whose
+    # projection overflows still fails the eval with exit 2, naming `project`
+    ckpt = pipeline.load_checkpoint(workspace["iso"])
+    name = ckpt.source_order()[2]
+    pp = ckpt.projectors[name]
+    tensors = {p: pp.value(p) for p in PARAM_NAMES}
+    tensors["enc_w"] = tensors["enc_w"] * 1e308
+    assert np.isfinite(tensors["enc_w"]).all()
+    ckpt.projectors[name] = ProjectorParams(pp.config, **tensors)
+    pipeline.save_checkpoint(ckpt, tmp_path / "ckpt")
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--data", str(workspace["data"]), "--ckpt", str(tmp_path / "ckpt"),
+                     "--protocol", "bss"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "'project'" in err
 
 
 def test_eval_rejects_a_source_spec_missing_a_field(workspace, raw_workspace, tmp_path,

@@ -430,13 +430,14 @@ def test_bss_tie_breaking(iso_ckpt, dataset, monkeypatch):
         names[1]: np.array([1, 1, 1, 1]),
     }
 
-    def fake_predict(ckpt, ds, idx, mode, threshold=None):
-        src = mode.split(":", 1)[1]
-        yhat = np.zeros((len(idx), n_tasks), dtype=np.int64)
-        yhat[:, 0] = patterns.get(src, np.zeros(4, dtype=np.int64))
-        return None, yhat
+    def fake_readout(ckpt, ds, idx, groups):
+        # confidences 0.0 and 1.0 read as the patterns at the default 0.5
+        phi = np.zeros((len(groups), len(idx), n_tasks))
+        for g, (src,) in enumerate(groups):
+            phi[g, :, 0] = patterns.get(src, np.zeros(4, dtype=np.int64))
+        return phi
 
-    monkeypatch.setattr(pipeline, "predict", fake_predict)
+    monkeypatch.setattr(pipeline, "_readout", fake_readout)
     sel = pipeline.bss_select(iso_ckpt, crafted, np.arange(4))
     assert sel.assignment[iso_ckpt.task_names[0]] == names[1]
     assert sel.validation_f1[iso_ckpt.task_names[0]][names[0]] == pytest.approx(2 / 3)
@@ -452,12 +453,12 @@ def test_bss_exact_tie_prefers_the_earlier_source(iso_ckpt, dataset, monkeypatch
     crafted = dataclasses.replace(dataset, labels=labels)
     const = np.ones(4, dtype=np.int64)
 
-    def fake_predict(ckpt, ds, idx, mode, threshold=None):
-        yhat = np.zeros((len(idx), n_tasks), dtype=np.int64)
-        yhat[:, 0] = const
-        return None, yhat
+    def fake_readout(ckpt, ds, idx, groups):
+        phi = np.zeros((len(groups), len(idx), n_tasks))
+        phi[:, :, 0] = const
+        return phi
 
-    monkeypatch.setattr(pipeline, "predict", fake_predict)
+    monkeypatch.setattr(pipeline, "_readout", fake_readout)
     sel = pipeline.bss_select(iso_ckpt, crafted, np.arange(4))
     assert sel.assignment[iso_ckpt.task_names[0]] == names[0]
 
@@ -508,14 +509,14 @@ def test_bss_selects_at_the_threshold_it_scores_at(iso_ckpt, dataset, monkeypatc
     # the first source separates the classes at 0.5, the second at 0.3
     levels = {names[0]: (0.4, 0.6), names[1]: (0.1, 0.35)}
 
-    def fake_predict(ckpt, ds, idx, mode, threshold=None):
-        threshold = ckpt.config.threshold if threshold is None else threshold
-        neg, pos = levels.get(mode.split(":", 1)[1], (0.0, 0.0))
-        phi = np.zeros((len(idx), n_tasks))
-        phi[:, 0] = np.where(ds.labels[idx, 0] == 1, pos, neg)
-        return phi, (phi >= threshold).astype(np.int64)
+    def fake_readout(ckpt, ds, idx, groups):
+        phi = np.zeros((len(groups), len(idx), n_tasks))
+        for g, (src,) in enumerate(groups):
+            neg, pos = levels.get(src, (0.0, 0.0))
+            phi[g, :, 0] = np.where(ds.labels[idx, 0] == 1, pos, neg)
+        return phi
 
-    monkeypatch.setattr(pipeline, "predict", fake_predict)
+    monkeypatch.setattr(pipeline, "_readout", fake_readout)
     rows, sel = evaluate_protocol(iso_ckpt, crafted, "bss", threshold=0.3)
     train_idx, _ = split_by_patient(crafted.patients, iso_ckpt.config.split_ratio,
                                     iso_ckpt.config.seed)
@@ -527,6 +528,60 @@ def test_bss_selects_at_the_threshold_it_scores_at(iso_ckpt, dataset, monkeypatc
     assert bss_select(iso_ckpt, crafted, train_idx[val]).assignment[task] == names[0]
     # the selected source separates the test split at 0.3 too
     assert (rows[0].precision, rows[0].recall) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 17])
+@pytest.mark.parametrize("threshold", [None, 0.3])
+@pytest.mark.parametrize("cohort", ["latent", "raw"])
+def test_stacked_bss_matches_one_predict_per_source(cohort, threshold, chunk, request,
+                                                    monkeypatch):
+    # at chunk 7 both slices span several chunks; at 17 the 18-record
+    # validation slice ends in a one-row remainder
+    ds, ckpt = ((request.getfixturevalue("dataset"), request.getfixturevalue("iso_ckpt"))
+                if cohort == "latent" else
+                (request.getfixturevalue("raw_dataset"), request.getfixturevalue("raw_ckpts")[1]))
+    if chunk is not None:
+        monkeypatch.setattr(pipeline, "PREDICT_CHUNK", chunk)
+    names = ckpt.source_order()
+    train_idx, test_idx = split_by_patient(ds.patients, ckpt.config.split_ratio,
+                                           ckpt.config.seed)
+    _, val = split_by_patient(ds.patients[train_idx], pipeline.BSS_VALIDATION_RATIO,
+                              ckpt.config.seed)
+    val_idx = train_idx[val]
+    assert val_idx.size == 18 and test_idx.size == 30
+    looped = {tuple(idx): {name: predict(ckpt, ds, idx, f"single:{name}", threshold)[0]
+                           for name in names}
+              for idx in (val_idx, test_idx)}
+    stacked = pipeline._readout(ckpt, ds, val_idx, [[name] for name in names])
+    for name, phi in zip(names, stacked):
+        np.testing.assert_array_equal(phi, looped[tuple(val_idx)][name], err_msg=name)
+    sel = bss_select(ckpt, ds, val_idx, threshold)
+    rows, eval_sel = evaluate_protocol(ckpt, ds, "bss", threshold)
+
+    def one_predict_per_source(ckpt_, ds_, idx, groups):
+        return np.stack([looped[tuple(idx)][name] for (name,) in groups])
+
+    monkeypatch.setattr(pipeline, "_readout", one_predict_per_source)
+    assert sel == eval_sel == bss_select(ckpt, ds, val_idx, threshold)
+    assert rows == evaluate_protocol(ckpt, ds, "bss", threshold)[0]
+
+
+def test_bss_reads_each_slice_in_one_backbone_call(iso_ckpt, dataset, monkeypatch):
+    calls = []
+    real = pipeline.lm_forward
+
+    def counting(weights, x, columns):
+        calls.append(x.shape)
+        return real(weights, x, columns)
+
+    monkeypatch.setattr(pipeline, "lm_forward", counting)
+    _, sel = evaluate_protocol(iso_ckpt, dataset, "bss")
+    picked = {name for name in sel.assignment.values() if name}
+    assert picked
+    # the validation slice with every source, then the test slice with the
+    # selected ones, each a one-position sequence per source
+    width = LM_SMALL.d_model
+    assert calls == [(18 * len(iso_ckpt.source_order()), 1, width), (30 * len(picked), 1, width)]
 
 
 def test_evaluate_rejects_wrong_pairing(iso_ckpt, dataset):
