@@ -24,8 +24,9 @@ a single-threaded process.
 finite_diff_check compares analytic gradients with central differences.
 By default it evaluates each probe on its own; a caller that can evaluate
 many probes in one pass hands it a parameter's probe losses instead (the
-gradient audit runs them as lockstep groups), and both feed one array
-pass that scores every entry, so equal probe losses give the same report.
+gradient audit stacks a chunk of perturbed copies into one forward pass),
+and both feed one array pass that scores every entry, so equal probe losses
+give the same report.
 
 Training and the gradient audit join fused layer nodes with the primitives
 here and no others; the generic ones only tests use (sub, matmul, tanh, log,

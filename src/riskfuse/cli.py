@@ -7,9 +7,11 @@ and saves a checkpoint, `eval` scores a protocol on the held-out split,
 
 Exit codes: 0 success, 1 bad arguments / configuration / inputs (a file
 that cannot be read or written included), 2 numerical failure (non-finite
-values or a failed gradient check). Training settings can come from a JSON
-config file (--config); `train` has one flag per scalar `TrainConfig` field,
-which overrides it, and unknown keys are rejected rather than ignored.
+values, reported in one line that names the primitive, with numpy's
+floating-point warnings silenced, or a failed gradient check). Training
+settings can come from a JSON config file (--config); `train` has one flag
+per scalar `TrainConfig` field, which overrides it, and unknown keys are
+rejected rather than ignored.
 `eval --threshold` is the one threshold a protocol both selects (`bss`) and
 scores at. Each artifact-producing command drops a lock file with the fully
 resolved settings next to its output so a run can be reproduced from the
@@ -23,6 +25,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import autodiff as ad
@@ -250,7 +254,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every primitive checks its own values and names itself on a NaN or
+        # Inf, so numpy's floating-point warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            return args.func(args)
     except (CliError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,9 @@ generic primitives and of `ad.backward` over them, so values and gradients
 equal that graph's bit for bit. `tests/loss_oracle.py` keeps that graph,
 and the loss of one record in plain float math as a scalar reference. A NaN
 or Inf in either pass raises NonFiniteError naming the node,
-`classification_loss` or `reconstruction_loss`.
+`classification_loss` or `reconstruction_loss`. Forward only, the
+reconstruction loss also takes a stack of copies' decodes of one batch, as
+the projector nodes do.
 """
 
 from __future__ import annotations
@@ -174,14 +176,21 @@ def classification_loss_graph(phi: ad.Tensor, labels, loss: ClassWeights | ASLCo
 
 
 def reconstruction_loss_graph(e, e_hat: ad.Tensor) -> ad.Tensor:
-    """Per-record squared-L2 reconstruction error, (B,) tensor, as one node."""
+    """Per-record squared-L2 reconstruction error, (B,) tensor, as one node.
+
+    Forward only, `e_hat` may be a (C, B, d_e) stack of copies' decodes of
+    the one (B, d_e) batch `e`; the result is then (C, B).
+    """
     target = e if isinstance(e, ad.Tensor) else ad.constant(e)
-    if target.shape != e_hat.shape:
+    stacked = e_hat.ndim == target.ndim + 1
+    if e_hat.shape[stacked:] != target.shape:
         raise ValueError(f"embedding shapes disagree: {target.shape} vs {e_hat.shape}")
     diff = e_hat.value - target.value
     out = (diff * diff).sum(axis=-1)
     if not ad.records(e_hat, target):
         return ad.Tensor(out, op=RECONSTRUCTION)
+    if stacked:
+        raise ValueError(f"{RECONSTRUCTION}: a stack of copies is forward only")
 
     def vjp(g):
         # both factors of diff * diff are diff: the gradient is g * diff twice

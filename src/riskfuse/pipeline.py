@@ -227,39 +227,36 @@ def build_joint_loss(groups: list[dict], frozen: FrozenWeights, designated: Desi
     the groups' label rows, stacked in the same order, and each must pass
     `losses.validate_labels`. Each evaluation appends the list of group loss
     values to `group_losses`, if given.
-
-    A projector held by several groups (the gradient audit's unperturbed
-    sources) is evaluated once per call and its tokens and reconstruction
-    loss reused; training never shares one, so its graph is unchanged.
     """
     if len({len(emb_batch[name]) for group in groups for name in group}) != 1:
         raise ValueError("every source batch must hold the same number of rows")
 
     def computation(_params=None):
         recon, sequences = [], []
-        encoded = {}
         for group in groups:
-            rec = None
-            tokens = []
+            terms, tokens = [], []
             for name, pp in group.items():
-                if (name, pp) not in encoded:
-                    e = ad.constant(emb_batch[name])
-                    t = project(pp, e)
-                    encoded[name, pp] = t, reconstruction_loss_graph(e, reconstruct(pp, t))
-                t, r = encoded[name, pp]
-                rec = r if rec is None else rec + r
+                e = ad.constant(emb_batch[name])
+                t = project(pp, e)
+                terms.append(reconstruction_loss_graph(e, reconstruct(pp, t)))
                 tokens.append(t)
-            recon.append(rec)
+            recon.append(sum(terms[1:], terms[0]))
             sequences.append(tokens)
         phi = _confidence_graph(sequences, frozen, designated)
         cls = classification_loss_graph(phi, labels_batch, loss)
-        # row r of group i is row i * B + r of the stack
-        losses = (ad.concat(recon) + beta * cls).reshape(len(recon), -1).mean(axis=-1)
+        losses = _group_objectives(ad.concat(recon), cls, beta, len(groups))
         if group_losses is not None:
             group_losses.append([float(v) for v in losses.value])
         return losses.sum()
 
     return computation
+
+
+def _group_objectives(recon: ad.Tensor, cls: ad.Tensor, beta: float, n_groups: int) -> ad.Tensor:
+    """(G,) batch-mean objectives of G equally large groups from their rows'
+    reconstruction and classification terms; row r of group i is row
+    i·B + r of the stack."""
+    return (recon + beta * cls).reshape(n_groups, -1).mean(axis=-1)
 
 
 def build_isolated_loss(pp: ProjectorParams, frozen: FrozenWeights,
@@ -645,22 +642,26 @@ def load_checkpoint(path) -> Checkpoint:
 # end-to-end gradient fidelity suite
 
 
-# finite-difference probes per backbone call in gradcheck_suite. Over the
-# 256 probes of a 128-entry tensor, peak RSS rose by 0.1 MB at 8-32 probes
-# per call, 0.7 MB at 64, 2.4 MB at 128 and 5 MB at 256; the suite took
-# about the same time from 32 to 128 (0.19-0.22 s, 1 BLAS thread)
+# finite-difference probes per stacked pass in gradcheck_suite. Over the
+# probes of one source's enc_w and dec_w (128 entries each, 512 probes), peak
+# RSS rose by under 0.1 MB at 8-32 probes per pass, 0.3 MB at 64, 1.7 MB at
+# 128 and 3.7 MB at 256; the suite took 95 ms at 8, 61 ms at 16, 49 ms at 32
+# and 41-43 ms from 64 to 256 (median of 40, 1 BLAS thread, 2 vCPUs)
 GRADCHECK_PROBES_PER_CALL = 32
 
 
 def _gradcheck_problem(seed: int):
     """(computation, params, probe_losses) of `gradcheck_suite`: its
-    objective, its parameters and their batched probe evaluator.
+    objective, its parameters and their stacked probe evaluator.
 
     `probe_losses(name, stack)` evaluates the probes of parameter `name`
-    (`<source>.<tensor>`) as lockstep groups, up to GRADCHECK_PROBES_PER_CALL
-    per backbone call: each group holds its own copy of the perturbed
-    source's projector, and every group shares the other sources' projectors,
-    which `build_joint_loss` evaluates once per call.
+    (`<source>.<tensor>`) GRADCHECK_PROBES_PER_CALL at a time, each chunk as
+    one forward pass of the training nodes in which the perturbed tensor
+    keeps its leading copies axis. Every source's tokens and reconstruction
+    terms, and the confidences, are computed unperturbed once, in one
+    backbone call. A decoder chunk cannot change a token, so it reuses those
+    confidences; an encoder chunk sends its copies' rows through one backbone
+    call, row i·N + r belonging to copy i, as lockstep groups are laid out.
     """
     lm = LMConfig(d_model=16, n_layers=2, n_heads=2, vocab=32, max_seq=4, seed=seed)
     gen = seeding.rng(seed, "gradcheck")
@@ -674,26 +675,42 @@ def _gradcheck_problem(seed: int):
     frozen = init_frozen(lm)
     designated = draw_designated(lm.vocab, 4, seed)
     params = _param_set(projectors)
-    objective = partial(build_joint_loss, frozen=frozen, designated=designated, emb_batch=emb,
-                        loss=ASLConfig(), beta=10.0)
+    loss, beta = ASLConfig(), 10.0
+    computation = build_joint_loss([projectors], frozen, designated, emb, labels, loss, beta)
 
-    def probe_losses(name: str, stack: np.ndarray) -> list[float]:
+    with ad.no_graph():
+        e = {name: ad.constant(emb[name]) for name in names}
+        tokens = {name: project(pp, e[name]) for name, pp in projectors.items()}
+        recon = {name: reconstruction_loss_graph(e[name], reconstruct(pp, tokens[name]))
+                 for name, pp in projectors.items()}
+        cls = classification_loss_graph(
+            _confidence_graph([list(tokens.values())], frozen, designated), labels, loss)
+
+    def chunk_losses(source: str, tensor: str, chunk: np.ndarray) -> np.ndarray:
+        pp, copies = projectors[source], {tensor: chunk}
+        if tensor.startswith("enc"):
+            t = project(pp, e[source], **copies)
+            r = reconstruction_loss_graph(e[source], reconstruct(pp, t))
+            # row r of copy i is row i·N + r of the stack
+            seq = [t.reshape(-1, lm.d_model) if name == source
+                   else ad.constant(np.tile(tokens[name].value, (len(chunk), 1)))
+                   for name in names]
+            phi = _confidence_graph([seq], frozen, designated).reshape(len(chunk), *labels.shape)
+            chunk_cls = classification_loss_graph(phi, np.broadcast_to(labels, phi.shape), loss)
+        else:
+            r = reconstruction_loss_graph(e[source], reconstruct(pp, tokens[source], **copies))
+            chunk_cls = cls
+        terms = [r if name == source else recon[name] for name in names]
+        return _group_objectives(sum(terms[1:], terms[0]), chunk_cls, beta, len(chunk)).value
+
+    def probe_losses(name: str, stack: np.ndarray) -> np.ndarray:
         source, tensor = name.split(".")
-        base = projectors[source]
-        losses = []
-        tensors = {p: base.value(p) for p in PARAM_NAMES}
-        for start in range(0, len(stack), GRADCHECK_PROBES_PER_CALL):
-            groups = [{**projectors,
-                       source: ProjectorParams(base.config, **{**tensors, tensor: value})}
-                      for value in stack[start:start + GRADCHECK_PROBES_PER_CALL]]
-            group_losses = []
-            with ad.no_graph():
-                objective(groups, labels_batch=np.tile(labels, (len(groups), 1)),
-                          group_losses=group_losses)(params)
-            losses.extend(group_losses[0])
-        return losses
+        with ad.no_graph():
+            return np.concatenate([
+                chunk_losses(source, tensor, stack[start:start + GRADCHECK_PROBES_PER_CALL])
+                for start in range(0, len(stack), GRADCHECK_PROBES_PER_CALL)])
 
-    return objective([projectors], labels_batch=labels), params, probe_losses
+    return computation, params, probe_losses
 
 
 def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5
@@ -702,9 +719,12 @@ def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5
     width 8 into a 16-wide backbone, vocabulary 32, 4 tasks) with respect to
     every projector parameter.
 
-    Each parameter's probes (every entry at x+h and at x-h) run as lockstep
-    groups, GRADCHECK_PROBES_PER_CALL to a backbone call: 55 calls where
-    one probe at a time takes 1681. The backbone treats rows independently,
+    Each parameter's probes (every entry at x+h and at x-h) run
+    GRADCHECK_PROBES_PER_CALL at a time as one stacked pass of the training
+    nodes. Only encoder probes change a token, so a suite makes 29 backbone
+    calls (the analytic pass, the unperturbed pass and 9 encoder chunks per
+    source) where one probe at a time takes 1681. The nodes compute each
+    copy as they compute it alone, the backbone treats rows independently,
     bit for bit, and a probe's loss is the mean of its own rows, so every
     probe loss, and with it the report, is the one the serial loop of
     `finite_diff_check` gives."""

@@ -12,6 +12,12 @@ of the generic primitives (matmul by the transposed weight, bias add, tanh)
 and of `ad.backward` over them, so values and gradients equal that graph's,
 kept in `tests/loss_oracle.py`, bit for bit. A NaN or Inf in either pass
 raises NonFiniteError naming the node, `project` or `reconstruct`.
+
+Forward only, both nodes broadcast over a leading copies axis: the batch,
+or one of the layer's tensors given in place of pp's, may be a stack of C
+copies. numpy multiplies a stack one GEMM per copy, in the layout of a
+single copy, so each copy's value is the one it gets alone. The gradient
+audit evaluates its finite-difference probes this way.
 """
 
 from __future__ import annotations
@@ -81,22 +87,36 @@ def init_projector(config: ProjectorConfig, seed: int, source_key: int | str = 0
 
 def _rows(x, dim: int, what: str) -> ad.Tensor:
     t = x if isinstance(x, ad.Tensor) else ad.constant(x)
-    if t.ndim != 2 or t.shape[1] != dim:
+    if t.ndim not in (2, 3) or t.shape[-1] != dim:
         raise ValueError(f"{what} batch must be (B, {dim}), got shape {t.shape}")
     return t
 
 
-def project(pp: ProjectorParams, e) -> ad.Tensor:
-    """tanh(W_enc e + b_enc) of each row of a (B, d_e) batch, as one node."""
+def _forward_only(op: str, out: np.ndarray, *copies) -> None:
+    """Refuse to record a stacked pass: the VJPs are those of one copy."""
+    if out.ndim != 2 or any(c is not None for c in copies):
+        raise ValueError(f"{op}: a stack of copies is forward only")
+
+
+def project(pp: ProjectorParams, e, *, enc_w=None, enc_b=None) -> ad.Tensor:
+    """tanh(W_enc e + b_enc) of each row of a (B, d_e) batch, as one node.
+
+    Forward only, the batch may be a (C, B, d_e) stack, and `enc_w` or
+    `enc_b` a (C, ...) stack of copies that replaces pp's tensor; the result
+    is then (C, B, d_t), each copy the value it gets alone, bit for bit.
+    """
     rows = _rows(e, pp.config.embed_dim, "embedding")
     w, b = pp.tensors["enc_w"], pp.tensors["enc_b"]
-    pre = rows.value @ np.swapaxes(w.value, 0, 1)
-    pre += b.value
+    w_val = w.value if enc_w is None else enc_w
+    b_val = b.value if enc_b is None else enc_b
+    pre = rows.value @ np.swapaxes(w_val, -1, -2)
+    pre = pre + b_val[..., np.newaxis, :]
     # before the tanh can squash an overflow to +-1
     ad.check_finite("project", pre)
     out = np.tanh(pre)
     if not ad.records(rows, w, b):
         return ad.Tensor(out, op="project")
+    _forward_only("project", out, enc_w, enc_b)
     slope = 1.0 - out * out
 
     def vjp_rows(g):
@@ -112,14 +132,18 @@ def project(pp: ProjectorParams, e) -> ad.Tensor:
                      vjps=(vjp_rows, vjp_w, vjp_b))
 
 
-def reconstruct(pp: ProjectorParams, t) -> ad.Tensor:
-    """Affine decode W_dec t + b_dec of each row of a (B, d_t) batch, as one node."""
+def reconstruct(pp: ProjectorParams, t, *, dec_w=None, dec_b=None) -> ad.Tensor:
+    """Affine decode W_dec t + b_dec of each row of a (B, d_t) batch, as one
+    node; stacks of copies as in `project`."""
     rows = _rows(t, pp.config.token_dim, "token")
     w, b = pp.tensors["dec_w"], pp.tensors["dec_b"]
-    out = rows.value @ np.swapaxes(w.value, 0, 1)
-    out += b.value
+    w_val = w.value if dec_w is None else dec_w
+    b_val = b.value if dec_b is None else dec_b
+    out = rows.value @ np.swapaxes(w_val, -1, -2)
+    out = out + b_val[..., np.newaxis, :]
     if not ad.records(rows, w, b):
         return ad.Tensor(out, op="reconstruct")
+    _forward_only("reconstruct", out, dec_w, dec_b)
     return ad.Tensor(out, requires_grad=True, op="reconstruct", parents=(rows, w, b), vjps=(
         lambda g: g @ w.value,
         lambda g: np.swapaxes(np.swapaxes(rows.value, -1, -2) @ g, 0, 1),

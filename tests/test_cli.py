@@ -1,10 +1,15 @@
 """Command-line behavior: in-process main() calls against temp directories,
-covering the documented exit codes, lock files, and artifact formats."""
+covering the documented exit codes, lock files, and artifact formats, plus
+one fresh interpreter where stderr must be exactly what a user sees."""
 
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -885,6 +890,18 @@ def test_gradcheck_passes_and_prints_report(capsys):
     printed = capsys.readouterr().out
     assert "finite-difference check" in printed
     assert "-> PASS" in printed
+
+
+def test_an_overflowing_gradcheck_prints_one_line_and_exits_numeric():
+    # in a fresh interpreter, whose stderr shows numpy's floating-point
+    # warnings as a user sees them: the +h probe of the first entry overflows
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "riskfuse.cli", "gradcheck", "--step", "1e308"],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == EXIT_NUMERIC
+    assert out.stderr == "numerical failure: non-finite value produced by primitive 'project'\n"
+    assert out.stdout == ""
 
 
 def test_gradcheck_failure_exits_numeric(capsys):

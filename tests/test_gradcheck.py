@@ -1,9 +1,10 @@
-"""The gradient audit: `gradcheck_suite` evaluates each parameter's
-finite-difference probes as lockstep groups, many per backbone call. These
-tests hold it to the serial loop of `finite_diff_check` (one evaluation of
-the objective per probe, with the entry set in place) bit for bit, check
-that a wrong gradient or an overflowing probe is still caught through the
-batched path, and audit a range of seeds."""
+"""The gradient audit: `gradcheck_suite` evaluates each chunk of a
+parameter's finite-difference probes as one stacked pass, in which the
+perturbed tensor keeps its copies axis. These tests hold it to the serial
+loop of `finite_diff_check` (one evaluation of the objective per probe, with
+the entry set in place) bit for bit, check that a wrong gradient or an
+overflowing probe is still caught through the stacked path, and audit a
+range of seeds."""
 
 from functools import lru_cache
 
@@ -12,9 +13,6 @@ import pytest
 
 import riskfuse.autodiff as ad
 from riskfuse import pipeline
-from riskfuse.frozenlm import LMConfig, draw_designated, init_frozen
-from riskfuse.losses import ASLConfig
-from riskfuse.projector import ProjectorConfig, init_projector
 
 H, TOL = 1e-5, 1e-4
 
@@ -24,6 +22,7 @@ def _suite(seed):
     return pipeline.gradcheck_suite(seed)
 
 
+@lru_cache(maxsize=None)
 def _serial(seed):
     """The serial report of the audit's objective and every probe loss it
     evaluated, in probe order."""
@@ -63,6 +62,16 @@ def test_batched_probes_equal_the_serial_probes_bit_for_bit(seed):
     assert _suite(seed).format() == serial.format()
 
 
+@pytest.mark.parametrize("per_call", [15, 7])
+def test_any_chunk_size_gives_the_serial_probes_bit_for_bit(monkeypatch, per_call):
+    # at 15 per call, the 256 probes of an enc_w end in a one-copy chunk
+    monkeypatch.setattr(pipeline, "GRADCHECK_PROBES_PER_CALL", per_call)
+    _, serial_losses = _serial(0)
+    batched_losses = _batched_losses(0)
+    assert len(batched_losses) == len(serial_losses)
+    assert [i for i, (b, s) in enumerate(zip(batched_losses, serial_losses)) if b != s] == []
+
+
 def test_a_poisoned_gradient_entry_fails_at_its_index_through_the_batched_path():
     computation, params, probe_losses = pipeline._gradcheck_problem(0)
     ad.eval_with_grads(computation, params)
@@ -94,6 +103,24 @@ def test_an_overflowing_probe_names_the_primitive_through_the_batched_path():
     assert exc.value.op == "project"
 
 
+# copy 17 of a decoder weight gets a row at 1e308, which overflows the decode
+# at seed 0; a finite encoder bias cannot overflow its pre-activation, so its
+# copy 17 gets an Inf entry
+@pytest.mark.parametrize("name, value, op", [("alpha.dec_w", 1e308, "reconstruct"),
+                                             ("bravo.enc_b", np.inf, "project")])
+def test_a_non_finite_probe_names_the_serial_primitive_through_the_stacked_path(name, value, op):
+    computation, params, probe_losses = pipeline._gradcheck_problem(0)
+    stack = np.repeat(params.value(name)[np.newaxis], 32, axis=0)
+    stack[17, 0] = value
+    with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError) as exc:
+        probe_losses(name, stack)
+    assert exc.value.op == op
+    params.value(name)[...] = stack[17]
+    with np.errstate(all="ignore"), ad.no_graph(), pytest.raises(ad.NonFiniteError) as exc:
+        computation(params)
+    assert exc.value.op == op
+
+
 # ROADMAP item 5: on correct code the audit reads FAIL at these seeds, at
 # seed 71 because the +-h probe crosses a relu kink, at seed 48 because the
 # difference quotient's rounding error exceeds the disagreement
@@ -119,36 +146,10 @@ def test_the_suite_makes_a_pinned_number_of_backbone_calls(monkeypatch):
 
     monkeypatch.setattr(pipeline, "lm_forward", counting)
     pipeline.gradcheck_suite(0)
-    # the analytic pass, then per source 256 + 32 + 256 + 16 probes of
-    # enc_w, enc_b, dec_w and dec_b at 32 per call (the serial loop: 1681)
+    # the analytic pass, the unperturbed pass, then per source the 256 + 32
+    # probes of enc_w and enc_b at 32 per call; the 256 + 16 probes of dec_w
+    # and dec_b reuse the unperturbed confidences (the serial loop: 1681)
     assert pipeline.GRADCHECK_PROBES_PER_CALL == 32
-    assert len(calls) == 1 + 3 * (8 + 1 + 8 + 1) == 55
-    assert calls[0] == 4 and max(calls) == 4 * 32
+    assert len(calls) == 1 + 1 + 3 * (8 + 1) == 29
+    assert calls == [4, 4] + [4 * 32] * 27
 
-
-def test_a_projector_shared_by_groups_is_evaluated_once_per_call(monkeypatch):
-    lm = LMConfig(d_model=16, n_layers=1, n_heads=2, vocab=32, max_seq=4, seed=2)
-    gen = np.random.default_rng(2)
-    projectors = {name: init_projector(ProjectorConfig(8, 16), 2, name) for name in "ab"}
-    emb = {name: gen.standard_normal((3, 8)) for name in "ab"}
-    labels = np.array([[1, 0], [0, 1], [-1, 1]])
-    common = dict(frozen=init_frozen(lm), designated=draw_designated(32, 2, 2),
-                  emb_batch=emb, loss=ASLConfig(), beta=2.0)
-    alone = []
-    pipeline.build_joint_loss([projectors], labels_batch=labels, group_losses=alone, **common)()
-
-    projected = []
-    project = pipeline.project
-
-    def counting(pp, e):
-        projected.append(pp)
-        return project(pp, e)
-
-    monkeypatch.setattr(pipeline, "project", counting)
-    copy_b = init_projector(ProjectorConfig(8, 16), 2, "b")
-    shared = []
-    pipeline.build_joint_loss([projectors, {**projectors, "b": copy_b}, projectors],
-                              labels_batch=np.tile(labels, (3, 1)), group_losses=shared,
-                              **common)()
-    assert projected == [projectors["a"], projectors["b"], copy_b]
-    assert shared == [alone[0] * 3]
