@@ -129,7 +129,8 @@ class FrozenWeights:
     each weight in TRANSPOSED, and `head_t` that of the head: a GEMM reading
     a transposed view rounds some row counts differently, which would tie a
     row's gradient to its neighbours. All are copies of the arrays given, so
-    `dataclasses.replace` with modified arrays builds a separate backbone.
+    `dataclasses.replace` with modified arrays builds a separate backbone,
+    with its own `weights_hash`, hashed once, when the instance is built.
     """
 
     config: LMConfig
@@ -140,6 +141,7 @@ class FrozenWeights:
     positions: np.ndarray
     transposed: tuple = field(init=False)
     head_t: np.ndarray = field(init=False)
+    _hash: str = field(init=False)
 
     def __post_init__(self):
         assign = partial(object.__setattr__, self)
@@ -152,6 +154,11 @@ class FrozenWeights:
             MappingProxyType({key: _constant(layer[key].T) for key in TRANSPOSED})
             for layer in layers))
         assign("head_t", _constant(self.head.T))
+        digest = hashlib.sha256()
+        for name, value in self.named_weights():
+            digest.update(name.encode("utf-8"))
+            digest.update(value.tobytes())
+        assign("_hash", digest.hexdigest())
 
     def named_weights(self):
         for li, layer in enumerate(self.layers):
@@ -163,11 +170,8 @@ class FrozenWeights:
         yield "positions", self.positions
 
     def weights_hash(self) -> str:
-        digest = hashlib.sha256()
-        for name, value in self.named_weights():
-            digest.update(name.encode("utf-8"))
-            digest.update(np.ascontiguousarray(value).tobytes())
-        return digest.hexdigest()
+        """sha256 over each weight's name and bytes, in `named_weights` order."""
+        return self._hash
 
 
 @cache
@@ -191,7 +195,8 @@ def init_frozen(config: LMConfig) -> FrozenWeights:
 
 
 # Each block takes and returns the (rows, d_model) residual stream; attention
-# views it as (batch, seq_len, .) for its scores only. The elementwise
+# views it as (sequences, heads, positions, head width) for its scores only,
+# so every head's products are one batched product. The elementwise
 # arithmetic is that of the autodiff primitives each block replaces; where a
 # value's gradient has three or more contributions, they are summed in the
 # order `ad.backward` sums them. One function per block frees its
@@ -223,12 +228,16 @@ def _layer_norm_vjp(g, gain, saved):
     return g, (-g).sum(axis=-1, keepdims=True) / d
 
 
-def _attention_probs(qh, kh, scale, mask, block):
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
-    # a non-finite score can vanish in the softmax
-    ad.check_finite(block, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _by_head(a, seq_len, n_heads):
+    """(rows, d_model) rows of consecutive sequences as a (sequences, heads,
+    positions, head width) view."""
+    return a.reshape(-1, seq_len, n_heads, a.shape[-1] // n_heads).swapaxes(1, 2)
+
+
+def _by_row(a):
+    """A (sequences, heads, positions, head width) array back as rows."""
+    n, n_heads, seq_len, dh = a.shape
+    return a.swapaxes(1, 2).reshape(n * seq_len, n_heads * dh)
 
 
 def _attention_block(h, layer, seq_len, n_heads, tape, block):
@@ -241,23 +250,16 @@ def _attention_block(h, layer, seq_len, n_heads, tape, block):
         # values through unchanged and sends exact zeros back to q and k
         attended = v
     else:
+        q, k, v = (_by_head(x, seq_len, n_heads) for x in (a @ layer["wq"], a @ layer["wk"], v))
         mask = np.triu(np.full((seq_len, seq_len), MASK_NEG), k=1)
-        by_sequence = (-1, seq_len, h.shape[-1])
-        q = (a @ layer["wq"]).reshape(by_sequence)
-        k = (a @ layer["wk"]).reshape(by_sequence)
-        v = v.reshape(by_sequence)
-        dh = h.shape[-1] // n_heads
-        scale = 1.0 / np.sqrt(dh)
-        heads, probs = [], []
-        for i in range(n_heads):
-            sl = (..., slice(i * dh, (i + 1) * dh))
-            p = _attention_probs(q[sl], k[sl], scale, mask, block)
-            heads.append(p @ v[sl])
-            if tape is not None:
-                probs.append(p)
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask
+        # a non-finite score can vanish in the softmax
+        ad.check_finite(block, scores)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
         if tape is not None:
-            tape.append((q, k, v, probs))
-        attended = np.concatenate(heads, axis=-1).reshape(h.shape)
+            tape.append((q, k, v, p))
+        attended = _by_row(p @ v)
     out = h + attended @ layer["wo"]
     # an overflowing variance vanishes in the layer norm
     ad.check_finite(block, shifted_var, out)
@@ -270,23 +272,13 @@ def _attention_vjp(g, layer_t, saved):
     g_cat = g @ layer_t["wo"]
     if saved is None:
         return g_cat @ layer_t["wv"]
-    q, k, v, probs = saved
-    dh = q.shape[-1] // len(probs)
-    scale = 1.0 / np.sqrt(dh)
-    g_cat = g_cat.reshape(q.shape)
-    g_q, g_k, g_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-    for i, p in enumerate(probs):
-        sl = (..., slice(i * dh, (i + 1) * dh))
-        g_head = g_cat[sl]
-        g_p = g_head @ np.swapaxes(v[sl], -1, -2)
-        g_v[sl] = np.swapaxes(p, -1, -2) @ g_head
-        g_scores = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p * scale
-        g_q[sl] = g_scores @ k[sl]
-        g_k[sl] = np.swapaxes(np.swapaxes(q[sl], -1, -2) @ g_scores, -1, -2)
-    by_row = g.shape
-    return ((g_q.reshape(by_row) @ layer_t["wq"]
-             + g_k.reshape(by_row) @ layer_t["wk"])
-            + g_v.reshape(by_row) @ layer_t["wv"])
+    q, k, v, p = saved
+    g_heads = _by_head(g_cat, q.shape[2], q.shape[1])
+    g_p = g_heads @ v.swapaxes(-1, -2)
+    g_scores = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p * (1.0 / np.sqrt(q.shape[-1]))
+    g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
+    return ((_by_row(g_scores @ k) @ layer_t["wq"] + _by_row(g_k) @ layer_t["wk"])
+            + _by_row(p.swapaxes(-1, -2) @ g_heads) @ layer_t["wv"])
 
 
 def _ff_block(h, layer, tape, block):

@@ -98,18 +98,41 @@ def write_metrics_csv(path, run: str, metrics: list[TaskMetrics]) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected metrics columns {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            rows.append({
-                "task": row["task"],
-                "run": row["run"],
-                "precision": float(row["precision"]),
-                "recall": float(row["recall"]),
-            })
+    """Task, run, precision and recall of each row of a metrics CSV. Refuses,
+    naming the file and line, a row of the wrong length, a precision or
+    recall that is not a number in [0, 1], and a task listed twice."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        lines = [(reader.line_num, cells) for cells in reader]
+    except csv.Error as err:
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+    header = lines[0][1] if lines else None
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"{path}: unexpected metrics columns {header}")
+    rows, line_of = [], {}
+    for number, cells in lines[1:]:
+        if not cells:  # a blank line
+            continue
+        where = f"{path}: line {number}"
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"{where}: {len(cells)} fields, expected {len(CSV_COLUMNS)}")
+        row = dict(zip(("task", "run"), cells))
+        for key, value in zip(("precision", "recall"), cells[2:4]):
+            try:
+                row[key] = float(value)
+            except ValueError:
+                row[key] = float("nan")  # refused below, as a NaN is
+            if not 0.0 <= row[key] <= 1.0:
+                raise ValueError(f"{where}: {key} {value!r} is not a number in [0, 1]")
+        if row["task"] in line_of:
+            raise ValueError(f"{where}: task {row['task']!r} is already on line "
+                             f"{line_of[row['task']]}")
+        line_of[row["task"]] = number
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty metrics file")
     return rows
@@ -142,35 +165,21 @@ def render_report(runs: list[tuple[str, list[dict]]]) -> tuple[str, str]:
                 f"run {run_name!r} covers tasks {sorted(tasks)}, expected {sorted(base_tasks)}")
         for r in rows:
             table[r["task"]][run_name] = (r["precision"], r["recall"])
-    order = _ordered_tasks(base_tasks)
+    # one table of cells; each column's header is a (CSV, aligned) pair
+    header = [("task", "task")]
+    for name in run_names:
+        header += [(f"{name}_precision", f"{name} prec"), (f"{name}_recall", f"{name} rec")]
+    body = [[task] + [f"{value:.3f}" for name in run_names for value in table[task][name]]
+            for task in _ordered_tasks(base_tasks)]
 
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = ["task"]
-    for name in run_names:
-        header += [f"{name}_precision", f"{name}_recall"]
-    writer.writerow(header)
-    for task in order:
-        row = [task]
-        for name in run_names:
-            p, r = table[task][name]
-            row += [f"{p:.3f}", f"{r:.3f}"]
-        writer.writerow(row)
-    csv_text = buf.getvalue()
-
-    width = max(len("task"), *(len(t) for t in order))
-    cols = []
-    for name in run_names:
-        cols += [f"{name} prec", f"{name} rec"]
-    lines = ["  ".join(["task".ljust(width)] + [c.rjust(max(len(c), 6)) for c in cols])]
-    for task in order:
-        cells = [task.ljust(width)]
-        for name, col_p, col_r in zip(run_names, cols[0::2], cols[1::2]):
-            p, r = table[task][name]
-            cells.append(f"{p:.3f}".rjust(max(len(col_p), 6)))
-            cells.append(f"{r:.3f}".rjust(max(len(col_r), 6)))
-        lines.append("  ".join(cells))
-    return csv_text, "\n".join(lines) + "\n"
+    csv.writer(buf).writerows([[label for label, _ in header]] + body)
+    text = [[label for _, label in header]] + body
+    widths = [max(len(row[0]) for row in text)] + [max(len(label), 6) for label in text[0][1:]]
+    lines = ["  ".join([row[0].ljust(widths[0])]
+                       + [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])])
+             for row in text]
+    return buf.getvalue(), "\n".join(lines) + "\n"
 
 
 def write_report(out_path, runs: list[tuple[str, list[dict]]]) -> str:

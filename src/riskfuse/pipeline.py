@@ -528,7 +528,8 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
                       ) -> tuple[list[TaskMetrics], BssSelection | None]:
     """Test-split metrics for one protocol: joint, iso-joint, single:<src>,
     or bss (which carves a patient-grouped validation slice out of the
-    training split to pick sources, then scores them on the test split)."""
+    training split to pick sources, then scores them on the test split, and
+    refuses a training split too small to spare one)."""
     train_idx, test_idx = split_by_patient(dataset.patients, ckpt.config.split_ratio,
                                            ckpt.config.seed)
     if test_idx.size == 0:
@@ -537,8 +538,15 @@ def evaluate_protocol(ckpt: Checkpoint, dataset: Dataset, protocol: str,
     if protocol != "bss":
         _, yhat = predict(ckpt, dataset, test_idx, protocol, threshold)
     else:
-        _, val = split_by_patient(dataset.patients[train_idx], BSS_VALIDATION_RATIO,
-                                  ckpt.config.seed)
+        patients = dataset.patients[train_idx]
+        n_patients = np.unique(patients).size
+        # one patient cannot be split; a few can all land on the fitting side
+        val = (split_by_patient(patients, BSS_VALIDATION_RATIO, ckpt.config.seed)[1]
+               if n_patients > 1 else train_idx[:0])
+        if val.size == 0:
+            raise ValueError(f"bss needs a validation slice of the training split, which is "
+                             f"too small for one: {train_idx.size} records, "
+                             f"{n_patients} patient(s)")
         selection = bss_select(ckpt, dataset, train_idx[val], threshold)
         picked = [name for name in ckpt.source_order() if name in selection.assignment.values()]
         per_source = {}

@@ -407,6 +407,22 @@ def test_eval_bss_selects_at_the_threshold_override(workspace, tmp_path, capsys)
     assert json.loads((tmp_path / "bss.csv.lock").read_text())["threshold"] == 0.45
 
 
+@pytest.mark.parametrize("seed, records, patients", [(1, 6, 4), (4, 7, 1)])
+def test_eval_bss_on_a_split_too_small_to_validate_is_an_input_error(
+        tmp_path, capsys, seed, records, patients):
+    data, ckpt = tmp_path / "data", tmp_path / "iso"
+    assert main(["gen", "--profile", "planted", "--n-records", "8", "--seed", str(seed),
+                 "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--mode", "isolated",
+                 "--epochs", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt),
+                 "--protocol", "bss"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: bss needs a validation slice of the training split, which is too small "
+        f"for one: {records} records, {patients} patient(s)\n")
+
+
 def test_eval_protocol_checkpoint_mismatch(workspace, capsys):
     assert main(["eval", "--data", str(workspace["data"]),
                  "--ckpt", str(workspace["joint"]), "--protocol", "iso-joint"]) \
@@ -965,6 +981,26 @@ def test_report_of_a_directory_is_an_input_error(tmp_path, capsys):
     assert main(["report", f"a={tmp_path}"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+HEADER = ",".join(metrics.CSV_COLUMNS) + "\n"
+ROW = "t0,r,0.5,0.25,1,1,3,5,10,0\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    (HEADER + "t0,r\n", "line 2: 2 fields, expected 10"),
+    (HEADER + ROW.replace("0.5", "abc"), "line 2: precision 'abc' is not a number in [0, 1]"),
+    (HEADER.encode() + b"t0,r,0.5,\xff\n", "not UTF-8 text"),
+    (HEADER + ROW.replace("0.25", "nan"), "line 2: recall 'nan' is not a number in [0, 1]"),
+    (HEADER + ROW + "\n" + ROW, "line 4: task 't0' is already on line 2"),
+    (HEADER + "x" * 200_000 + "\n", "line 2: field larger than field limit (131072)"),
+], ids=["short-row", "non-numeric", "not-utf8", "nan", "repeated-task", "huge-field"])
+def test_report_of_a_malformed_metrics_csv_names_the_file_and_line(tmp_path, capsys,
+                                                                    body, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body if isinstance(body, bytes) else body.encode())
+    assert main(["report", f"a={bad}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_report_renders_the_table_once(tmp_path, capsys, monkeypatch):

@@ -217,10 +217,10 @@ def _logits_and_input_grad(forward, weights, x, mix):
     return logits.value, p.grad, forward_only
 
 
-def _oracle_cases(d_model):
+def _oracle_cases(d_model, n_heads):
     """(seq_len, batch, node, oracle) for every sequence length and batch
     shape, each of node and oracle being `_logits_and_input_grad`."""
-    cfg = LMConfig(d_model=d_model, n_layers=2, n_heads=2, vocab=32, max_seq=8, seed=0)
+    cfg = LMConfig(d_model=d_model, n_layers=2, n_heads=n_heads, vocab=32, max_seq=8, seed=0)
     w = init_frozen(cfg)
     for seq_len in range(1, cfg.max_seq + 1):
         for batch in (None, 1, 5, 32):
@@ -268,23 +268,26 @@ def test_oracle_softmax_gradient_rows_are_mean_free(rows, cols):
     np.testing.assert_allclose(x.grad.sum(axis=-1), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_heads", (1, 2, 4))
 @pytest.mark.parametrize("d_model", (16, 64))
-def test_backbone_logits_equal_the_primitive_graph_bit_for_bit_beyond_one_position(d_model):
+def test_backbone_logits_equal_the_primitive_graph_bit_for_bit_beyond_one_position(
+        d_model, n_heads):
     # from two positions on, the oracle's per-record products are GEMMs too,
     # and a GEMM row's bits do not depend on how many rows share the call
-    for seq_len, batch, node, oracle in _oracle_cases(d_model):
+    for seq_len, batch, node, oracle in _oracle_cases(d_model, n_heads):
         if seq_len == 1:
             continue
         for what, i in (("logits", 0), ("no_graph logits", 2)):
             assert np.array_equal(node[i], oracle[i]), f"{what}, S={seq_len}, B={batch}"
 
 
+@pytest.mark.parametrize("n_heads", (1, 2, 4))
 @pytest.mark.parametrize("d_model", (16, 64))
-def test_backbone_matches_the_primitive_graph_to_rounding(d_model):
+def test_backbone_matches_the_primitive_graph_to_rounding(d_model, n_heads):
     # the oracle multiplies one record at a time (a one-position record by
     # gemv) and its VJP multiplies by transposed views; the node multiplies
     # every row in one GEMM by contiguous weights, which rounds differently
-    for seq_len, batch, node, oracle in _oracle_cases(d_model):
+    for seq_len, batch, node, oracle in _oracle_cases(d_model, n_heads):
         checked = (("input gradient", 1),)
         if seq_len == 1:
             checked += (("logits", 0), ("no_graph logits", 2))

@@ -171,6 +171,48 @@ def test_render_report_rejects_a_repeated_run_name():
                        ("a", _rows(["x"], 0.1, 0.2))])
 
 
+PINNED_CSV = (
+    "task,a_precision,a_recall,joint_avg_precision,joint_avg_recall\r\n"
+    "Fracture,0.917,0.154,0.000,1.000\r\n"
+    "Lung Lesion,0.833,0.231,0.636,0.000\r\n"
+    "Enlarged CM,0.750,0.308,0.182,0.000\r\n"
+    "Consolidation,0.667,0.385,0.818,1.000\r\n"
+    "Pneumonia,0.583,0.462,0.364,0.000\r\n"
+    "Atelectasis,0.500,0.538,1.000,0.000\r\n"
+    "Lung Opacity,0.417,0.615,0.545,1.000\r\n"
+    "Pneumothorax,0.333,0.692,0.091,0.000\r\n"
+    "Edema,0.250,0.769,0.727,0.000\r\n"
+    "Cardiomegaly,0.167,0.846,0.273,1.000\r\n"
+    "Length of stay,0.083,0.923,0.909,0.000\r\n"
+    "48h Mortality,0.000,1.000,0.455,0.000\r\n")
+
+PINNED_ALIGNED = (
+    "task            a prec   a rec  joint_avg prec  joint_avg rec\n"
+    "Fracture         0.917   0.154           0.000          1.000\n"
+    "Lung Lesion      0.833   0.231           0.636          0.000\n"
+    "Enlarged CM      0.750   0.308           0.182          0.000\n"
+    "Consolidation    0.667   0.385           0.818          1.000\n"
+    "Pneumonia        0.583   0.462           0.364          0.000\n"
+    "Atelectasis      0.500   0.538           1.000          0.000\n"
+    "Lung Opacity     0.417   0.615           0.545          1.000\n"
+    "Pneumothorax     0.333   0.692           0.091          0.000\n"
+    "Edema            0.250   0.769           0.727          0.000\n"
+    "Cardiomegaly     0.167   0.846           0.273          1.000\n"
+    "Length of stay   0.083   0.923           0.909          0.000\n"
+    "48h Mortality    0.000   1.000           0.455          0.000\n")
+
+
+def test_render_report_bytes_are_pinned():
+    # a run name under 6 characters (its columns pad to 6), a longer one, a
+    # task name longer than "task", and the 12 tasks given out of order
+    tasks = list(TABLE_TASK_ORDER)
+    short = [{"task": t, "run": "", "precision": i / 12, "recall": 1 - i / 13}
+             for i, t in enumerate(reversed(tasks))]
+    long = [{"task": t, "run": "", "precision": (i * 7 % 12) / 11,
+             "recall": 0.0 if i % 3 else 1.0} for i, t in enumerate(tasks)]
+    assert render_report([("a", short), ("joint_avg", long)]) == (PINNED_CSV, PINNED_ALIGNED)
+
+
 def test_write_report_emits_csv_and_aligned_twin(tmp_path):
     out = tmp_path / "report.csv"
     aligned = write_report(out, [("solo", _rows(["a"], 0.5, 0.5))])

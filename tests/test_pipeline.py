@@ -3,6 +3,7 @@ plumbing, training in both modes, prediction protocols, source selection,
 and checkpoint persistence."""
 
 import dataclasses
+import hashlib
 import re
 from collections import Counter
 
@@ -200,6 +201,14 @@ def test_backbone_weights_never_move(joint_ckpt, iso_ckpt):
     reference = init_frozen.__wrapped__(LM_SMALL).weights_hash()
     assert joint_ckpt.frozen.weights_hash() == reference
     assert iso_ckpt.frozen.weights_hash() == reference
+
+
+def test_a_checkpoint_round_trip_hashes_no_backbone(joint_ckpt, tmp_path, monkeypatch):
+    # the shared backbone was hashed once, when it was built
+    passes, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: passes.append(a) or sha256(*a))
+    back = load_checkpoint(save_checkpoint(joint_ckpt, tmp_path))
+    assert back.frozen is joint_ckpt.frozen and passes == []
 
 
 def test_projector_weights_do_move(joint_ckpt):
@@ -498,6 +507,18 @@ def test_evaluate_bss_protocol(iso_ckpt, dataset, monkeypatch):
             _, yhat = predict(iso_ckpt, dataset, test_idx, f"single:{source}")
             assert m == precision_recall(yhat[:, k], labels[:, k], task=task)
     assert sel.assignment[iso_ckpt.task_names[0]] is None
+
+
+@pytest.mark.parametrize("seed, records, patients", [(1, 6, 4), (4, 7, 1)])
+def test_bss_on_a_split_too_small_to_validate_names_its_counts(seed, records, patients):
+    # at seed 1 every training patient lands on the fitting side of the
+    # nested split; at seed 4 the training split holds one patient
+    tiny = build(planted_profile(n_records=8, seed=seed))
+    ckpt = train(tiny, _cfg(mode="isolated", epochs=1, seed=0))
+    with pytest.raises(ValueError) as exc:
+        evaluate_protocol(ckpt, tiny, "bss")
+    assert str(exc.value) == ("bss needs a validation slice of the training split, which is "
+                              f"too small for one: {records} records, {patients} patient(s)")
 
 
 def test_bss_selects_at_the_threshold_it_scores_at(iso_ckpt, dataset, monkeypatch):
