@@ -113,8 +113,10 @@ class FeatureStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("stats must be matching 1-D vectors")
-        if np.any(self.std < 0) or not np.all(np.isfinite(self.mean)):
-            raise ValueError("invalid feature stats")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("feature stats mean contains non-finite values")
+        if not np.all(np.isfinite(self.std) & (self.std >= 0)):
+            raise ValueError("feature stats std must be finite and nonnegative")
 
 
 STD_FLOOR = 1e-12

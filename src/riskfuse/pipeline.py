@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +49,8 @@ from .losses import (UNKNOWN, ASLConfig, ClassWeights, class_weights,
 from .metrics import TaskMetrics, f1_score, metrics_for_run
 from .optim import adamw_step, init_adamw
 from .projector import PARAM_NAMES, ProjectorConfig, ProjectorParams, init_projector, project, reconstruct
-from .storage import (FORMAT_VERSIONS, MANIFEST, Dataset, decode, dump_json, gather_records,
-                      load_arrays, manifest_value, read_manifest, read_source_specs,
-                      replaced_directory, save_arrays)
+from .storage import (Dataset, decode, gather_records, load_arrays, read_manifest,
+                      read_source_specs, write_artifact)
 
 __all__ = [
     "TrainConfig",
@@ -575,10 +573,8 @@ def save_checkpoint(ckpt: Checkpoint, out_dir, lock: dict | None = None) -> Path
     """One file per source holds its projector parameters, then its stats'
     mean and std, as float64 arrays, so a reloaded checkpoint predicts
     exactly as the saved one. The directory is written whole, with `lock`
-    as its `run.lock` if given (see `storage.replaced_directory`)."""
+    as its `run.lock` if given (see `storage.write_artifact`)."""
     manifest = {
-        "format": "riskfuse-checkpoint",
-        "version": FORMAT_VERSIONS["checkpoint"],
         "train_config": dataclasses.asdict(ckpt.config),
         "sources": [dataclasses.asdict(s) for s in ckpt.source_specs],
         "task_names": list(ckpt.task_names),
@@ -588,19 +584,15 @@ def save_checkpoint(ckpt: Checkpoint, out_dir, lock: dict | None = None) -> Path
         "designated": _designated_entry(ckpt.designated),
         "history": ckpt.history,
     }
-    with replaced_directory(out_dir, "checkpoint", lock) as out:
-        for name, pp in ckpt.projectors.items():
-            st = ckpt.stats[name]
-            save_arrays(out / f"src_{name}.bin", *(pp.value(p) for p in PARAM_NAMES),
-                        st.mean, st.std)
-        dump_json(out / MANIFEST, manifest)
-    return Path(out_dir)
+    files = {f"src_{name}.bin": [*(pp.value(p) for p in PARAM_NAMES),
+                                 ckpt.stats[name].mean, ckpt.stats[name].std]
+             for name, pp in ckpt.projectors.items()}
+    return write_artifact(out_dir, "checkpoint", manifest, files, lock)
 
 
 def load_checkpoint(path) -> Checkpoint:
     root = Path(path)
-    manifest_path, manifest = read_manifest(root, "checkpoint")
-    value = partial(manifest_value, manifest_path, manifest)
+    manifest_path, value = read_manifest(root, "checkpoint")
     train_config = value("train_config", "an object")
     try:
         cfg = decode(TrainConfig, train_config, "config", complete=True)
@@ -637,12 +629,17 @@ def load_checkpoint(path) -> Checkpoint:
     )
     proj_cfgs = _projector_configs(specs, cfg.lm)
     for s in specs:
-        shapes = proj_cfgs[s.name].shapes()
-        *params, mean, std = load_arrays(
-            root / f"src_{s.name}.bin", *(("<f8", shapes[p]) for p in PARAM_NAMES),
-            ("<f8", (s.dim,)), ("<f8", (s.dim,)))
+        shapes, path = proj_cfgs[s.name].shapes(), root / f"src_{s.name}.bin"
+        *params, mean, std = load_arrays(path, *(("<f8", shapes[p]) for p in PARAM_NAMES),
+                                         ("<f8", (s.dim,)), ("<f8", (s.dim,)))
+        for p, arr in zip(PARAM_NAMES, params):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{path}: {p} contains non-finite values")
+        try:
+            checkpoint.stats[s.name] = FeatureStats(mean=mean, std=std)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         checkpoint.projectors[s.name] = ProjectorParams(proj_cfgs[s.name], *params)
-        checkpoint.stats[s.name] = FeatureStats(mean=mean, std=std)
     return checkpoint
 
 
@@ -650,12 +647,11 @@ def load_checkpoint(path) -> Checkpoint:
 # end-to-end gradient fidelity suite
 
 
-# finite-difference probes per stacked pass in gradcheck_suite. Over the
-# probes of one source's enc_w and dec_w (128 entries each, 512 probes), peak
-# RSS rose by under 0.1 MB at 8-32 probes per pass, 0.3 MB at 64, 1.7 MB at
-# 128 and 3.7 MB at 256; the suite took 95 ms at 8, 61 ms at 16, 49 ms at 32
-# and 41-43 ms from 64 to 256 (median of 40, 1 BLAS thread, 2 vCPUs)
-GRADCHECK_PROBES_PER_CALL = 32
+# finite-difference probes per stacked pass in gradcheck_suite. A suite took
+# 89 ms at 8, 60 ms at 16, 44 ms at 32, 37 ms at 64, 36 ms at 128 and 40 ms
+# at 256 (median of 40 over seeds 0-19, 1 BLAS thread, 2 vCPUs), and its
+# traced peak allocation was 0.5, 0.6, 0.9, 1.4, 2.5 and 4.4 MB
+GRADCHECK_PROBES_PER_CALL = 64
 
 
 def _gradcheck_problem(seed: int):
@@ -729,8 +725,8 @@ def gradcheck_suite(seed: int = 0, tol: float = 1e-4, h: float = 1e-5
 
     Each parameter's probes (every entry at x+h and at x-h) run
     GRADCHECK_PROBES_PER_CALL at a time as one stacked pass of the training
-    nodes. Only encoder probes change a token, so a suite makes 29 backbone
-    calls (the analytic pass, the unperturbed pass and 9 encoder chunks per
+    nodes. Only encoder probes change a token, so a suite makes 17 backbone
+    calls (the analytic pass, the unperturbed pass and 5 encoder chunks per
     source) where one probe at a time takes 1681. The nodes compute each
     copy as they compute it alone, the backbone treats rows independently,
     bit for bit, and a probe's loss is the mean of its own rows, so every

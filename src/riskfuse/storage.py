@@ -25,9 +25,9 @@ A raw payload is a length table and the values it cuts, record by record
 in row order. In memory a `Dataset` maps each source name to the same
 arrays (the image sources to one shared tuple), values as float64 and
 lengths and ids as int64. Arrays are little-endian. Identical
-generator seeds produce byte-identical directories. Checkpoints store their
-parameters and stats through `save_arrays` and `load_arrays` too, as
-float64.
+generator seeds produce byte-identical directories. A checkpoint is written
+by the same `write_artifact` and read through the same `read_manifest` and
+`load_arrays`, its parameters and stats as float64.
 
 Each JSON value read back must be of a kind in `KINDS`: a manifest key
 as `manifest_value` names it, a field of a config dataclass that `decode`
@@ -40,12 +40,11 @@ import json
 import os
 import shutil
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from tokenize import TokenError
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .losses import validate_labels
 
 __all__ = ["FORMAT_VERSIONS", "MODES", "KINDS", "Dataset", "payload_layout", "gather_records",
            "decode", "write_dataset", "load_dataset", "save_arrays", "load_arrays",
-           "check_replaceable", "replaced_directory"]
+           "check_replaceable", "write_artifact"]
 
 FORMAT_VERSIONS = {"dataset": 2, "checkpoint": 3}
 MODES = ("latent", "raw")
@@ -260,9 +259,10 @@ def read_source_specs(path, items) -> tuple[SourceSpec, ...]:
     return specs
 
 
-def read_manifest(root, kind: str) -> tuple[Path, dict]:
-    """Path and contents of the manifest of the `kind` ("dataset" or
-    "checkpoint") directory at `root`; a manifest that is not a JSON object,
+def read_manifest(root, kind: str) -> tuple[Path, Callable]:
+    """Path of the manifest of the `kind` ("dataset" or "checkpoint")
+    directory at `root`, and its reader: `value(key, kind)` is
+    `manifest_value` of that manifest. A manifest that is not a JSON object,
     or is of another kind or format version, is a ValueError naming it."""
     path = Path(root) / MANIFEST
     if not path.exists():
@@ -276,7 +276,7 @@ def read_manifest(root, kind: str) -> tuple[Path, dict]:
     version = manifest_value(path, manifest, "version", "an integer")
     if version != FORMAT_VERSIONS[kind]:
         raise ValueError(f"{path}: unsupported {kind} format version {version!r}")
-    return path, manifest
+    return path, partial(manifest_value, path, manifest)
 
 
 def save_arrays(path, *arrays) -> None:
@@ -337,22 +337,26 @@ def check_replaceable(out_dir, kind: str) -> None:
     raise ValueError(f"{out}: exists and is not a {kind} directory, so it is not replaced")
 
 
-@contextmanager
-def replaced_directory(out_dir, kind: str, lock: dict | None = None):
-    """Write the `kind` directory `out_dir` whole.
+def write_artifact(out_dir, kind: str, manifest: dict, files: dict,
+                   lock: dict | None = None) -> Path:
+    """Write the `kind` ("dataset" or "checkpoint") directory `out_dir` whole.
 
-    The `with` body writes every file into the new sibling directory it is
-    given, and `lock`, if given, is written beside them as `run.lock`; the
-    directory then takes the place of `out_dir`: no file of an earlier
-    artifact survives, and a write that fails leaves `out_dir` as it was.
-    `out_dir` must pass `check_replaceable`.
+    `manifest`, stamped with the kind's format and version, each file of
+    `files` (file name -> its arrays, see `save_arrays`) and `lock`, if
+    given, as `run.lock` are written into a new sibling directory, which
+    then takes the place of `out_dir`: no file of an earlier artifact
+    survives, and a write that fails leaves `out_dir` as it was. `out_dir`
+    must pass `check_replaceable`.
     """
     check_replaceable(out_dir, kind)
     target = Path(os.path.abspath(out_dir))
     tmp = target.with_name(f".{target.name}.{os.getpid()}.partial")
     tmp.mkdir(parents=True)
     try:
-        yield tmp
+        dump_json(tmp / MANIFEST, {**manifest, "format": f"riskfuse-{kind}",
+                                   "version": FORMAT_VERSIONS[kind]})
+        for fname, arrays in files.items():
+            save_arrays(tmp / fname, *arrays)
         if lock is not None:
             dump_json(tmp / LOCK, lock)
         if target.exists():
@@ -361,15 +365,14 @@ def replaced_directory(out_dir, kind: str, lock: dict | None = None):
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    return Path(out_dir)
 
 
 def write_dataset(ds: Dataset, out_dir, lock: dict | None = None) -> Path:
-    """Write `ds` whole (see `replaced_directory`), with `lock` as its
+    """Write `ds` whole (see `write_artifact`), with `lock` as its
     `run.lock` if given."""
     ds.validate()
     manifest = {
-        "format": "riskfuse-dataset",
-        "version": FORMAT_VERSIONS["dataset"],
         "n_records": ds.n_records,
         "n_tasks": ds.n_tasks,
         "task_names": list(ds.task_names),
@@ -378,24 +381,18 @@ def write_dataset(ds: Dataset, out_dir, lock: dict | None = None) -> Path:
         "sources": [asdict(s) for s in ds.source_specs],
         "generator": ds.generator,
     }
-    with replaced_directory(out_dir, "dataset", lock) as out:
-        dump_json(out / MANIFEST, manifest)
-        save_arrays(out / LABELS, ds.labels.astype("i1"))
-        save_arrays(out / PATIENTS, ds.patients.astype("<u4"))
-        written = set()
-        for s in ds.source_specs:
-            fname, layout = payload_layout(s, ds.n_records, ds.mode)
-            if fname not in written:   # the image sources share one file
-                written.add(fname)
-                save_arrays(out / fname, *(arr.astype(dtype) for arr, (dtype, _)
-                                           in zip(ds.payloads[s.name], layout.values())))
-    return Path(out_dir)
+    files = {LABELS: [ds.labels.astype("i1")], PATIENTS: [ds.patients.astype("<u4")]}
+    for s in ds.source_specs:   # the image sources share one file, so one entry
+        fname, layout = payload_layout(s, ds.n_records, ds.mode)
+        # converted as the file is written
+        files[fname] = (arr.astype(dtype) for arr, (dtype, _)
+                        in zip(ds.payloads[s.name], layout.values()))
+    return write_artifact(out_dir, "dataset", manifest, files, lock)
 
 
 def load_dataset(path) -> Dataset:
     root = Path(path)
-    manifest_path, manifest = read_manifest(root, "dataset")
-    value = partial(manifest_value, manifest_path, manifest)
+    manifest_path, value = read_manifest(root, "dataset")
     specs = read_source_specs(manifest_path, value("sources", "a list"))
     n, k = value("n_records", "a count"), value("n_tasks", "a count")
     task_names = tuple(value("task_names", "a list of names"))

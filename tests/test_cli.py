@@ -663,6 +663,27 @@ def test_eval_rejects_a_checkpoint_whose_backbone_does_not_verify(workspace, tmp
     assert f"{broken / 'manifest'}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("array, value, message", [
+    (0, np.nan, "enc_w contains non-finite values"),
+    (-2, np.nan, "feature stats mean contains non-finite values"),
+    (-1, -1.0, "feature stats std must be finite and nonnegative"),
+    # an infinite std would z-score its feature to 0 for every record
+    (-1, np.inf, "feature stats std must be finite and nonnegative"),
+], ids=["nan-enc_w", "nan-mean", "negative-std", "inf-std"])
+def test_eval_refuses_a_corrupted_checkpoint_array_naming_its_file(workspace, tmp_path, capsys,
+                                                                  array, value, message):
+    broken = tmp_path / "iso"
+    shutil.copytree(workspace["iso"], broken)
+    ckpt = pipeline.load_checkpoint(broken)
+    arrays = [np.array(ckpt.projectors["xr"].value(p)) for p in PARAM_NAMES]
+    arrays += [ckpt.stats["xr"].mean.copy(), ckpt.stats["xr"].std.copy()]
+    arrays[array].flat[0] = value
+    storage.save_arrays(broken / "src_xr.bin", *arrays)
+    assert main(["eval", "--data", str(workspace["data"]), "--ckpt", str(broken),
+                 "--protocol", "iso-joint"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {broken / 'src_xr.bin'}: {message}\n"
+
+
 @pytest.fixture(scope="module")
 def raw_workspace(workspace):
     data = workspace["root"] / "raw"

@@ -12,7 +12,10 @@ Only a deliberate numeric change may re-record the golden:
 
     PYTHONPATH=src python tests/test_exactness.py
 
-and the change must say why the numbers moved.
+which prints, before it writes, one line per run saying what moved (the
+history groups with their largest |Δ|, the predict modes whose digest
+changed, any changed `bss` assignment) and whether the gradcheck text
+changed. The change must say why the numbers moved.
 """
 
 import hashlib
@@ -71,8 +74,33 @@ def test_gradcheck_report_matches_golden(golden):
     assert gradcheck_snapshot() == golden["gradcheck"]
 
 
+def moved(old: dict, new: dict) -> str:
+    """What moved from the recorded snapshot `old` of a run to `new`."""
+    parts = []
+    for group, losses in new["history"].items():
+        before = old.get("history", {}).get(group, [])
+        if losses != before:
+            delta = max((abs(a - b) for a, b in zip(losses, before)), default=float("nan"))
+            parts.append(f"history {group} max |Δ| {delta:.3g}")
+    digests = {m: c["sha256"] for m, c in old.get("predict", {}).items()}
+    modes = [m for m, c in new["predict"].items() if c["sha256"] != digests.get(m)]
+    if modes:
+        parts.append(f"predict {', '.join(modes)}")
+    bss = old.get("bss", {})
+    picks = [f"{task} {bss.get(task)} -> {source}"
+             for task, source in new.get("bss", {}).items() if source != bss.get(task)]
+    if picks:
+        parts.append(f"bss {', '.join(picks)}")
+    return "; ".join(parts) or "unchanged"
+
+
 if __name__ == "__main__":
-    record = {"runs": {run: run_snapshot(run) for run in RUNS},
-              "gradcheck": gradcheck_snapshot()}
+    record = json.loads(json.dumps({"runs": {run: run_snapshot(run) for run in RUNS},
+                                    "gradcheck": gradcheck_snapshot()}))
+    old = json.loads(GOLDEN.read_text())
+    for run in RUNS:
+        print(f"{run}: {moved(old['runs'].get(run, {}), record['runs'][run])}")
+    same = record["gradcheck"] == old["gradcheck"]
+    print(f"gradcheck text: {'unchanged' if same else 'changed'}")
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

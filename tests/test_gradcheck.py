@@ -147,9 +147,9 @@ def test_the_suite_makes_a_pinned_number_of_backbone_calls(monkeypatch):
     monkeypatch.setattr(pipeline, "lm_forward", counting)
     pipeline.gradcheck_suite(0)
     # the analytic pass, the unperturbed pass, then per source the 256 + 32
-    # probes of enc_w and enc_b at 32 per call; the 256 + 16 probes of dec_w
+    # probes of enc_w and enc_b at 64 per call; the 256 + 16 probes of dec_w
     # and dec_b reuse the unperturbed confidences (the serial loop: 1681)
-    assert pipeline.GRADCHECK_PROBES_PER_CALL == 32
-    assert len(calls) == 1 + 1 + 3 * (8 + 1) == 29
-    assert calls == [4, 4] + [4 * 32] * 27
+    assert pipeline.GRADCHECK_PROBES_PER_CALL == 64
+    assert len(calls) == 1 + 1 + 3 * (4 + 1) == 17
+    assert calls == [4, 4] + ([4 * 64] * 4 + [4 * 32]) * 3
 

@@ -28,12 +28,19 @@ def _raw_ds(seed=0, n=20):
     return build(planted_profile(n_records=n, seed=seed, mode="raw"))
 
 
-@pytest.mark.parametrize("make", [_latent_ds, _raw_ds], ids=["latent", "raw"])
+def _table1_raw_ds(seed=0):
+    return build(datagen.table1_profile(scale=0.002, seed=seed, mode="raw"))
+
+
+@pytest.mark.parametrize("make", [_latent_ds, _raw_ds, _table1_raw_ds],
+                         ids=["latent", "raw", "table1-raw"])
 def test_roundtrip(tmp_path, make):
+    # a built dataset is its saved copy, bit for bit
     ds = make()
     write_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
     assert back.mode == ds.mode and back.n_records == ds.n_records
+    assert (back.seed, back.generator) == (ds.seed, ds.generator)
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.patients, ds.patients)
     assert tuple(back.task_names) == tuple(ds.task_names)
@@ -41,12 +48,13 @@ def test_roundtrip(tmp_path, make):
     if ds.mode == "raw":
         # the image sources share one payload, in memory as on disk
         assert back.payloads["xr"] is back.payloads["axr"]
+        assert ds.payloads["xr"] is ds.payloads["axr"]
     for name, arrays in ds.payloads.items():
         assert len(back.payloads[name]) == len(arrays)
         for got, want in zip(back.payloads[name], arrays):
-            # lengths, counts and ids stay int64; values go through float32
+            # lengths, counts and ids as int64, values as float64
             assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want.astype(np.float32).astype(want.dtype))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_source_specs_survive_roundtrip(tmp_path):
@@ -67,17 +75,23 @@ def test_rewrite_is_byte_identical(tmp_path):
         assert (first / f).read_bytes() == (second / f).read_bytes(), f
 
 
-def test_a_failed_write_leaves_the_old_directory_and_no_temporary(tmp_path, monkeypatch):
+@pytest.mark.parametrize("write, old, new", [
+    (write_dataset, partial(_latent_ds, n=3), partial(_raw_ds, n=3)),
+    (save_checkpoint, lambda: _tiny_checkpoint(), lambda: _tiny_checkpoint()),
+], ids=["dataset", "checkpoint"])
+def test_a_failed_write_leaves_the_old_directory_and_no_temporary(tmp_path, monkeypatch,
+                                                                  write, old, new):
     out = tmp_path / "data"
-    write_dataset(_latent_ds(n=3), out)
+    write(old(), out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    artifact = new()
 
     def full_disk(path, *arrays):
         raise OSError(f"{path}: no space left on device")
 
     monkeypatch.setattr(storage, "save_arrays", full_disk)
     with pytest.raises(OSError, match="no space left"):
-        write_dataset(_raw_ds(n=3), out)
+        write(artifact, out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
