@@ -260,11 +260,6 @@ def build(cfg: GenConfig) -> Dataset:
     scores = z @ directions.T
     labels = _assign_labels(cfg, scores, gen)
     payloads = (_latent_payloads if cfg.mode == "latent" else _raw_payloads)(cfg, z, gen)
-    # values rounded as their float32 files store them, so the dataset is its
-    # saved copy; the image sources keep their one shared tuple
-    stored = {id(arrays): tuple(a.astype(np.float32).astype(np.float64) if a.dtype.kind == "f"
-                                else a for a in arrays) for arrays in payloads.values()}
-    payloads = {name: stored[id(arrays)] for name, arrays in payloads.items()}
     ds = Dataset(
         source_specs=SOURCES,
         task_names=tuple(t.name for t in cfg.tasks),

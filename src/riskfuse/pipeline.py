@@ -139,28 +139,47 @@ def split_by_patient(patients, ratio: float, seed: int) -> tuple[np.ndarray, np.
 # embedding preparation (frozen encoders + train-fitted normalization)
 
 
+def _featurize(spec: SourceSpec, seed: int, payload: tuple, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), d_e) frozen-encoder features of a raw payload's record rows."""
+    lengths, index = gather_records(payload[0], rows)
+    values = [arr[index] for arr in payload[1:]]
+    if spec.modality == "time-series":
+        return timeseries_feature_matrix(lengths, *values)
+    if spec.modality == "image":
+        stub = image_stub_matrix(spec, seed)
+        pick = latest_image if spec.image_rule == "latest" else aggregate_images
+        # products summed per row, not a BLAS call, whose kernel may change
+        # with the row count: a row's embedding is its own
+        return (pick(lengths, *values)[:, np.newaxis, :] * stub).sum(axis=-1)
+    return encode_text_with_table(text_stub_table(spec, seed), lengths, *values)
+
+
 def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
-    """Frozen-encoder embeddings of the given record rows, per named source."""
+    """Frozen-encoder embeddings of the given record rows, per named source.
+
+    A raw source's features are kept in the dataset's memo, under what
+    featurization reads (the source's spec and the dataset's seed) and with
+    the payload tuple they came from; a call featurizes only the rows the
+    memo lacks. A row's features read only its own payload, bit for bit, so
+    a row from the memo equals a freshly featurized one.
+    """
     base = {}
     for name in names:
-        s = dataset.spec(name)
-        payload = dataset.payloads[name]
+        s, payload = dataset.spec(name), dataset.payloads[name]
         if dataset.mode == "latent":
             base[name] = payload[0][rows]
             continue
-        lengths, index = gather_records(payload[0], rows)
-        values = [arr[index] for arr in payload[1:]]
-        if s.modality == "time-series":
-            base[name] = timeseries_feature_matrix(lengths, *values)
-        elif s.modality == "image":
-            stub = image_stub_matrix(s, dataset.seed)
-            pick = latest_image if s.image_rule == "latest" else aggregate_images
-            # products summed per row, not a BLAS call, whose kernel may
-            # change with the row count: a row's embedding is its own
-            base[name] = (pick(lengths, *values)[:, np.newaxis, :] * stub).sum(axis=-1)
-        else:
-            table = text_stub_table(s, dataset.seed)
-            base[name] = encode_text_with_table(table, lengths, *values)
+        key = (s, dataset.seed)
+        entry = dataset._features.get(key)
+        if entry is None or entry[0] is not payload:
+            entry = dataset._features[key] = (payload, np.empty((dataset.n_records, s.dim)),
+                                              np.zeros(dataset.n_records, dtype=bool))
+        _, features, done = entry
+        todo = rows[~done[rows]]
+        if todo.size:
+            features[todo] = _featurize(s, dataset.seed, payload, todo)
+            done[todo] = True
+        base[name] = features[rows]
     return base
 
 
@@ -168,7 +187,9 @@ def prepare_embeddings(dataset: Dataset, rows, stats: dict | None = None,
                        sources=None) -> tuple[dict, dict]:
     """Per-source (len(rows), d_e) embeddings of the record `rows`, z-scored.
 
-    Only the named `sources` (default: every source) are featurized. Pass
+    Only the named `sources` (default: every source) are read, each raw one
+    from the dataset's feature memo, which featurizes the rows it lacks
+    (see `_base_embeddings`); the z-scoring runs on every call. Pass
     `stats` (from a checkpoint) to normalize evaluation data exactly as the
     training run did; without them they are fitted on the rows featurized
     here, which are then the training split.
@@ -449,7 +470,8 @@ def _threshold(ckpt: Checkpoint, threshold: float | None) -> float:
 
 def _readout(ckpt: Checkpoint, dataset: Dataset, indices, groups) -> np.ndarray:
     """(G, len(indices), K) confidences of G equally long groups of sources
-    on the given record rows. Each source is featurized once and projected
+    on the given record rows. Each source's features are read once (a raw
+    source featurizes only the rows its dataset's memo lacks) and projected
     once per PREDICT_CHUNK rows, and a chunk's groups share one backbone
     call, which reads each group's rows exactly as it would alone."""
     check_compatible(ckpt, dataset)

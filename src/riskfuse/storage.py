@@ -23,8 +23,9 @@ and one payload file per source, whose arrays `payload_layout` lists:
 
 A raw payload is a length table and the values it cuts, record by record
 in row order. In memory a `Dataset` maps each source name to the same
-arrays (the image sources to one shared tuple), values as float64 and
-lengths and ids as int64. Arrays are little-endian. Identical
+arrays (the image sources to one shared tuple), read-only, values as
+float64 rounded to the float32 its files store and lengths and ids as
+int64, so a dataset is its saved copy. Arrays are little-endian. Identical
 generator seeds produce byte-identical directories. A checkpoint is written
 by the same `write_artifact` and read through the same `read_manifest` and
 `load_arrays`, its parameters and stats as float64.
@@ -48,7 +49,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .encoders import SourceSpec
+from .encoders import SourceSpec, _read_only
 from .losses import validate_labels
 
 __all__ = ["FORMAT_VERSIONS", "MODES", "KINDS", "Dataset", "payload_layout", "gather_records",
@@ -108,6 +109,21 @@ class Dataset:
     seed: int
     payloads: dict                    # name -> the arrays of its payload_layout
     generator: dict = field(default_factory=dict)
+    # (source spec, seed) -> (the payload tuple it was featurized from, the
+    # (n_records, d_e) features, the mask of rows done); filled by
+    # `pipeline._base_embeddings`, and empty in every new or replaced copy
+    _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # values rounded as their float32 files store them, so the dataset is
+        # its saved copy; every array read-only, so that no in-place write can
+        # put the feature memo out of step; shared tuples (the image sources')
+        # stay shared
+        stored = {id(arrays): tuple(_read_only(
+            arr.astype(np.float32, copy=False).astype(np.float64) if arr.dtype.kind == "f"
+            else arr.astype(np.int64, copy=False)) for arr in arrays)
+            for arrays in self.payloads.values()}
+        self.payloads = {name: stored[id(arrays)] for name, arrays in self.payloads.items()}
 
     @property
     def n_records(self) -> int:
@@ -404,9 +420,8 @@ def load_dataset(path) -> Dataset:
     for s in specs:
         fname, layout = payload_layout(s, n, mode)
         if fname not in files:   # the image sources share one file
-            files[fname] = tuple(arr.astype(np.float64 if arr.dtype.kind == "f" else np.int64)
-                                 for arr in load_arrays(root / fname, *layout.values()))
-        payloads[s.name] = files[fname]
+            files[fname] = load_arrays(root / fname, *layout.values())
+        payloads[s.name] = files[fname]   # converted once, by the constructor
     ds = Dataset(
         source_specs=specs,
         task_names=task_names,

@@ -4,6 +4,7 @@ the one-pass featurizers against the per-record oracle in
 `featurize_oracle.py`."""
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskfuse.datagen import build, planted_profile
+from riskfuse.datagen import build, planted_profile, table1_profile
 from riskfuse.encoders import (N_TS_FEATURES, SourceSpec, aggregate_images,
                                apply_feature_stats, encode_text_with_table,
                                fit_feature_stats, image_stub_matrix, latest_image,
@@ -350,7 +351,8 @@ def test_cached_stubs_featurize_as_freshly_drawn_ones_bit_for_bit():
     image_stub_matrix.cache_clear()
     text_stub_table.cache_clear()
     fresh = _base_embeddings(ds, rows, names)
-    cached = _base_embeddings(ds, rows, names)
+    # a copy starts with an empty feature memo, so the stubs are read again
+    cached = _base_embeddings(dataclasses.replace(ds), rows, names)
     assert image_stub_matrix.cache_info().hits == 2
     assert text_stub_table.cache_info().hits == 1
     for name in names:
@@ -396,17 +398,90 @@ def test_raw_features_match_the_per_record_oracle():
 @pytest.mark.parametrize("name", RAW_SOURCES)
 def test_any_rows_featurize_as_in_the_full_call_bit_for_bit(name):
     # a record's features read only its own payload: rows 1..n, each row
-    # alone, and rows with duplicates all give the full call's rows
+    # alone, and rows with duplicates all give the full call's rows; each
+    # subset is featurized on a fresh copy, whose feature memo is empty
     ds = build(planted_profile(n_records=12, seed=2, mode="raw"))
     full = _base_embeddings(ds, np.arange(ds.n_records), (name,))[name]
+
+    def alone(rows):
+        return _base_embeddings(dataclasses.replace(ds), rows, (name,))[name]
+
     for k in range(1, ds.n_records + 1):
-        np.testing.assert_array_equal(_base_embeddings(ds, np.arange(k), (name,))[name],
-                                      full[:k])
+        np.testing.assert_array_equal(alone(np.arange(k)), full[:k])
     for i in range(ds.n_records):
-        np.testing.assert_array_equal(_base_embeddings(ds, np.array([i]), (name,))[name],
-                                      full[[i]])
+        np.testing.assert_array_equal(alone(np.array([i])), full[[i]])
     rows = np.array([5, 0, 5, 11, 0, 5])
-    np.testing.assert_array_equal(_base_embeddings(ds, rows, (name,))[name], full[rows])
+    np.testing.assert_array_equal(alone(rows), full[rows])
+
+
+# ---------------------------------------------------------------------------
+# the per-dataset feature memo
+
+
+@functools.cache
+def _memo_cohort(profile: str):
+    cfg = (planted_profile(n_records=40, seed=6, mode="raw") if profile == "planted"
+           else table1_profile(scale=0.002, seed=1, mode="raw"))
+    return build(cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(profile=st.sampled_from(["planted", "table1"]),
+       subsets=st.lists(st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+                        min_size=1, max_size=6))
+def test_memoized_rows_equal_a_fresh_featurization_bit_for_bit(profile, subsets):
+    # a sequence of row subsets (unsorted, with duplicates, single rows) on
+    # one dataset, whose memo serves the rows earlier subsets featurized,
+    # gives each subset's rows exactly as a fresh copy featurizes them
+    base = _memo_cohort(profile)
+    ds = dataclasses.replace(base)
+    for subset in subsets:
+        rows = np.array(subset) % ds.n_records
+        got = _base_embeddings(ds, rows, RAW_SOURCES)
+        want = _base_embeddings(dataclasses.replace(base), rows, RAW_SOURCES)
+        for name in RAW_SOURCES:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("how", ["replace", "in place"])
+@pytest.mark.parametrize("change", ["image_rule", "seed"])
+def test_the_memo_serves_features_of_the_current_spec_and_seed(how, change):
+    ds = build(planted_profile(n_records=10, seed=2, mode="raw"))
+    rows = np.array([4, 0, 9])
+    before = _base_embeddings(ds, np.arange(ds.n_records), ("xr", "txt"))
+    if change == "image_rule":
+        fields = {"source_specs": tuple(dataclasses.replace(s, image_rule="aggregate")
+                                        if s.name == "xr" else s for s in ds.source_specs)}
+    else:
+        fields = {"seed": ds.seed + 1}
+    if how == "replace":
+        ds = dataclasses.replace(ds, **fields)
+    else:
+        for key, value in fields.items():
+            setattr(ds, key, value)
+    fresh = dataclasses.replace(ds)
+    got = _base_embeddings(ds, rows, ("xr", "txt"))
+    for name in ("xr", "txt"):
+        want = _base_embeddings(fresh, rows, (name,))[name]
+        np.testing.assert_array_equal(got[name], want)
+    # xr reads its rule and, through its stub, the seed; txt reads the seed only
+    assert not np.array_equal(got["xr"], before["xr"][rows])
+    assert np.array_equal(got["txt"], before["txt"][rows]) == (change == "image_rule")
+
+
+def test_replacing_a_payload_tuple_drops_its_memo_entry():
+    ds = build(planted_profile(n_records=10, seed=2, mode="raw"))
+    rows = np.arange(ds.n_records)
+    old = ds.payloads["lab"]
+    before = _base_embeddings(ds, rows, ("lab", "chart"))
+    lengths, values = old
+    ds.payloads["lab"] = (lengths, 2.0 * values)   # still float32 values
+    after = _base_embeddings(ds, rows, ("lab", "chart"))
+    assert all(entry[0] is not old for entry in ds._features.values())
+    np.testing.assert_array_equal(after["lab"],
+                                  _base_embeddings(dataclasses.replace(ds), rows, ("lab",))["lab"])
+    assert not np.array_equal(after["lab"], before["lab"])
+    np.testing.assert_array_equal(after["chart"], before["chart"])
 
 
 def test_raw_featurization_refuses_a_nonfinite_series_and_an_unknown_token():

@@ -352,7 +352,8 @@ def test_row_subset_predict_matches_full_predict(dataset, joint_ckpt, iso_ckpt,
                                                  raw_dataset, raw_ckpts):
     # both batches are tall enough for BLAS's regular matmul kernel; below
     # about 26 rows it switches to a small-matrix kernel that rounds
-    # differently (see the chunking test above)
+    # differently (see the chunking test above); the subset is featurized on
+    # a fresh copy, whose feature memo is empty
     for ds, ckpts in ((dataset, (joint_ckpt, iso_ckpt)), (raw_dataset, raw_ckpts)):
         every = np.arange(ds.n_records)
         rows = rng(0, "subset").permutation(ds.n_records)[: ds.n_records // 2]
@@ -360,7 +361,7 @@ def test_row_subset_predict_matches_full_predict(dataset, joint_ckpt, iso_ckpt,
             fused = "joint" if ckpt.config.mode == "joint" else "iso-joint"
             for mode in [fused] + [f"single:{n}" for n in ckpt.source_order()]:
                 full, _ = predict(ckpt, ds, every, mode)
-                part, _ = predict(ckpt, ds, rows, mode)
+                part, _ = predict(ckpt, dataclasses.replace(ds), rows, mode)
                 np.testing.assert_array_equal(part, full[rows], err_msg=f"{ds.mode} {mode}")
 
 
@@ -401,6 +402,62 @@ def test_training_featurizes_only_the_training_rows_once(raw_dataset, monkeypatc
     assert te.size > 0
     names = [s.name for s in raw_dataset.source_specs]
     assert seen == Counter({(int(r), name): 1 for r in tr for name in names})
+
+
+FEATURIZERS = ("timeseries_feature_matrix", "latest_image", "aggregate_images",
+               "encode_text_with_table")
+
+REPEATED = {
+    "predict": lambda ds, ckpts: predict(ckpts[1], ds, np.arange(ds.n_records), "iso-joint")[0],
+    "bss": lambda ds, ckpts: evaluate_protocol(ckpts[1], ds, "bss"),
+    "train": lambda ds, ckpts: train(ds, _cfg(epochs=1)).history,
+}
+
+
+@pytest.mark.parametrize("op", REPEATED)
+def test_a_repeated_call_on_a_dataset_calls_no_featurizer(raw_dataset, raw_ckpts, op,
+                                                          monkeypatch):
+    # the features of a raw (record, source) pair are kept in the dataset's
+    # memo, so the second call reads them all from there
+    calls = Counter()
+    for attr in FEATURIZERS:
+        def spy(*args, _real=getattr(pipeline, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, spy)
+    ds = dataclasses.replace(raw_dataset)   # an empty memo
+    first = REPEATED[op](ds, raw_ckpts)
+    assert set(calls) == set(FEATURIZERS)
+    calls.clear()
+    again = REPEATED[op](ds, raw_ckpts)
+    assert not calls
+    if op == "predict":
+        np.testing.assert_array_equal(again, first)
+    else:
+        assert again == first
+
+
+def test_a_benchmark_cycle_featurizes_each_record_source_pair_once(raw_dataset, monkeypatch):
+    # train, predict and evaluate twice, as the benchmark's jobs do
+    seen = Counter()
+    real = pipeline._featurize
+
+    def counting(spec, seed, payload, rows):
+        seen.update((int(r), spec.name) for r in rows)
+        return real(spec, seed, payload, rows)
+
+    monkeypatch.setattr(pipeline, "_featurize", counting)
+    ds = dataclasses.replace(raw_dataset)
+    cfg = _cfg(mode="isolated", epochs=1)
+    _, te = split_by_patient(ds.patients, cfg.split_ratio, cfg.seed)
+    for _ in range(2):
+        ckpt = train(ds, cfg)
+        predict(ckpt, ds, te, "iso-joint")
+        for protocol in ("bss", "iso-joint"):
+            evaluate_protocol(ckpt, ds, protocol)
+    names = [s.name for s in ds.source_specs]
+    assert seen == Counter({(r, name): 1 for r in range(ds.n_records) for name in names})
 
 
 # ---------------------------------------------------------------------------

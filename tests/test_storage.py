@@ -57,6 +57,39 @@ def test_roundtrip(tmp_path, make):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_a_hand_built_dataset_is_its_saved_copy(tmp_path):
+    # a dataset made by the constructor from float64 values that float32
+    # cannot hold, as a transformed dataset would be, holds them rounded as
+    # its files store them: it reloads and trains exactly as it was
+    ds = _latent_ds(seed=3, n=50)
+    gen = np.random.default_rng(0)
+    noisy = dataclasses.replace(ds, payloads={
+        name: (emb + 1e-9 * gen.standard_normal(emb.shape),)
+        for name, (emb,) in ds.payloads.items()})
+    write_dataset(noisy, tmp_path)
+    back = load_dataset(tmp_path)
+    for name, (emb,) in noisy.payloads.items():
+        assert back.payloads[name][0].tobytes() == emb.tobytes(), name
+    cfg = TrainConfig(epochs=2, batch_size=16,
+                      lm=LMConfig(d_model=48, n_layers=1, n_heads=2, vocab=16, max_seq=8))
+    assert train(back, cfg).history == train(noisy, cfg).history
+
+
+@pytest.mark.parametrize("make", [_latent_ds, _raw_ds], ids=["latent", "raw"])
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_payloads_are_read_only(tmp_path, make, loaded):
+    # an in-place write would put the dataset's feature memo out of step
+    ds = make()
+    if loaded:
+        write_dataset(ds, tmp_path)
+        ds = load_dataset(tmp_path)
+    for name, arrays in ds.payloads.items():
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    assert ds.payloads["lab"][-1].dtype == np.float64
+
+
 def test_source_specs_survive_roundtrip(tmp_path):
     ds = _latent_ds()
     write_dataset(ds, tmp_path)
