@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .encoders import (FeatureStats, SourceSpec, aggregate_images,
+from .encoders import (FeatureStats, SourceSpec, _read_only, aggregate_images,
                        apply_feature_stats, fit_feature_stats, image_stub_matrix,
                        latest_image, encode_text_with_table, text_stub_table,
                        timeseries_feature_matrix)
@@ -157,11 +157,15 @@ def _featurize(spec: SourceSpec, seed: int, payload: tuple, rows: np.ndarray) ->
 def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
     """Frozen-encoder embeddings of the given record rows, per named source.
 
-    A raw source's features are kept in the dataset's memo, under what
-    featurization reads (the source's spec and the dataset's seed) and with
-    the payload tuple they came from; a call featurizes only the rows the
-    memo lacks. A row's features read only its own payload, bit for bit, so
-    a row from the memo equals a freshly featurized one.
+    A raw source's features are kept in the dataset's memo, one entry per
+    source, stamped with what featurization reads (the payload tuple, the
+    source's spec and the dataset's seed) and replaced when any of them
+    changes. An entry holds the blocks of rows featurized so far and each
+    record's position in them. A call featurizes only the rows the memo
+    lacks; when it lacks them all (as in a one-shot call) the fresh block is
+    both kept and returned, with no copy. A row's features read only its own
+    payload, bit for bit, so a row from the memo equals a freshly featurized
+    one.
     """
     base = {}
     for name in names:
@@ -169,17 +173,23 @@ def _base_embeddings(dataset: Dataset, rows: np.ndarray, names) -> dict:
         if dataset.mode == "latent":
             base[name] = payload[0][rows]
             continue
-        key = (s, dataset.seed)
-        entry = dataset._features.get(key)
-        if entry is None or entry[0] is not payload:
-            entry = dataset._features[key] = (payload, np.empty((dataset.n_records, s.dim)),
-                                              np.zeros(dataset.n_records, dtype=bool))
-        _, features, done = entry
-        todo = rows[~done[rows]]
-        if todo.size:
-            features[todo] = _featurize(s, dataset.seed, payload, todo)
-            done[todo] = True
-        base[name] = features[rows]
+        entry = dataset._features.get(name)
+        if entry is None or entry[0] is not payload or entry[1] != (s, dataset.seed):
+            # [payload, (spec, seed), each record's position (-1: not yet), blocks]
+            entry = dataset._features[name] = [payload, (s, dataset.seed),
+                                               np.full(dataset.n_records, -1), []]
+        _, _, at, blocks = entry
+        todo = rows[at[rows] < 0] if blocks else rows   # no blocks, no rows held
+        if todo.size or not rows.size:   # no rows at all: `_featurize` refuses them
+            fresh = _read_only(_featurize(s, dataset.seed, payload, todo))
+            at[todo] = np.arange(todo.size) + sum(len(b) for b in blocks)
+            blocks.append(fresh)
+            if todo.size == rows.size:
+                base[name] = fresh
+                continue
+        if len(blocks) > 1:   # merged once, by the first call that reads them
+            blocks[:] = [np.concatenate(blocks)]
+        base[name] = blocks[0][at[rows]]
     return base
 
 

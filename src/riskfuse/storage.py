@@ -22,10 +22,11 @@ and one payload file per source, whose arrays `payload_layout` lists:
                       their (total, raw_dim) float32 vectors
 
 A raw payload is a length table and the values it cuts, record by record
-in row order. In memory a `Dataset` maps each source name to the same
-arrays (the image sources to one shared tuple), read-only, values as
-float64 rounded to the float32 its files store and lengths and ids as
-int64, so a dataset is its saved copy. Arrays are little-endian. Identical
+in row order. In memory a `Dataset` maps each source name to its own
+read-only copies of the same arrays (the image sources to one shared
+tuple), values as float64 rounded to the float32 its files store and
+lengths and ids as int64, so a dataset is its saved copy; a copy made by
+`dataclasses.replace` shares them. Arrays are little-endian. Identical
 generator seeds produce byte-identical directories. A checkpoint is written
 by the same `write_artifact` and read through the same `read_manifest` and
 `load_arrays`, its parameters and stats as float64.
@@ -99,6 +100,19 @@ def _fits(arr: np.ndarray, shape) -> bool:
                                           for want, got in zip(shape, arr.shape))
 
 
+class _Payload(tuple):
+    """A payload's arrays as a `Dataset` holds them: its own read-only copies,
+    values rounded to the float32 their files store (held as float64),
+    lengths and ids as int64."""
+
+    @classmethod
+    def of(cls, arrays) -> "_Payload":
+        """`arrays` converted, or themselves if a dataset holds them already."""
+        return arrays if type(arrays) is cls else cls(_read_only(
+            arr.astype(np.float32, copy=False).astype(np.float64) if arr.dtype.kind == "f"
+            else np.array(arr, dtype=np.int64)) for arr in arrays)
+
+
 @dataclass
 class Dataset:
     source_specs: tuple[SourceSpec, ...]
@@ -109,20 +123,15 @@ class Dataset:
     seed: int
     payloads: dict                    # name -> the arrays of its payload_layout
     generator: dict = field(default_factory=dict)
-    # (source spec, seed) -> (the payload tuple it was featurized from, the
-    # (n_records, d_e) features, the mask of rows done); filled by
-    # `pipeline._base_embeddings`, and empty in every new or replaced copy
+    # raw source name -> its feature memo entry (see
+    # `pipeline._base_embeddings`); empty in every new or replaced copy
     _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # values rounded as their float32 files store them, so the dataset is
-        # its saved copy; every array read-only, so that no in-place write can
-        # put the feature memo out of step; shared tuples (the image sources')
-        # stay shared
-        stored = {id(arrays): tuple(_read_only(
-            arr.astype(np.float32, copy=False).astype(np.float64) if arr.dtype.kind == "f"
-            else arr.astype(np.int64, copy=False)) for arr in arrays)
-            for arrays in self.payloads.values()}
+        # every payload as a `_Payload`, so the dataset is its saved copy and
+        # no in-place write can put the feature memo out of step; shared
+        # tuples (the image sources') stay shared
+        stored = {id(arrays): _Payload.of(arrays) for arrays in self.payloads.values()}
         self.payloads = {name: stored[id(arrays)] for name, arrays in self.payloads.items()}
 
     @property
@@ -420,8 +429,9 @@ def load_dataset(path) -> Dataset:
     for s in specs:
         fname, layout = payload_layout(s, n, mode)
         if fname not in files:   # the image sources share one file
-            files[fname] = load_arrays(root / fname, *layout.values())
-        payloads[s.name] = files[fname]   # converted once, by the constructor
+            # converted as it is read, so no file's arrays outlive its own
+            files[fname] = _Payload.of(load_arrays(root / fname, *layout.values()))
+        payloads[s.name] = files[fname]
     ds = Dataset(
         source_specs=specs,
         task_names=task_names,

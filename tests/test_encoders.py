@@ -484,6 +484,28 @@ def test_replacing_a_payload_tuple_drops_its_memo_entry():
     np.testing.assert_array_equal(after["chart"], before["chart"])
 
 
+def test_the_memo_holds_only_the_rows_featurized_and_one_entry_per_source():
+    ds = build(planted_profile(n_records=30, seed=2, mode="raw"))
+    first = np.array([7, 3, 7, 12])
+    got = _base_embeddings(ds, first, ("lab",))["lab"]
+    # a call the memo serves nothing of hands back the memo's own block
+    assert ds._features["lab"][3] == [got] and not got.flags.writeable
+    assert got.shape == (first.size, ds.spec("lab").dim)
+    fresh = _base_embeddings(ds, np.array([20, 21]), ("lab",))["lab"]
+    assert [len(b) for b in ds._features["lab"][3]] == [first.size, 2]
+    # a call that reads the memo merges its blocks first
+    _base_embeddings(ds, np.array([3, 21, 22]), ("lab",))
+    (merged,) = ds._features["lab"][3]
+    assert merged.tobytes() == np.concatenate([got, fresh, merged[-1:]]).tobytes()
+    with pytest.raises(ValueError, match="no records"):   # as with no memo
+        _base_embeddings(ds, np.array([], dtype=np.int64), ("lab",))
+    # a changed seed replaces the entry instead of adding one beside it
+    ds.seed += 1
+    _base_embeddings(ds, np.array([0]), ("lab", "txt"))
+    assert set(ds._features) == {"lab", "txt"}
+    assert [len(entry[3]) for entry in ds._features.values()] == [1, 1]   # one block each
+
+
 def test_raw_featurization_refuses_a_nonfinite_series_and_an_unknown_token():
     ds = build(planted_profile(n_records=6, seed=2, mode="raw"))
     lengths, values = ds.payloads["lab"]

@@ -90,6 +90,23 @@ def test_payloads_are_read_only(tmp_path, make, loaded):
     assert ds.payloads["lab"][-1].dtype == np.float64
 
 
+@pytest.mark.parametrize("make", [_latent_ds, _raw_ds], ids=["latent", "raw"])
+def test_the_constructor_leaves_the_callers_arrays_writeable(make):
+    # the dataset freezes its own copies, float and int64 arrays alike
+    ds = make()
+    given = {name: tuple(arr.copy() for arr in arrays) for name, arrays in ds.payloads.items()}
+    copy = dataclasses.replace(ds, payloads=given)
+    for name, arrays in given.items():
+        for arr, held in zip(arrays, copy.payloads[name]):
+            assert arr.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(arr, held), name
+    assert any(arr.dtype == np.int64 for arrays in given.values() for arr in arrays) == (
+        ds.mode == "raw")
+    # arrays a dataset holds already are shared, not copied again
+    again = dataclasses.replace(copy)
+    assert all(again.payloads[name] is copy.payloads[name] for name in given)
+
+
 def test_source_specs_survive_roundtrip(tmp_path):
     ds = _latent_ds()
     write_dataset(ds, tmp_path)
